@@ -26,9 +26,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # group (multi-tenant control plane, including the §3.13 batched-vs-
 # per-tenant bitwise-identity tests), the forecast group (workload
 # forecasting + pre-warmed planning), the sim group (sharded simulator
-# digests), and the surrogate group (distilled fast-path planning, §3.14 —
+# digests), the surrogate group (distilled fast-path planning, §3.14 —
 # solver-in-the-loop distillation and tiered solves carry the same
-# bit-identity contract) again at pinned thread counts: these runs must
+# bit-identity contract), and the solver group (golden descent digests on the
+# four paper topologies) again at pinned thread counts: these runs must
 # replay bit-identically whether the pool has 1 worker or 8 (DESIGN.md
 # §3.7/§3.8/§3.10/§3.11/§3.12/§3.13/§3.14 determinism contract).
 # Under the sanitizer legs this doubles as the ASan/TSan pass over the
@@ -36,7 +37,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # the sharded engine's window barriers.
 for threads in 1 8; do
   GRAF_THREADS=$threads \
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'chaos|fleet|forecast|sim|surrogate'
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'chaos|fleet|forecast|sim|surrogate|solver'
 done
 
 # Perf smoke gate (plain leg only: sanitizer overhead would trip any time
