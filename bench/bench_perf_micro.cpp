@@ -236,14 +236,12 @@ void BM_MatmulNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulNaive)->Arg(128);
 
-// Batched multi-start descent (one K x n tape) against the per-start
-// fan-out it replaced as the default; identical answers, different cost.
+// Multi-start descent: all K starts as rows of one K x n tape.
 void BM_SolveBatched(benchmark::State& state) {
   auto& model = shared_model();
   core::SolverConfig cfg;
   cfg.max_iterations = 300;
   cfg.multi_starts = static_cast<std::size_t>(state.range(0));
-  cfg.batched_multi_start = true;
   core::ConfigurationSolver solver{model, cfg};
   std::vector<double> w(6, 50.0);
   std::vector<Millicores> lo(6, 300.0);
@@ -253,22 +251,6 @@ void BM_SolveBatched(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolveBatched)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-
-void BM_SolveFanout(benchmark::State& state) {
-  auto& model = shared_model();
-  core::SolverConfig cfg;
-  cfg.max_iterations = 300;
-  cfg.multi_starts = static_cast<std::size_t>(state.range(0));
-  cfg.batched_multi_start = false;
-  core::ConfigurationSolver solver{model, cfg};
-  std::vector<double> w(6, 50.0);
-  std::vector<Millicores> lo(6, 300.0);
-  std::vector<Millicores> hi(6, 2000.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(w, 150.0, lo, hi));
-  }
-}
-BENCHMARK(BM_SolveFanout)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // A controller tick answered from the plan cache: the steady-state cost of
 // re-planning when traffic hasn't drifted out of its quantization bucket.
@@ -382,14 +364,14 @@ void BM_SurrogateDistill(benchmark::State& state) {
 }
 BENCHMARK(BM_SurrogateDistill)->Unit(benchmark::kMillisecond);
 
-// Aggregate fleet planning throughput: 8 same-model tenants per step, every
-// tenant forced to a fresh solve (plan cache off, zero hysteresis band),
-// fanned over the global pool at `threads` workers. Shared by the per-tenant
-// and batched variants below; `batch_plans` selects the solve path.
-void fleet_plan_throughput(benchmark::State& state, std::size_t threads,
-                           bool batch_plans) {
-  set_global_threads(threads);
-  fleet::FleetServer server{{.ingest_capacity = 64, .batch_plans = batch_plans}};
+// Block-diagonal batched planning (§3.13): 8 same-model tenants per step,
+// every tenant forced to a fresh solve (plan cache off, zero hysteresis
+// band), coalescing into one stacked solve_batch per step instead of 8
+// independent descents, at `threads` pool workers. Gated in
+// scripts/bench_check.py on the /1 row.
+void BM_FleetBatchedPlanThroughput(benchmark::State& state) {
+  set_global_threads(static_cast<std::size_t>(state.range(0)));
+  fleet::FleetServer server{{.ingest_capacity = 64}};
   std::vector<fleet::TenantId> ids;
   for (int i = 0; i < 8; ++i) {
     fleet::TenantSpec spec;
@@ -422,32 +404,6 @@ void fleet_plan_throughput(benchmark::State& state, std::size_t threads,
   }
   state.counters["plans/s"] = rate.counter();
   set_global_threads(0);
-}
-
-// The PR-6 one-solve-per-tenant fan-out. The Arg(1)->Arg(8) pair is the
-// thread-scaling claim: on a multi-core host aggregate plans/s at 8 threads
-// runs >= 2x the 1-thread row; on a single-core CI box the pair reads flat
-// wall-clock (the PR-3 caveat) while still exercising the full fan-out
-// path. Gated in scripts/bench_check.py on the /1 row only.
-void BM_FleetPlanThroughput(benchmark::State& state) {
-  fleet_plan_throughput(state, static_cast<std::size_t>(state.range(0)),
-                        /*batch_plans=*/false);
-}
-BENCHMARK(BM_FleetPlanThroughput)
-    ->Arg(1)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// Block-diagonal batched planning (§3.13): the 8 same-model tenants coalesce
-// into one stacked solve_batch per step instead of 8 independent descents.
-// The /1 row against BM_FleetPlanThroughput/1 is the batching claim — same
-// work, same bits, >= 2x aggregate plans/s from amortizing the MPNN forward/
-// backward across the stacked rows — scaling from batch width, not threads,
-// so it holds on a single-core box too. Gated in scripts/bench_check.py.
-void BM_FleetBatchedPlanThroughput(benchmark::State& state) {
-  fleet_plan_throughput(state, static_cast<std::size_t>(state.range(0)),
-                        /*batch_plans=*/true);
 }
 BENCHMARK(BM_FleetBatchedPlanThroughput)
     ->Arg(1)
@@ -637,27 +593,6 @@ void BM_CollectScaling(benchmark::State& state) {
   set_global_threads(0);
 }
 BENCHMARK(BM_CollectScaling)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_SolveScalingMultiStart(benchmark::State& state) {
-  set_global_threads(static_cast<std::size_t>(state.range(0)));
-  auto& model = shared_model();
-  core::SolverConfig cfg;
-  cfg.max_iterations = 300;
-  cfg.multi_starts = 8;
-  core::ConfigurationSolver solver{model, cfg};
-  std::vector<double> w(6, 50.0);
-  std::vector<Millicores> lo(6, 300.0);
-  std::vector<Millicores> hi(6, 2000.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(w, 150.0, lo, hi));
-  }
-  set_global_threads(0);
-}
-BENCHMARK(BM_SolveScalingMultiStart)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 /// Mirrors every finished benchmark into the machine-readable result sink
 /// while keeping the normal console table.

@@ -14,13 +14,10 @@ Gate rows (time-per-op, lower is better):
                              ungated: on a single-core CI box 8 workers
                              just contend for one core, so its wall clock
                              reads flat-to-slower vs /1 by design)
-  BM_FleetPlanThroughput/1   8-tenant fleet step, single-threaded
-                             one-solve-per-tenant fan-out (the /8 row is
-                             ungated, same caveat)
-  BM_FleetBatchedPlanThroughput/1  the same 8-tenant step with the tenants
+  BM_FleetBatchedPlanThroughput/1  8-tenant fleet step with the tenants
                              coalesced into one block-diagonal solve_batch
-                             (DESIGN.md 3.13) — single-threaded, so the
-                             batch-width speedup holds on one core
+                             (DESIGN.md 3.13), single-threaded (the /8 row
+                             is ungated, same caveat)
   BM_ForecastStep            one forecast-gated control tick (observe +
                              predict + scale)
   BM_SurrogatePlanThroughput/1  one two-tier plan (surrogate descent + one
@@ -61,7 +58,6 @@ GATES = [
     "BM_GnnInference",
     "BM_SimulatorEventThroughput",
     "BM_ShardedSimulatorEventThroughput/1",
-    "BM_FleetPlanThroughput/1",
     "BM_FleetBatchedPlanThroughput/1",
     "BM_ForecastStep",
     "BM_SurrogatePlanThroughput/1",

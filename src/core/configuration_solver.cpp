@@ -3,18 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "nn/optim.h"
 #include "telemetry/profiler.h"
 
 namespace graf::core {
 
-std::size_t ConfigurationSolver::pick_winner(const std::vector<SolverResult>& runs,
+std::size_t ConfigurationSolver::pick_winner(std::span<const SolverResult> runs,
                                              double target_ms) {
   auto total_quota = [](const SolverResult& r) {
     double t = 0.0;
@@ -53,332 +51,101 @@ void ConfigurationSolver::rebind(gnn::LatencyModel& model) {
   model_ = &model;
 }
 
-SolverResult ConfigurationSolver::solve(std::span<const double> workload,
-                                        double slo_ms,
-                                        std::span<const Millicores> lo,
-                                        std::span<const Millicores> hi,
-                                        std::span<const Millicores> init) {
-  const std::size_t n = model_->node_count();
-  if (workload.size() != n || lo.size() != n || hi.size() != n)
-    throw std::invalid_argument{"ConfigurationSolver::solve: dimension mismatch"};
-  if (slo_ms <= 0.0) throw std::invalid_argument{"solve: slo must be > 0"};
-  for (std::size_t i = 0; i < n; ++i)
-    if (!(lo[i] > 0.0) || lo[i] > hi[i])
-      throw std::invalid_argument{"solve: need 0 < lo <= hi"};
-
-  const auto t0 = std::chrono::steady_clock::now();
-
-  nn::Tensor r0{1, n};
-  for (std::size_t i = 0; i < n; ++i)
-    r0(0, i) = init.empty() ? hi[i] : std::clamp(init[i], lo[i], hi[i]);
-
-  if (cfg_.multi_starts <= 1) {
-    SolverResult res = descend(workload, slo_ms, lo, hi, r0, /*instrumented=*/true);
-    res.solve_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    return res;
-  }
-
-  // Multi-start: K independent descents over the shared (frozen) model. The
-  // start points depend only on (multi_start_seed, k), each descent is
-  // deterministic, and the winner is picked in start order — the result is
-  // identical at any thread count. The batched path runs the K descents as
-  // rows of one tape (the default); the concurrent path fans them out over
-  // the thread pool. Both produce the same per-start values bit for bit.
-  const std::size_t starts = cfg_.multi_starts;
-  std::vector<SolverResult> runs;
-  if (cfg_.batched_multi_start) {
-    runs = descend_batched(workload, slo_ms, lo, hi, r0);
-  } else {
-    runs.resize(starts);
-    global_pool().parallel_for(starts, [&](std::size_t k) {
-      nn::Tensor rk = r0;
-      if (k > 0) {
-        Rng start_rng{derive_seed(cfg_.multi_start_seed, k)};
-        for (std::size_t i = 0; i < n; ++i) rk(0, i) = start_rng.uniform(lo[i], hi[i]);
-      }
-      runs[k] = descend(workload, slo_ms, lo, hi, rk, /*instrumented=*/false);
-    });
-  }
-  if (iter_counter_ != nullptr)
-    for (const SolverResult& r : runs)
-      iter_counter_->add(static_cast<double>(r.iterations));
-
-  const double target_ms = slo_ms * cfg_.slo_margin;
-  SolverResult res = std::move(runs[pick_winner(runs, target_ms)]);
-  res.solve_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return res;
-}
-
-SolverResult ConfigurationSolver::descend(std::span<const double> workload,
-                                          double slo_ms,
-                                          std::span<const Millicores> lo,
-                                          std::span<const Millicores> hi,
-                                          const nn::Tensor& r0, bool instrumented) {
-  const std::size_t n = model_->node_count();
-  const double target_ms = slo_ms * cfg_.slo_margin;
-
-  double hi_total = 0.0;
-  for (double h : hi) hi_total += h;
-  const double quota_norm = 1.0 / hi_total;
-
-  nn::Param r{r0};
-  nn::Adam adam{{&r}, {.lr = cfg_.lr_mc}};
-
-  SolverResult res;
-  double prev_loss = std::numeric_limits<double>::infinity();
-  std::size_t calm = 0;
-  nn::Tape tape;
-  for (std::size_t it = 1; it <= cfg_.max_iterations; ++it) {
-    telemetry::ScopedTimer iter_timer{instrumented ? iter_timer_ : nullptr};
-    if (instrumented && iter_counter_ != nullptr) iter_counter_->add();
-    tape.reset();
-    // The descent variable is a live param (Adam steps it); the model's
-    // weights are recorded frozen so concurrent descents never write into
-    // the shared Param::grad buffers.
-    tape.set_freeze_params(false);
-    nn::Var rv = tape.param(r);
-    tape.set_freeze_params(!instrumented);
-    nn::Var pred = model_->predict_var(tape, workload, rv);
-    // sum(r)/sum(hi) + rho * max(0, pred/target - 1)
-    nn::Var quota_term = nn::scale(nn::sum_all(rv), quota_norm);
-    nn::Var violation =
-        nn::relu(nn::add_scalar(nn::scale(pred, 1.0 / target_ms), -1.0));
-    nn::Var loss = nn::add(quota_term, nn::scale(violation, cfg_.rho));
-
-    const double loss_val = tape.value(loss).item();
-    r.zero_grad();
-    tape.backward(loss);
-    adam.step();
-    if (cfg_.lr_decay_every > 0 && it % cfg_.lr_decay_every == 0)
-      adam.set_learning_rate(adam.learning_rate() * cfg_.lr_decay_factor);
-    // Project into the Algorithm-1 bounds.
-    for (std::size_t i = 0; i < n; ++i)
-      r.value(0, i) = std::clamp(r.value(0, i), lo[i], hi[i]);
-
-    res.iterations = it;
-    res.loss = loss_val;
-    if (std::abs(loss_val - prev_loss) < cfg_.tolerance) {
-      if (++calm >= cfg_.patience) {
-        res.converged = true;
-        break;
-      }
-    } else {
-      calm = 0;
-    }
-    prev_loss = loss_val;
-  }
-  tape.set_freeze_params(false);
-
-  res.quota.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) res.quota[i] = r.value(0, i);
-  if (instrumented) {
-    res.predicted_ms = model_->predict(workload, res.quota);
-  } else {
-    // Worker-thread path: predict() profiles into a shared histogram, so
-    // evaluate through a private frozen tape instead.
-    tape.reset();
-    tape.set_freeze_params(true);
-    nn::Var quota_var = tape.constant_ref(r.value);
-    nn::Var pred = model_->predict_var(tape, workload, quota_var);
-    res.predicted_ms = tape.value(pred).item();
-  }
-  return res;
-}
-
-std::vector<SolverResult> ConfigurationSolver::descend_batched(
-    std::span<const double> workload, double slo_ms, std::span<const Millicores> lo,
-    std::span<const Millicores> hi, const nn::Tensor& r0) {
-  const std::size_t n = model_->node_count();
-  const std::size_t starts = cfg_.multi_starts;
-  const double target_ms = slo_ms * cfg_.slo_margin;
-
-  double hi_total = 0.0;
-  for (double h : hi) hi_total += h;
-  const double quota_norm = 1.0 / hi_total;
-
-  // Row k is start k: row 0 the caller's init, rows k >= 1 the same
-  // derive_seed(multi_start_seed, k) uniform draws the concurrent path uses.
-  nn::Tensor starts_mat{starts, n};
-  for (std::size_t i = 0; i < n; ++i) starts_mat(0, i) = r0(0, i);
-  for (std::size_t k = 1; k < starts; ++k) {
-    Rng start_rng{derive_seed(cfg_.multi_start_seed, k)};
-    for (std::size_t i = 0; i < n; ++i) starts_mat(k, i) = start_rng.uniform(lo[i], hi[i]);
-  }
-
-  nn::Param r{std::move(starts_mat)};
-  nn::Adam adam{{&r}, {.lr = cfg_.lr_mc}};
-
-  // Why one ADAM over the K x n block equals K independent ADAMs: the update
-  // is elementwise, the moments never mix entries, and the bias-correction
-  // counter t equals the iteration index for every still-active start (all
-  // rows step every iteration; finished rows are overwritten with their
-  // frozen value right after, so extra steps can't change their outcome).
-  std::vector<SolverResult> runs(starts);
-  std::vector<double> prev_loss(starts, std::numeric_limits<double>::infinity());
-  std::vector<std::size_t> calm(starts, 0);
-  std::vector<char> done(starts, 0);
-  nn::Tensor frozen{starts, n};
-  std::size_t active = starts;
-
-  nn::Tape tape;
-  for (std::size_t it = 1; it <= cfg_.max_iterations && active > 0; ++it) {
-    tape.reset();
-    tape.set_freeze_params(false);
-    nn::Var rv = tape.param(r);
-    tape.set_freeze_params(true);
-    nn::Var pred = model_->predict_var(tape, workload, rv);  // K x 1
-    // Per-row Eq. 5: sum(r_k)/sum(hi) + rho * max(0, pred_k/target - 1).
-    // Rows never mix, so the summed scalar backpropagates each row exactly
-    // the gradient its serial descent would see (sum_all seeds every row
-    // with 1, and a NaN row cannot poison its siblings).
-    nn::Var quota_term = nn::scale(nn::sum_rows(rv), quota_norm);
-    nn::Var violation =
-        nn::relu(nn::add_scalar(nn::scale(pred, 1.0 / target_ms), -1.0));
-    nn::Var loss_rows = nn::add(quota_term, nn::scale(violation, cfg_.rho));
-    nn::Var total = nn::sum_all(loss_rows);
-
-    const nn::Tensor& loss_vals = tape.value(loss_rows);  // pre-step, per row
-    r.zero_grad();
-    tape.backward(total);
-    adam.step();
-    if (cfg_.lr_decay_every > 0 && it % cfg_.lr_decay_every == 0)
-      adam.set_learning_rate(adam.learning_rate() * cfg_.lr_decay_factor);
-    for (std::size_t k = 0; k < starts; ++k)
-      for (std::size_t i = 0; i < n; ++i)
-        r.value(k, i) = std::clamp(r.value(k, i), lo[i], hi[i]);
-    // A start that converged keeps its final projected value (its serial
-    // descent would have exited the loop there).
-    for (std::size_t k = 0; k < starts; ++k)
-      if (done[k])
-        for (std::size_t i = 0; i < n; ++i) r.value(k, i) = frozen(k, i);
-
-    for (std::size_t k = 0; k < starts; ++k) {
-      if (done[k]) continue;
-      const double loss_val = loss_vals(k, 0);
-      runs[k].iterations = it;
-      runs[k].loss = loss_val;
-      if (std::abs(loss_val - prev_loss[k]) < cfg_.tolerance) {
-        if (++calm[k] >= cfg_.patience) {
-          runs[k].converged = true;
-          done[k] = 1;
-          --active;
-          for (std::size_t i = 0; i < n; ++i) frozen(k, i) = r.value(k, i);
-          continue;
-        }
-      } else {
-        calm[k] = 0;
-      }
-      prev_loss[k] = loss_val;
-    }
-  }
-
-  for (std::size_t k = 0; k < starts; ++k) {
-    runs[k].quota.assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) runs[k].quota[i] = r.value(k, i);
-  }
-  // One batched frozen forward scores every start (row k bitwise equal to
-  // the 1-row predict the concurrent path runs).
-  tape.reset();
-  tape.set_freeze_params(true);
-  nn::Var quota_var = tape.constant_ref(r.value);
-  nn::Var pred = model_->predict_var(tape, workload, quota_var);
-  const nn::Tensor& pred_vals = tape.value(pred);
-  for (std::size_t k = 0; k < starts; ++k) runs[k].predicted_ms = pred_vals(k, 0);
-  return runs;
-}
-
-bool ConfigurationSolver::descent_equivalent(const SolverConfig& a,
-                                             const SolverConfig& b) {
-  return a.rho == b.rho && a.lr_mc == b.lr_mc &&
-         a.max_iterations == b.max_iterations && a.tolerance == b.tolerance &&
-         a.patience == b.patience && a.lr_decay_every == b.lr_decay_every &&
-         a.lr_decay_factor == b.lr_decay_factor && a.slo_margin == b.slo_margin &&
-         a.multi_starts == b.multi_starts &&
-         a.multi_start_seed == b.multi_start_seed;
-}
-
 void ConfigurationSolver::note_external_iterations(std::size_t iterations) {
   if (iter_counter_ != nullptr) iter_counter_->add(static_cast<double>(iterations));
 }
 
+SolverResult ConfigurationSolver::solve(std::span<const double> workload,
+                                        double slo_ms,
+                                        std::span<const Millicores> lo,
+                                        std::span<const Millicores> hi) {
+  gnn::BatchedLatencyModel batched{*model_, std::max<std::size_t>(1, cfg_.multi_starts)};
+  const BatchItem item{workload, slo_ms, lo, hi};
+  BatchItemResult out = std::move(solve_batch(batched, cfg_, {&item, 1}, iter_timer_).front());
+  note_external_iterations(out.total_iterations);
+  return std::move(out.result);
+}
+
 std::vector<BatchItemResult> ConfigurationSolver::solve_batch(
     gnn::BatchedLatencyModel& batched, const SolverConfig& cfg,
-    std::span<const BatchItem> items) {
-  if (cfg.rho <= 0.0) throw std::invalid_argument{"SolverConfig: rho must be > 0"};
-  const std::size_t n = batched.node_count();
+    std::span<const BatchItem> items, telemetry::LogHistogram* iter_timer) {
   const std::size_t starts = std::max<std::size_t>(1, cfg.multi_starts);
   if (batched.rows_per_graph() != starts)
     throw std::invalid_argument{
         "solve_batch: batched model rows_per_graph must equal the start count"};
   if (batched.graph_count() != 0)
     throw std::invalid_argument{"solve_batch: batched model must start empty"};
+  const RowForward forward = [&batched](nn::Tape& tape, nn::Var quota) {
+    return batched.predict_var(tape, quota);
+  };
+  // A single start reports predict() — the division-form feature path — as
+  // its final prediction; several starts keep the stacked frozen forward.
+  RowScore score;
+  if (starts == 1)
+    score = [&batched](std::size_t item, std::span<const double> quota) {
+      return batched.predict(item, quota);
+    };
+  for (const BatchItem& item : items) batched.add_graph(item.workload);
+  return descend_rows(batched.node_count(), cfg, items, forward, score, iter_timer);
+}
+
+std::vector<BatchItemResult> ConfigurationSolver::descend_rows(
+    std::size_t n, const SolverConfig& cfg, std::span<const BatchItem> items,
+    const RowForward& forward, const RowScore& score,
+    telemetry::LogHistogram* iter_timer) {
+  if (cfg.rho <= 0.0) throw std::invalid_argument{"SolverConfig: rho must be > 0"};
+  for (const BatchItem& item : items) {
+    if (item.workload.size() != n || item.lo.size() != n || item.hi.size() != n)
+      throw std::invalid_argument{"solve: dimension mismatch"};
+    if (!(item.slo_ms > 0.0)) throw std::invalid_argument{"solve: slo must be > 0"};
+    for (std::size_t i = 0; i < n; ++i)
+      if (!(item.lo[i] > 0.0) || item.lo[i] > item.hi[i])
+        throw std::invalid_argument{"solve: need 0 < lo <= hi"};
+  }
   if (items.empty()) return {};
 
   const auto t0 = std::chrono::steady_clock::now();
-
-  for (const BatchItem& item : items) {
-    if (item.workload.size() != n || item.lo.size() != n || item.hi.size() != n)
-      throw std::invalid_argument{"solve_batch: dimension mismatch"};
-    if (item.slo_ms <= 0.0)
-      throw std::invalid_argument{"solve_batch: slo must be > 0"};
-    for (std::size_t i = 0; i < n; ++i)
-      if (!(item.lo[i] > 0.0) || item.lo[i] > item.hi[i])
-        throw std::invalid_argument{"solve_batch: need 0 < lo <= hi"};
-    batched.add_graph(item.workload);
-  }
-
   const std::size_t tenants = items.size();
+  const std::size_t starts = std::max<std::size_t>(1, cfg.multi_starts);
   const std::size_t rows = tenants * starts;
 
-  // Row t*K+k is item t's start k: k == 0 the caller's init (clamped into
-  // the bounds) or the hi bounds, k >= 1 the exact derive_seed(seed, k)
-  // uniform draws the item's own solve() would take — the stream depends
-  // only on k, the draws on the item's bounds.
+  // Row t*K+k is item t's start k: k == 0 the hi bounds, k >= 1 uniform
+  // draws whose stream depends only on k (the draws on the item's bounds).
+  // Alongside, each row's constant columns: its item's quota normalizer and
+  // inverse margined target. The loss applies them with mul() — the same
+  // product bits as a scalar scale(), forward and backward.
   nn::Tensor starts_mat{rows, n};
-  for (std::size_t t = 0; t < tenants; ++t) {
-    const BatchItem& item = items[t];
-    for (std::size_t i = 0; i < n; ++i)
-      starts_mat(t * starts, i) =
-          item.init.empty() ? item.hi[i]
-                            : std::clamp(item.init[i], item.lo[i], item.hi[i]);
-    for (std::size_t k = 1; k < starts; ++k) {
-      Rng start_rng{derive_seed(cfg.multi_start_seed, k)};
-      for (std::size_t i = 0; i < n; ++i)
-        starts_mat(t * starts + k, i) = start_rng.uniform(item.lo[i], item.hi[i]);
-    }
-  }
-
-  // Per-row constant columns — each item's quota normalizer and inverse
-  // margined target, computed by the same expressions solve() evaluates.
-  // The loss applies them with mul() against these columns where the
-  // single-tenant path uses scale(); IEEE multiplication is commutative,
-  // so forward and backward bits match (the gradient is s*g either way).
   nn::Tensor qnorm{rows, 1};
   nn::Tensor inv_target{rows, 1};
   std::vector<double> target(tenants, 0.0);
   for (std::size_t t = 0; t < tenants; ++t) {
+    const BatchItem& item = items[t];
     double hi_total = 0.0;
-    for (double h : items[t].hi) hi_total += h;
+    for (double h : item.hi) hi_total += h;
     const double quota_norm = 1.0 / hi_total;
-    target[t] = items[t].slo_ms * cfg.slo_margin;
+    target[t] = item.slo_ms * cfg.slo_margin;
     const double inv = 1.0 / target[t];
     for (std::size_t k = 0; k < starts; ++k) {
-      qnorm(t * starts + k, 0) = quota_norm;
-      inv_target(t * starts + k, 0) = inv;
+      const std::size_t row = t * starts + k;
+      qnorm(row, 0) = quota_norm;
+      inv_target(row, 0) = inv;
+      Rng start_rng{derive_seed(cfg.multi_start_seed, k)};
+      for (std::size_t i = 0; i < n; ++i)
+        starts_mat(row, i) = k == 0 ? item.hi[i]
+                                    : start_rng.uniform(item.lo[i], item.hi[i]);
     }
   }
 
   nn::Param r{std::move(starts_mat)};
   nn::Adam adam{{&r}, {.lr = cfg.lr_mc}};
 
-  // One ADAM over the whole stacked block equals every item running its own
-  // (descend_batched's argument, across tenants): updates are elementwise,
-  // moments never mix entries, and the shared bias-correction counter t
-  // equals each row's own iteration index — every row steps every
-  // iteration, and finished rows are re-pinned to their frozen value right
-  // after, so extra steps can't change their outcome.
+  // One ADAM over the whole block equals one ADAM per row: updates are
+  // elementwise, moments never mix entries, and the shared bias-correction
+  // counter equals every active row's own iteration index — all rows step
+  // every iteration, and converged rows are re-pinned to their frozen value
+  // right after, so extra steps can't change their outcome. Rows never mix
+  // in the forward either (DESIGN.md §3.9), so summing the per-row losses
+  // backpropagates each row exactly the gradient a lone descent would see.
   std::vector<SolverResult> runs(rows);
   std::vector<double> prev_loss(rows, std::numeric_limits<double>::infinity());
   std::vector<std::size_t> calm(rows, 0);
@@ -388,11 +155,12 @@ std::vector<BatchItemResult> ConfigurationSolver::solve_batch(
 
   nn::Tape tape;
   for (std::size_t it = 1; it <= cfg.max_iterations && active > 0; ++it) {
+    telemetry::ScopedTimer timer{iter_timer};
     tape.reset();
     tape.set_freeze_params(false);
     nn::Var rv = tape.param(r);
-    tape.set_freeze_params(true);
-    nn::Var pred = batched.predict_var(tape, rv);  // rows x 1
+    tape.set_freeze_params(true);  // the model's weights get no gradient
+    nn::Var pred = forward(tape, rv);  // rows x 1
     nn::Var quota_term = nn::mul(nn::sum_rows(rv), tape.constant_ref(qnorm));
     nn::Var violation = nn::relu(
         nn::add_scalar(nn::mul(pred, tape.constant_ref(inv_target)), -1.0));
@@ -405,17 +173,12 @@ std::vector<BatchItemResult> ConfigurationSolver::solve_batch(
     adam.step();
     if (cfg.lr_decay_every > 0 && it % cfg.lr_decay_every == 0)
       adam.set_learning_rate(adam.learning_rate() * cfg.lr_decay_factor);
-    for (std::size_t t = 0; t < tenants; ++t)
-      for (std::size_t k = 0; k < starts; ++k) {
-        const std::size_t row = t * starts + k;
-        for (std::size_t i = 0; i < n; ++i)
-          r.value(row, i) = std::clamp(r.value(row, i), items[t].lo[i], items[t].hi[i]);
-      }
-    for (std::size_t row = 0; row < rows; ++row)
-      if (done[row])
-        for (std::size_t i = 0; i < n; ++i) r.value(row, i) = frozen(row, i);
 
     for (std::size_t row = 0; row < rows; ++row) {
+      const BatchItem& item = items[row / starts];
+      for (std::size_t i = 0; i < n; ++i)
+        r.value(row, i) = done[row] ? frozen(row, i)
+                                    : std::clamp(r.value(row, i), item.lo[i], item.hi[i]);
       if (done[row]) continue;
       const double loss_val = loss_vals(row, 0);
       runs[row].iterations = it;
@@ -434,41 +197,28 @@ std::vector<BatchItemResult> ConfigurationSolver::solve_batch(
       prev_loss[row] = loss_val;
     }
   }
-  tape.set_freeze_params(false);
 
   for (std::size_t row = 0; row < rows; ++row) {
-    runs[row].quota.assign(n, 0.0);
+    runs[row].quota.resize(n);
     for (std::size_t i = 0; i < n; ++i) runs[row].quota[i] = r.value(row, i);
   }
-  if (starts == 1) {
-    // A single-start solve() reports predict() — the division-form feature
-    // path of the instrumented descend — as its final prediction; replicate
-    // it per item so batched results match that path bit for bit.
-    for (std::size_t t = 0; t < tenants; ++t)
-      runs[t].predicted_ms = batched.predict(t, runs[t].quota);
+  if (score) {
+    for (std::size_t row = 0; row < rows; ++row)
+      runs[row].predicted_ms = score(row / starts, runs[row].quota);
   } else {
-    // Multi-start solve() scores all K starts with one frozen batched
-    // forward; one stacked frozen forward scores every item's K at once
-    // (row t*K+k bitwise equal to row k of item t's own forward).
     tape.reset();
     tape.set_freeze_params(true);
-    nn::Var quota_var = tape.constant_ref(r.value);
-    nn::Var pred = batched.predict_var(tape, quota_var);
+    nn::Var pred = forward(tape, tape.constant_ref(r.value));
     const nn::Tensor& pred_vals = tape.value(pred);
-    for (std::size_t row = 0; row < rows; ++row)
-      runs[row].predicted_ms = pred_vals(row, 0);
-    tape.set_freeze_params(false);
+    for (std::size_t row = 0; row < rows; ++row) runs[row].predicted_ms = pred_vals(row, 0);
   }
 
   const double solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   std::vector<BatchItemResult> out(tenants);
   for (std::size_t t = 0; t < tenants; ++t) {
-    std::vector<SolverResult> item_runs(
-        std::make_move_iterator(runs.begin() + static_cast<std::ptrdiff_t>(t * starts)),
-        std::make_move_iterator(runs.begin() + static_cast<std::ptrdiff_t>((t + 1) * starts)));
-    for (const SolverResult& run : item_runs)
-      out[t].total_iterations += run.iterations;
+    const std::span<SolverResult> item_runs{runs.data() + t * starts, starts};
+    for (const SolverResult& run : item_runs) out[t].total_iterations += run.iterations;
     out[t].result = std::move(item_runs[pick_winner(item_runs, target[t])]);
     out[t].result.solve_seconds = solve_seconds;
   }

@@ -1,14 +1,9 @@
 #include "core/tiered_planner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <iterator>
-#include <limits>
 #include <stdexcept>
 #include <utility>
-
-#include "nn/optim.h"
 
 namespace graf::core {
 
@@ -166,163 +161,24 @@ SolverResult TieredPlanner::solve(gnn::LatencyModel& verifier,
   return std::move(out.front());
 }
 
-std::vector<TieredPlanner::Descent> TieredPlanner::descend(
-    gnn::SurrogateModel& surrogate, const SolverConfig& cfg,
-    std::span<const DescentRequest> requests) {
-  if (cfg.rho <= 0.0) throw std::invalid_argument{"SolverConfig: rho must be > 0"};
+std::vector<BatchItemResult> TieredPlanner::descend(gnn::SurrogateModel& surrogate,
+                                                    const SolverConfig& cfg,
+                                                    std::span<const BatchItem> items) {
   const std::size_t n = surrogate.node_count();
   const std::size_t starts = std::max<std::size_t>(1, cfg.multi_starts);
-  if (requests.empty()) return {};
-
-  const auto t0 = std::chrono::steady_clock::now();
-
-  for (const DescentRequest& item : requests) {
-    if (item.workload.size() != n || item.lo.size() != n || item.hi.size() != n)
+  // Every start row of item t reads item t's workload.
+  nn::Tensor workload_rows{items.size() * starts, n};
+  for (std::size_t t = 0; t < items.size(); ++t) {
+    if (items[t].workload.size() != n)
       throw std::invalid_argument{"solve_items: dimension mismatch"};
-    if (item.slo_ms <= 0.0)
-      throw std::invalid_argument{"solve_items: slo must be > 0"};
-    for (std::size_t i = 0; i < n; ++i)
-      if (!(item.lo[i] > 0.0) || item.lo[i] > item.hi[i])
-        throw std::invalid_argument{"solve_items: need 0 < lo <= hi"};
-  }
-
-  const std::size_t tenants = requests.size();
-  const std::size_t rows = tenants * starts;
-
-  // Row t*K+k is item t's start k — the identical start rows solve_batch
-  // builds (row 0 from the hi bounds, rows k >= 1 from the per-k
-  // derive_seed streams), so the surrogate tier inherits the full path's
-  // start-point determinism wholesale.
-  nn::Tensor starts_mat{rows, n};
-  nn::Tensor workload_rows{rows, n};
-  for (std::size_t t = 0; t < tenants; ++t) {
-    const DescentRequest& item = requests[t];
-    for (std::size_t i = 0; i < n; ++i) {
-      starts_mat(t * starts, i) = item.hi[i];
-      for (std::size_t k = 0; k < starts; ++k)
-        workload_rows(t * starts + k, i) = item.workload[i];
-    }
-    for (std::size_t k = 1; k < starts; ++k) {
-      Rng start_rng{derive_seed(cfg.multi_start_seed, k)};
+    for (std::size_t k = 0; k < starts; ++k)
       for (std::size_t i = 0; i < n; ++i)
-        starts_mat(t * starts + k, i) = start_rng.uniform(item.lo[i], item.hi[i]);
-    }
+        workload_rows(t * starts + k, i) = items[t].workload[i];
   }
-
-  // Per-row constant columns: quota normalizer and inverse margined target
-  // (solve_batch's mul-vs-scale equivalence, DESIGN.md §3.13).
-  nn::Tensor qnorm{rows, 1};
-  nn::Tensor inv_target{rows, 1};
-  std::vector<double> target(tenants, 0.0);
-  for (std::size_t t = 0; t < tenants; ++t) {
-    double hi_total = 0.0;
-    for (double h : requests[t].hi) hi_total += h;
-    const double quota_norm = 1.0 / hi_total;
-    target[t] = requests[t].slo_ms * cfg.slo_margin;
-    const double inv = 1.0 / target[t];
-    for (std::size_t k = 0; k < starts; ++k) {
-      qnorm(t * starts + k, 0) = quota_norm;
-      inv_target(t * starts + k, 0) = inv;
-    }
-  }
-
-  nn::Param r{std::move(starts_mat)};
-  nn::Adam adam{{&r}, {.lr = cfg.lr_mc}};
-
-  // One ADAM over the stacked block equals every row running its own
-  // (solve_batch's argument): elementwise updates, unmixed moments, shared
-  // step counter, finished rows re-pinned to their frozen value.
-  std::vector<SolverResult> runs(rows);
-  std::vector<double> prev_loss(rows, std::numeric_limits<double>::infinity());
-  std::vector<std::size_t> calm(rows, 0);
-  std::vector<char> done(rows, 0);
-  nn::Tensor frozen{rows, n};
-  std::size_t active = rows;
-
-  nn::Tape tape;
-  for (std::size_t it = 1; it <= cfg.max_iterations && active > 0; ++it) {
-    tape.reset();
-    tape.set_freeze_params(false);
-    nn::Var rv = tape.param(r);
-    tape.set_freeze_params(true);
-    nn::Var pred = surrogate.predict_var_rows(tape, workload_rows, rv);  // rows x 1
-    nn::Var quota_term = nn::mul(nn::sum_rows(rv), tape.constant_ref(qnorm));
-    nn::Var violation = nn::relu(
-        nn::add_scalar(nn::mul(pred, tape.constant_ref(inv_target)), -1.0));
-    nn::Var loss_rows = nn::add(quota_term, nn::scale(violation, cfg.rho));
-    nn::Var total = nn::sum_all(loss_rows);
-
-    const nn::Tensor& loss_vals = tape.value(loss_rows);  // pre-step, per row
-    r.zero_grad();
-    tape.backward(total);
-    adam.step();
-    if (cfg.lr_decay_every > 0 && it % cfg.lr_decay_every == 0)
-      adam.set_learning_rate(adam.learning_rate() * cfg.lr_decay_factor);
-    for (std::size_t t = 0; t < tenants; ++t)
-      for (std::size_t k = 0; k < starts; ++k) {
-        const std::size_t row = t * starts + k;
-        for (std::size_t i = 0; i < n; ++i)
-          r.value(row, i) =
-              std::clamp(r.value(row, i), requests[t].lo[i], requests[t].hi[i]);
-      }
-    for (std::size_t row = 0; row < rows; ++row)
-      if (done[row])
-        for (std::size_t i = 0; i < n; ++i) r.value(row, i) = frozen(row, i);
-
-    for (std::size_t row = 0; row < rows; ++row) {
-      if (done[row]) continue;
-      const double loss_val = loss_vals(row, 0);
-      runs[row].iterations = it;
-      runs[row].loss = loss_val;
-      if (std::abs(loss_val - prev_loss[row]) < cfg.tolerance) {
-        if (++calm[row] >= cfg.patience) {
-          runs[row].converged = true;
-          done[row] = 1;
-          --active;
-          for (std::size_t i = 0; i < n; ++i) frozen(row, i) = r.value(row, i);
-          continue;
-        }
-      } else {
-        calm[row] = 0;
-      }
-      prev_loss[row] = loss_val;
-    }
-  }
-  tape.set_freeze_params(false);
-
-  for (std::size_t row = 0; row < rows; ++row) {
-    runs[row].quota.assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) runs[row].quota[i] = r.value(row, i);
-  }
-  // One stacked frozen forward scores every row — a single code path for
-  // any (tenants, starts), so the solo and fleet-batched tiers match.
-  tape.reset();
-  tape.set_freeze_params(true);
-  nn::Var quota_var = tape.constant_ref(r.value);
-  nn::Var pred = surrogate.predict_var_rows(tape, workload_rows, quota_var);
-  const nn::Tensor& pred_vals = tape.value(pred);
-  for (std::size_t row = 0; row < rows; ++row)
-    runs[row].predicted_ms = pred_vals(row, 0);
-  tape.set_freeze_params(false);
-
-  const double surrogate_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  std::vector<Descent> out;
-  out.reserve(tenants);
-  for (std::size_t t = 0; t < tenants; ++t) {
-    std::vector<SolverResult> item_runs(
-        std::make_move_iterator(runs.begin() + static_cast<std::ptrdiff_t>(t * starts)),
-        std::make_move_iterator(
-            runs.begin() + static_cast<std::ptrdiff_t>((t + 1) * starts)));
-    Descent d;
-    for (const SolverResult& run : item_runs) d.surrogate_iterations += run.iterations;
-    d.winner =
-        std::move(item_runs[ConfigurationSolver::pick_winner(item_runs, target[t])]);
-    d.seconds = surrogate_seconds;
-    out.push_back(std::move(d));
-  }
-  return out;
+  return ConfigurationSolver::descend_rows(
+      n, cfg, items, [&](nn::Tape& tape, nn::Var quota) {
+        return surrogate.predict_var_rows(tape, workload_rows, quota);
+      });
 }
 
 std::vector<SolverResult> TieredPlanner::solve_items(gnn::SurrogateModel& surrogate,
@@ -333,17 +189,17 @@ std::vector<SolverResult> TieredPlanner::solve_items(gnn::SurrogateModel& surrog
         item.full_solver == nullptr)
       throw std::invalid_argument{"solve_items: null item member"};
 
-  std::vector<DescentRequest> requests;
+  std::vector<BatchItem> requests;
   requests.reserve(items.size());
   for (const Item& item : items)
     requests.push_back({item.workload, item.slo_ms, item.lo, item.hi});
-  std::vector<Descent> descents = descend(surrogate, cfg, requests);
+  std::vector<BatchItemResult> descents = descend(surrogate, cfg, requests);
 
   std::vector<SolverResult> out;
   out.reserve(items.size());
   for (std::size_t t = 0; t < items.size(); ++t) {
     const Item& item = items[t];
-    SolverResult winner = std::move(descents[t].winner);
+    SolverResult winner = std::move(descents[t].result);
     const double surrogate_ms = winner.predicted_ms;
 
     // The verification tier: exactly one full-GNN forward at the candidate.
@@ -352,13 +208,12 @@ std::vector<SolverResult> TieredPlanner::solve_items(gnn::SurrogateModel& surrog
                                     std::max(std::abs(full_ms), 1e-9) * 100.0;
     const bool trusted = disagreement_pct <= item.planner->cfg_.trust_band_pct &&
                          full_ms <= item.slo_ms;
-    item.full_solver->note_external_iterations(descents[t].surrogate_iterations);
+    item.full_solver->note_external_iterations(descents[t].total_iterations);
     if (trusted) {
       // Truth flows downstream: the accepted plan reports the full model's
       // prediction, so finish_plan's feasibility/saturation logic behaves
       // exactly as in full mode.
       winner.predicted_ms = full_ms;
-      winner.solve_seconds = descents[t].seconds;
       item.planner->note_fast_hit(disagreement_pct);
       out.push_back(std::move(winner));
       continue;
@@ -430,15 +285,15 @@ gnn::SurrogateDistiller::Result TieredPlanner::distill_for_planner(
                              workload_hi[k]);
       }
     }
-    std::vector<DescentRequest> requests;
+    std::vector<BatchItem> requests;
     requests.reserve(queries.size());
     for (const std::vector<double>& w : queries)
       requests.push_back({w, slo_ms, lo, hi});
-    std::vector<Descent> descents = descend(model, solver, requests);
+    std::vector<BatchItemResult> descents = descend(model, solver, requests);
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
       gnn::Sample s;
       s.workload = queries[qi];
-      s.quota = std::move(descents[qi].winner.quota);
+      s.quota = std::move(descents[qi].result.quota);
       s.latency_ms = teacher.predict(s.workload, s.quota);
       // Jittered neighbors first (they read s.quota), then the winner.
       for (std::size_t j = 0; j < cfg.jitter_per_query; ++j) {

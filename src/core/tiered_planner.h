@@ -1,17 +1,17 @@
 // Two-tier surrogate-verified planning (DESIGN.md §3.14).
 //
-// The planner solves on the distilled surrogate first — the same batched
-// multi-start descent the full solver runs (identical start draws, loss
-// terms, ADAM trajectory, convergence bookkeeping, winner rule), but
-// through a tape orders of magnitude smaller — then *verifies* the winning
-// candidate with exactly one full-GNN forward. If the full model's
-// prediction at the candidate disagrees with the surrogate's beyond a
-// trust band (or predicts an SLO breach), the planner escalates to the
-// full-GNN solve and feeds the miss back as a distillation sample; enough
-// accumulated misses trigger an online surrogate refresh that rides the
-// OnlineTrainer/ModelRegistry semantics (fine-tune a clone, adopt only if
-// it beats the incumbent on the miss window, publish/promote through a
-// SurrogateRegistry when one is attached).
+// The planner solves on the distilled surrogate first — the solver's own
+// descent kernel (identical start draws, loss terms, ADAM trajectory,
+// convergence bookkeeping, winner rule), but through a tape orders of
+// magnitude smaller — then *verifies* the winning candidate with exactly
+// one full-GNN forward. If the full model's prediction at the candidate
+// disagrees with the surrogate's beyond a trust band (or predicts an SLO
+// breach), the planner escalates to the full-GNN solve and feeds the miss
+// back as a distillation sample; enough accumulated misses trigger an
+// online surrogate refresh that rides the OnlineTrainer/ModelRegistry
+// semantics (fine-tune a clone, adopt only if it beats the incumbent on the
+// miss window, publish/promote through a SurrogateRegistry when one is
+// attached).
 //
 // Accepted fast-path plans report the *full model's* prediction as
 // predicted_ms — truth flows downstream (feasibility checks, telemetry,
@@ -170,10 +170,9 @@ class TieredPlanner {
   /// Descend every item's surrogate multi-starts as rows of ONE tape
   /// through `surrogate` (which must be fingerprint-equal to each item
   /// planner's active surrogate), then verify/escalate per item. Item t's
-  /// result is bit-identical to items[t].planner->solve(...) alone —
-  /// same start rows, per-row constant qnorm/target columns (mul vs scale,
-  /// §3.13), frozen-row bookkeeping, winner rule, verification forward,
-  /// and escalation path. Static because the batch spans tenants.
+  /// result is bit-identical to items[t].planner->solve(...) alone: the
+  /// rows never mix in the descent kernel, and verification and escalation
+  /// run per item. Static because the batch spans tenants.
   static std::vector<SolverResult> solve_items(gnn::SurrogateModel& surrogate,
                                                const SolverConfig& cfg,
                                                std::span<const Item> items);
@@ -208,25 +207,13 @@ class TieredPlanner {
   std::size_t miss_window_size() const { return window_.size(); }
 
  private:
-  /// One row-block of a stacked surrogate descent (no verification tier).
-  struct DescentRequest {
-    std::span<const double> workload;
-    double slo_ms = 0.0;
-    std::span<const Millicores> lo;
-    std::span<const Millicores> hi;
-  };
-  struct Descent {
-    SolverResult winner;                    ///< predicted_ms is the surrogate's
-    std::size_t surrogate_iterations = 0;   ///< summed over this item's starts
-    double seconds = 0.0;                   ///< shared stacked-descent wall time
-  };
-  /// The pure surrogate tier: every request's multi-starts descend as rows
-  /// of one tape (identical start rows / loss terms / winner rule as the
-  /// full solver, §3.13). Shared by solve_items() and the distillation
+  /// The pure surrogate tier: every item's multi-starts descend as rows of
+  /// one tape through the solver's descent kernel, scored by the stacked
+  /// surrogate forward. Shared by solve_items() and the distillation
   /// rollouts, so both see the exact same query distribution.
-  static std::vector<Descent> descend(gnn::SurrogateModel& surrogate,
-                                      const SolverConfig& cfg,
-                                      std::span<const DescentRequest> requests);
+  static std::vector<BatchItemResult> descend(gnn::SurrogateModel& surrogate,
+                                              const SolverConfig& cfg,
+                                              std::span<const BatchItem> items);
 
   void note_fast_hit(double disagreement_pct);
   void note_escalation(double disagreement_pct);

@@ -1,6 +1,7 @@
 #include "fleet/fleet_server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -9,12 +10,28 @@
 
 namespace graf::fleet {
 
+namespace {
+
+/// Why drain rejects a pushed rate vector (the fleet.ingest.rejected cause
+/// label), or nullptr when every rate is a finite, non-negative number.
+const char* rejected_rate_cause(const std::vector<Qps>& api_qps) {
+  for (Qps q : api_qps) {
+    if (std::isnan(q)) return "nan";
+    if (std::isinf(q)) return "inf";
+    if (q < 0.0) return "negative";
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 FleetServer::FleetServer(FleetConfig cfg)
-    : registry_{std::move(cfg.store_dir)}, queue_{cfg.ingest_capacity},
-      batch_plans_{cfg.batch_plans} {
+    : registry_{std::move(cfg.store_dir)}, queue_{cfg.ingest_capacity} {
   tel_pushes_ = &metrics_.counter("fleet.ingest.pushes");
   tel_dropped_ = &metrics_.counter("fleet.ingest.dropped");
   tel_stale_ = &metrics_.counter("fleet.ingest.stale");
+  for (const char* cause : {"nan", "inf", "negative"})
+    metrics_.counter("fleet.ingest.rejected", {{"cause", cause}});
   tel_steps_ = &metrics_.counter("fleet.steps");
   tel_plans_ = &metrics_.counter("fleet.plans");
   tel_changes_ = &metrics_.counter("fleet.plan_changes");
@@ -38,16 +55,18 @@ TenantId FleetServer::add_tenant(const TenantSpec& spec) {
     throw std::invalid_argument("fleet: tenant (" + spec.application + ", " +
                                 std::to_string(spec.slo_ms) +
                                 "ms) already exists");
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
+  // The slot is claimed only once the tenant is built: a rejected spec
+  // leaves the free list and the slot table untouched.
+  const bool reuse = !free_slots_.empty();
+  const std::uint32_t slot =
+      reuse ? free_slots_.back() : static_cast<std::uint32_t>(slots_.size());
+  const TenantId id{slot, reuse ? slots_[slot].generation : Slot{}.generation};
+  auto tenant = std::make_unique<Tenant>(id, spec, registry_);
+  if (reuse)
     free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
+  else
     slots_.emplace_back();
-  }
-  TenantId id{slot, slots_[slot].generation};
-  slots_[slot].tenant = std::make_unique<Tenant>(id, spec, registry_);
+  slots_[slot].tenant = std::move(tenant);
   ++live_tenants_;
   tel_tenants_->set(static_cast<double>(live_tenants_));
   return id;
@@ -119,6 +138,9 @@ FleetServer::StepStats FleetServer::step() {
   // Phase 1 — drain: consume the ring in FIFO order, coalescing into each
   // tenant's pending slot (newest qps wins, samples append). The fan-out's
   // input is a pure function of push order, independent of thread count.
+  // An update carrying a NaN, infinite or negative rate is rejected whole:
+  // its rates never reach a cache key or the solver, and the cleared rate
+  // slot sends the tenant down the signal-loss path (hold the last plan).
   TelemetryUpdate u;
   std::vector<Tenant*> pending;
   while (queue_.pop(u)) {
@@ -132,8 +154,13 @@ FleetServer::StepStats FleetServer::step() {
       t->pending_ = true;
       pending.push_back(t);
     }
-    if (!u.api_qps.empty()) t->pending_qps_ = std::move(u.api_qps);
     t->pending_now_ = u.now;
+    if (const char* cause = rejected_rate_cause(u.api_qps)) {
+      metrics_.counter("fleet.ingest.rejected", {{"cause", cause}}).add();
+      t->pending_qps_.clear();
+      continue;
+    }
+    if (!u.api_qps.empty()) t->pending_qps_ = std::move(u.api_qps);
     for (auto& s : u.samples) t->pending_samples_.push_back(s);
   }
   // `pending` preserves first-push order; sort into slot order so the
@@ -157,46 +184,40 @@ FleetServer::StepStats FleetServer::step() {
   // Phase 2b — group (coordinator): coalesce owed solves by model content
   // fingerprint + node count + solver config, in slot order, so the group
   // list is a pure function of tenant state — never of thread count. A
-  // tenant that matches no group leads a new one; with batching off every
-  // tenant is its own group (identical to the PR-6 per-tenant fan-out).
+  // tenant that matches no group leads a new one.
   std::vector<std::vector<Tenant*>> groups;
   for (Tenant* t : pending) {
     if (!t->needs_solve_) continue;
-    bool placed = false;
-    if (batch_plans_) {
-      for (auto& group : groups) {
-        Tenant* lead = group.front();
-        if (lead->controller_->current_model().node_count() !=
-                t->controller_->current_model().node_count() ||
-            !core::ConfigurationSolver::descent_equivalent(
-                lead->solver_->config(), t->solver_->config()) ||
-            lead->model_fingerprint() != t->model_fingerprint())
-          continue;
-        // Tiered tenants batch only with tiered tenants whose surrogate
-        // descent is bit-equivalent: same surrogate weights (fingerprint
-        // covers config + scalers + every parameter), same descent knobs on
-        // the surrogate tier, and the same trust band so accept/escalate
-        // decisions match the solo path exactly.
-        const core::PlannerMode mode = t->controller_->planner_mode();
-        if (mode != lead->controller_->planner_mode()) continue;
-        if (mode == core::PlannerMode::kSurrogateVerified &&
-            (!core::ConfigurationSolver::descent_equivalent(
-                 lead->tiered_->config().solver, t->tiered_->config().solver) ||
-             lead->tiered_->config().trust_band_pct !=
-                 t->tiered_->config().trust_band_pct ||
-             lead->surrogate_fingerprint() != t->surrogate_fingerprint()))
-          continue;
-        group.push_back(t);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) groups.emplace_back(1, t);
+    const auto joins = [t](Tenant* lead) {
+      if (lead->controller_->current_model().node_count() !=
+              t->controller_->current_model().node_count() ||
+          lead->solver_->config() != t->solver_->config() ||
+          lead->model_fingerprint() != t->model_fingerprint())
+        return false;
+      // Tiered tenants batch only with tiered tenants whose surrogate
+      // descent is bit-equivalent: same surrogate weights (fingerprint
+      // covers config + scalers + every parameter), same descent knobs on
+      // the surrogate tier, and the same trust band so accept/escalate
+      // decisions match the solo path exactly.
+      const core::PlannerMode mode = t->controller_->planner_mode();
+      if (mode != lead->controller_->planner_mode()) return false;
+      return mode != core::PlannerMode::kSurrogateVerified ||
+             (lead->tiered_->config().solver == t->tiered_->config().solver &&
+              lead->tiered_->config().trust_band_pct ==
+                  t->tiered_->config().trust_band_pct &&
+              lead->surrogate_fingerprint() == t->surrogate_fingerprint());
+    };
+    const auto group = std::find_if(groups.begin(), groups.end(),
+                                    [&](const auto& g) { return joins(g.front()); });
+    if (group != groups.end())
+      group->push_back(t);
+    else
+      groups.emplace_back(1, t);
   }
 
   // Phase 2c — solve fan-out: one group per pool index. Members of a group
   // are touched only by that group's worker, so the §3.7 single-writer
-  // discipline holds with batching exactly as it does without.
+  // discipline holds for a batch exactly as for a lone tenant.
   if (!groups.empty()) {
     global_pool().parallel_for(groups.size(),
                                [&](std::size_t g) { solve_group(groups[g]); });

@@ -55,11 +55,6 @@ struct FleetConfig {
   std::size_t ingest_capacity = 1024;
   /// Checkpoint directory for the shared ModelRegistry ("" = in-memory).
   std::string store_dir;
-  /// Coalesce same-model tenants' solves into block-diagonal batched
-  /// descents (DESIGN.md §3.13). Bit-identical to per-tenant solving —
-  /// `false` keeps the PR-6 one-solve-per-tenant fan-out (the equivalence
-  /// tests and the scaling bench compare the two).
-  bool batch_plans = true;
 };
 
 class FleetServer {
@@ -97,7 +92,10 @@ class FleetServer {
 
   /// Enqueue a telemetry push. Never blocks; returns false (and counts
   /// fleet.ingest.dropped) when the ring is full. A stale tenant id is
-  /// accepted here and discarded at drain time (fleet.ingest.stale).
+  /// accepted here and discarded at drain time (fleet.ingest.stale); so is
+  /// an update carrying a NaN, infinite or negative rate
+  /// (fleet.ingest.rejected{cause}), whose tenant then holds its last plan
+  /// as on signal loss.
   bool push(TelemetryUpdate update);
 
   // ---- the control cycle (coordinator thread) ------------------------------
@@ -112,16 +110,11 @@ class FleetServer {
 
   /// One cycle: drain + coalesce, fan plan computation over the global
   /// thread pool, then commit/train/notify sequentially in slot order.
-  /// With batch_plans on, the fan-out prepares every pending tenant, the
-  /// coordinator groups still-owed solves by (model fingerprint, node
-  /// count, solver config), and each multi-tenant group descends as one
-  /// stacked tape — bit-identical to the per-tenant path (§3.13).
+  /// The fan-out prepares every pending tenant, the coordinator groups
+  /// still-owed solves by (model fingerprint, node count, solver config),
+  /// and each group descends as one stacked tape — bit-identical to each
+  /// tenant solving alone (§3.13); a group of one is the solo solve.
   StepStats step();
-
-  /// Toggle batched planning between steps (tests compare both paths on
-  /// one server). Coordinator-thread only.
-  void set_batch_plans(bool on) { batch_plans_ = on; }
-  bool batch_plans() const { return batch_plans_; }
 
   // ---- subscriptions -------------------------------------------------------
 
@@ -195,8 +188,6 @@ class FleetServer {
   telemetry::Counter* tel_batched_tenants_ = nullptr;
   telemetry::Gauge* tel_tenants_ = nullptr;
   telemetry::Gauge* tel_degraded_tenants_ = nullptr;
-
-  bool batch_plans_ = true;
 };
 
 }  // namespace graf::fleet

@@ -24,10 +24,12 @@ Tenant::Tenant(TenantId id, const TenantSpec& spec, serve::ModelRegistry& regist
     throw std::invalid_argument(
         "fleet: lo/hi/unit must match the model's service count");
 
-  // v1: the admission model, promoted and wired to this tenant's handle.
+  // v1: the admission model, published and promoted. This tenant's serving
+  // handle attaches only at the end, once nothing can reject the spec: a
+  // throwing constructor never runs ~Tenant, so a handle attached earlier
+  // would stay registered after its storage is freed.
   const std::uint64_t v = registry.publish(key_, *spec.model, spec.meta);
   registry.promote(key_, v);
-  registry.attach_handle(key_, &handle_);
   model_ = registry.active(key_);
 
   analyzer_ = std::make_unique<core::WorkloadAnalyzer>(spec.fanout.size(), services);
@@ -35,7 +37,6 @@ Tenant::Tenant(TenantId id, const TenantSpec& spec, serve::ModelRegistry& regist
   solver_ = std::make_unique<core::ConfigurationSolver>(*model_, spec.solver);
   controller_ = std::make_unique<core::ResourceController>(
       *model_, *solver_, *analyzer_, spec.lo, spec.hi, spec.unit);
-  controller_->set_serving_handle(&handle_);
   if (!spec.training_reference.empty())
     controller_->set_training_reference(spec.training_reference);
   if (!spec.max_instances.empty())
@@ -81,6 +82,9 @@ Tenant::Tenant(TenantId id, const TenantSpec& spec, serve::ModelRegistry& regist
   tel_failures_ = &metrics_.counter("fleet.tenant.plan_failures");
   tel_signal_loss_ = &metrics_.counter("fleet.tenant.signal_losses");
   tel_degraded_ = &metrics_.gauge("fleet.tenant.degraded");
+
+  registry.attach_handle(key_, &handle_);
+  controller_->set_serving_handle(&handle_);
 }
 
 Tenant::~Tenant() {
@@ -98,11 +102,6 @@ void Tenant::set_slo(double slo_ms) {
 void Tenant::enable_online_training(const serve::OnlineTrainerConfig& cfg) {
   trainer_ = std::make_unique<serve::OnlineTrainer>(*registry_, handle_, key_, cfg);
   trainer_->set_metrics(&metrics_);
-}
-
-void Tenant::compute() {
-  prepare();
-  if (needs_solve_) solve_and_finish();
 }
 
 void Tenant::prepare() {

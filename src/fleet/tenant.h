@@ -170,20 +170,15 @@ class Tenant {
   /// Outcome of one fan-out slot computation (worker thread).
   enum class Outcome { kIdle, kPlanned, kCoasted, kSignalLost, kFailed };
 
-  /// Consume the pending update: hysteresis check, signal-loss detection,
-  /// and the actual plan() — run on a pool worker during the fan-out. Only
-  /// this tenant's state is touched, so tenants compute concurrently yet
-  /// each is bit-identical at any thread count. Exactly prepare() followed
-  /// by solve_and_finish() when a solve is still owed — the non-batched
-  /// fleet path and the per-tenant fallback.
-  void compute();
-
-  /// The front half of compute(): signal-loss, hysteresis, begin_plan. When
-  /// the plan resolved without a solve (idle/coast/cache hit/degraded) the
-  /// outcome is final; otherwise needs_solve_ is set and prep_ holds the
-  /// prepared solve the batched fan-in (or solve_and_finish) completes.
+  /// Consume the pending update on a pool worker: signal-loss detection,
+  /// hysteresis, begin_plan. Only this tenant's state is touched, so tenants
+  /// prepare concurrently yet each is bit-identical at any thread count.
+  /// When the plan resolved without a solve (idle/coast/cache hit/degraded)
+  /// the outcome is final; otherwise needs_solve_ is set and prep_ holds the
+  /// prepared solve the fleet's group solve completes.
   void prepare();
-  /// Complete a prepared plan with this tenant's own solver.
+  /// Complete a prepared plan with this tenant's own solver (a group of
+  /// one, or the per-tenant fallback after a failed group solve).
   void solve_and_finish();
   /// Complete a prepared plan with an externally produced solve (the
   /// fleet's batched solve_batch result for this tenant).
@@ -217,12 +212,12 @@ class Tenant {
 
   // Pending-telemetry slot: filled by the step loop's drain (coalescing
   // repeated pushes, last-wins for qps, samples appended), consumed by
-  // compute(). Never touched by producers directly.
+  // prepare(). Never touched by producers directly.
   bool pending_ = false;
   std::vector<Qps> pending_qps_;
   Seconds pending_now_ = 0.0;
   gnn::Dataset pending_samples_;
-  /// The vector compute() actually planned on (forecast-adjusted when the
+  /// The vector prepare() actually planned on (forecast-adjusted when the
   /// gate is live); the commit pass copies it into last_solved_qps_.
   std::vector<Qps> planned_qps_;
 
@@ -270,7 +265,7 @@ class Tenant {
   std::uint64_t seen_cache_evictions_ = 0;
 
   // Per-tenant instruments (interned once at admission, coordinator-set;
-  // compute() only writes this tenant's own instruments).
+  // prepare() only writes this tenant's own instruments).
   telemetry::Counter* tel_plans_ = nullptr;
   telemetry::Counter* tel_changes_ = nullptr;
   telemetry::Counter* tel_failures_ = nullptr;

@@ -9,8 +9,8 @@
 // [g*K, (g+1)*K) of every per-node feature matrix, the adjacency is never
 // materialized, and each blocked GEMM runs once over all N*K rows instead
 // of N times over K. Row g*K+k of the output is bit-identical to row k of
-// graph g's own predict_var forward — the property the fleet's batched
-// planner is proven against.
+// graph g's own forward — the property the fleet's batched planner is
+// proven against. A solo solve is the N = 1 case.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +45,8 @@ class BatchedLatencyModel {
 
   /// Differentiable stacked forward: `quota_mc` is rows() x node_count
   /// (graph g's start k at row g*K+k); the returned rows() x 1 Var is
-  /// latency in ms per row, bit-identical per row to the per-graph
-  /// predict_var path.
+  /// latency in ms per row, bit-identical per row to a forward over that
+  /// graph alone.
   nn::Var predict_var(nn::Tape& tape, nn::Var quota_mc);
 
   /// Non-batched scoring of one graph's quota through the shared model —

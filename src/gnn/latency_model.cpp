@@ -255,30 +255,6 @@ double LatencyModel::predict(std::span<const double> workload_qps,
   return tape.value(out).item() * label_ref_;
 }
 
-nn::Var LatencyModel::predict_var(nn::Tape& tape, std::span<const double> workload_qps,
-                                  nn::Var quota_mc) {
-  if (workload_qps.size() != node_count_)
-    throw std::invalid_argument{"LatencyModel::predict_var: dimension mismatch"};
-  const nn::Tensor& q = tape.value(quota_mc);
-  if (q.rows() == 0 || q.cols() != node_count_)
-    throw std::invalid_argument{"LatencyModel::predict_var: quota must be B x n"};
-  const std::size_t batch = q.rows();
-  std::vector<nn::Var> feats;
-  feats.reserve(node_count_);
-  for (std::size_t n = 0; n < node_count_; ++n) {
-    nn::Var q_raw = nn::slice_cols(quota_mc, n, 1);
-    nn::Var q_inv = nn::reciprocal(q_raw);
-    nn::Var w = tape.constant_fill(batch, 1, workload_qps[n] * w_scale_);
-    nn::Var qn = nn::scale(q_raw, q_scale_);
-    nn::Var inv_feat = nn::scale(q_inv, q_min_mc_);
-    nn::Var ratio_feat = nn::scale(q_inv, workload_qps[n] / ratio_max_);
-    const nn::Var parts[] = {w, qn, inv_feat, ratio_feat};
-    feats.push_back(nn::concat_cols(parts));
-  }
-  nn::Var out = model_.forward(tape, feats, rng_, /*training=*/false);
-  return nn::scale(out, label_ref_);
-}
-
 nn::Var LatencyModel::predict_var_rows(nn::Tape& tape, const nn::Tensor& workload_qps,
                                        nn::Var quota_mc) {
   if (workload_qps.cols() != node_count_)
@@ -294,9 +270,8 @@ nn::Var LatencyModel::predict_var_rows(nn::Tape& tape, const nn::Tensor& workloa
     nn::Var q_raw = nn::slice_cols(quota_mc, n, 1);
     nn::Var q_inv = nn::reciprocal(q_raw);
     // Per-row constant columns, staged into recycled tape buffers (no
-    // steady-state allocation) and filled with the exact expressions
-    // predict_var evaluates, so a row with workload W sees the same bits it
-    // would in a uniform-workload forward.
+    // steady-state allocation). The w/ratio_max column scales 1/q with an
+    // elementwise mul(), the same product bits as a scalar scale().
     nn::Tensor& wbuf = tape.stage(batch, 1);
     for (std::size_t r = 0; r < batch; ++r) wbuf(r, 0) = workload_qps(r, n) * w_scale_;
     nn::Var w = tape.commit_constant();

@@ -106,24 +106,13 @@ class LatencyModel {
   double predict(std::span<const double> workload_qps,
                  std::span<const double> quota_millicores);
 
-  /// Differentiable prediction: `quota_mc` is a B x node_count Var holding
-  /// millicore quotas (one row per candidate); the returned B x 1 Var is
-  /// latency in ms per row. Gradients flow back to `quota_mc` — this is what
-  /// the configuration solver descends. Rows never mix: a B-row forward
-  /// equals B independent 1-row forwards, bit for bit (DESIGN.md §3.9),
-  /// which is what makes batched multi-start exact.
-  nn::Var predict_var(nn::Tape& tape, std::span<const double> workload_qps,
-                      nn::Var quota_mc);
-
-  /// predict_var with a *per-row* workload: `workload_qps` is R x node_count
-  /// (row r's workload vector) and `quota_mc` an R x node_count Var. Rows
-  /// whose workload vectors are equal produce bit-identical outputs to a
-  /// predict_var forward over just those rows — the per-node constant
-  /// columns are built from the same expressions, the row-constant scale()
-  /// becomes an elementwise mul() against a per-row constant column (IEEE
-  /// multiplication is commutative, so forward and backward bits match),
-  /// and the MPNN never mixes rows (DESIGN.md §3.9). This is what lets the
-  /// fleet stack many tenants' descents into one tape (§3.13).
+  /// Differentiable prediction: `workload_qps` is R x node_count (row r's
+  /// per-node workload) and `quota_mc` an R x node_count Var of millicore
+  /// quotas; the returned R x 1 Var is latency in ms per row. Gradients flow
+  /// back to `quota_mc` — this is what the configuration solver descends.
+  /// Rows never mix: an R-row forward equals R independent 1-row forwards,
+  /// bit for bit (DESIGN.md §3.9), which is what lets one tape carry every
+  /// start of every tenant in a fleet batch (§3.13).
   nn::Var predict_var_rows(nn::Tape& tape, const nn::Tensor& workload_qps,
                            nn::Var quota_mc);
 

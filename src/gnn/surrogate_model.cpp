@@ -198,34 +198,14 @@ double SurrogateModel::predict(std::span<const double> workload_qps,
   if (workload_qps.size() != node_count_ || quota_millicores.size() != node_count_)
     throw std::invalid_argument{"SurrogateModel::predict: dimension mismatch"};
   nn::Tape tape;
+  nn::Tensor workload{1, node_count_};
   nn::Tensor quota{1, node_count_};
-  for (std::size_t n = 0; n < node_count_; ++n) quota(0, n) = quota_millicores[n];
-  nn::Var out = predict_var(tape, workload_qps, tape.constant(std::move(quota)));
-  return tape.value(out).item();
-}
-
-nn::Var SurrogateModel::predict_var(nn::Tape& tape,
-                                    std::span<const double> workload_qps,
-                                    nn::Var quota_mc) {
-  if (workload_qps.size() != node_count_)
-    throw std::invalid_argument{"SurrogateModel::predict_var: dimension mismatch"};
-  const nn::Tensor& q = tape.value(quota_mc);
-  if (q.rows() == 0 || q.cols() != node_count_)
-    throw std::invalid_argument{"SurrogateModel::predict_var: quota must be B x n"};
-  const std::size_t batch = q.rows();
-  std::vector<nn::Var> cols;
-  cols.reserve(node_count_ * kNodeFeatures);
   for (std::size_t n = 0; n < node_count_; ++n) {
-    nn::Var q_raw = nn::slice_cols(quota_mc, n, 1);
-    nn::Var q_inv = nn::reciprocal(q_raw);
-    cols.push_back(tape.constant_fill(batch, 1, workload_qps[n] * s_.w_scale));
-    cols.push_back(nn::scale(q_raw, s_.q_scale));
-    cols.push_back(nn::scale(q_inv, s_.q_min_mc));
-    cols.push_back(nn::scale(q_inv, workload_qps[n] / s_.ratio_max));
+    workload(0, n) = workload_qps[n];
+    quota(0, n) = quota_millicores[n];
   }
-  nn::Var x = nn::concat_cols(cols);
-  nn::Var out = mlp_.forward(tape, x, rng_, /*training=*/false);
-  return nn::scale(nn::exp(out), s_.label_ref);
+  nn::Var out = predict_var_rows(tape, workload, tape.constant(std::move(quota)));
+  return tape.value(out).item();
 }
 
 nn::Var SurrogateModel::predict_var_rows(nn::Tape& tape,
@@ -243,9 +223,9 @@ nn::Var SurrogateModel::predict_var_rows(nn::Tape& tape,
   for (std::size_t n = 0; n < node_count_; ++n) {
     nn::Var q_raw = nn::slice_cols(quota_mc, n, 1);
     nn::Var q_inv = nn::reciprocal(q_raw);
-    // Per-row constant columns staged into recycled tape buffers, filled
-    // with the exact expressions predict_var evaluates; the row-constant
-    // scale() becomes mul() against a per-row column (same product bits).
+    // Per-row constant columns staged into recycled tape buffers; the
+    // w/ratio_max column scales 1/q with mul() (same product bits as a
+    // scalar scale()).
     nn::Tensor& wbuf = tape.stage(batch, 1);
     for (std::size_t r = 0; r < batch; ++r)
       wbuf(r, 0) = workload_qps(r, n) * s_.w_scale;

@@ -14,9 +14,8 @@
 // *copied from the teacher* (never refitted) so feature bits match the
 // teacher's exactly, fit() runs the same shard-deterministic data-parallel
 // loop (deferred param grads, shard-ordered reduction — bit-identical at
-// any GRAF_THREADS), and predict_var / predict_var_rows expose the same
-// differentiable row-batched entry points the solver descends (rows never
-// mix; per-row constant columns replicate scale() via mul(), DESIGN.md
+// any GRAF_THREADS), and predict_var_rows exposes the same differentiable
+// row-batched entry point the solver descends (rows never mix, DESIGN.md
 // §3.9/§3.13).
 #pragma once
 
@@ -34,7 +33,7 @@
 namespace graf::gnn {
 
 /// Surrogate architecture: a ReLU MLP {4n, hidden x hidden_layers, 1}
-/// predicting log(latency/label_ref); predict_var wraps the readout in
+/// predicting log(latency/label_ref); predict_var_rows wraps the readout in
 /// exp(), so the reported latency is always positive and the hyperbolic
 /// blow-up near saturation is fit in a compressed range.
 struct SurrogateConfig {
@@ -63,24 +62,18 @@ class SurrogateModel {
   /// streams, shard-ordered gradient reduction).
   TrainHistory fit(const Dataset& train, const Dataset& val, const TrainConfig& cfg);
 
-  /// Eval-mode prediction (ms). Routed through predict_var so the scalar
-  /// path reports the exact bits the solver's frozen scoring forward sees.
+  /// Eval-mode prediction (ms). Routed through predict_var_rows so the
+  /// scalar path reports the exact bits the solver's frozen scoring forward
+  /// sees.
   double predict(std::span<const double> workload_qps,
                  std::span<const double> quota_millicores);
 
-  /// Differentiable prediction: quota_mc is B x node_count; returns B x 1
-  /// latency in ms. Rows never mix (the MLP is row-wise), so a B-row
-  /// forward equals B independent 1-row forwards bit for bit — the property
-  /// the batched multi-start descent and the fleet stacking rely on.
-  nn::Var predict_var(nn::Tape& tape, std::span<const double> workload_qps,
-                      nn::Var quota_mc);
-
-  /// predict_var with per-row workloads (R x node_count), mirroring
-  /// LatencyModel::predict_var_rows: per-row constant columns built from
-  /// the same expressions, row-constant scale() replaced by mul() against a
-  /// per-row column (IEEE multiply is commutative, so forward and backward
-  /// bits match). This is what lets the fleet stack many tenants'
-  /// surrogate descents into one tape (§3.13/§3.14).
+  /// Differentiable prediction: `workload_qps` is R x node_count (row r's
+  /// per-node workload), `quota_mc` an R x node_count Var; returns R x 1
+  /// latency in ms. Rows never mix (the MLP is row-wise), so an R-row
+  /// forward equals R independent 1-row forwards bit for bit — the property
+  /// the stacked multi-start descent and the fleet batching rely on
+  /// (§3.13/§3.14).
   nn::Var predict_var_rows(nn::Tape& tape, const nn::Tensor& workload_qps,
                            nn::Var quota_mc);
 

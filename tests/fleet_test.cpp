@@ -10,6 +10,8 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -522,51 +524,99 @@ TEST(FleetServer, OnlineTrainingPromotesThroughTenantHandle) {
 
 /// Exact-bits rendering of a plan stream: doubles go out as hex bit
 /// patterns, so two replays match iff every value is bit-identical.
-/// `batch_plans` selects the block-diagonal batched solve path (§3.13) or
-/// the PR-6 one-solve-per-tenant fan-out; the two must produce the same
-/// digest bit for bit.
-std::string run_scripted_scenario(bool batch_plans = true) {
-  FleetServer fleet{FleetConfig{.batch_plans = batch_plans}};
-  std::vector<TenantId> ids;
-  for (int i = 0; i < 4; ++i) {
-    TenantSpec spec = make_spec("app" + std::to_string(i), 120.0 + 40.0 * i);
-    if (i == 1) {
-      // Tenant 1 solves via the thread-pool multi-start fan-out: a
-      // parallel_for nested inside the fleet's own fan-out task.
-      spec.solver.batched_multi_start = false;
-      spec.solver.multi_starts = 2;
+void render_plan(std::ostringstream& out, const PlanUpdate& u) {
+  out << u.application << '#' << u.seq << ':';
+  for (int inst : u.plan.instances) out << inst << ',';
+  for (Millicores q : u.plan.quota)
+    out << std::hex << std::bit_cast<std::uint64_t>(q) << std::dec << ',';
+  out << std::hex << std::bit_cast<std::uint64_t>(u.plan.predicted_ms)
+      << std::dec << (u.degraded ? "!D" : "") << ';';
+}
+
+/// Tenants spread over one shared FleetServer (where same-model tenants
+/// solve as one block-diagonal batch, §3.13) or, with `solo`, one
+/// single-tenant FleetServer each. Servers step in tenant order, so the
+/// rendered plan stream and the summed step stats read the same either way
+/// iff a batched group reproduces each member's solo solve bit for bit.
+class TenantSet {
+ public:
+  TenantSet(bool solo, std::ostringstream& out) : solo_{solo}, out_{out} {}
+
+  std::size_t add(const TenantSpec& spec) {
+    if (servers_.empty() || solo_) {
+      servers_.push_back(std::make_unique<FleetServer>());
+      tokens_.push_back(servers_.back()->subscribe(
+          [this](const PlanUpdate& u) { render_plan(out_, u); }));
     }
-    ids.push_back(fleet.add_tenant(spec));
+    home_.push_back(servers_.back().get());
+    ids_.push_back(home_.back()->add_tenant(spec));
+    return ids_.size() - 1;
+  }
+  void remove(std::size_t i) { home_[i]->remove_tenant(ids_[i]); }
+  void push(std::size_t i, double now, std::vector<Qps> qps) {
+    home_[i]->push(qps_update(ids_[i], now, std::move(qps)));
+  }
+  void step() {
+    FleetServer::StepStats total;
+    for (auto& server : servers_) {
+      const FleetServer::StepStats s = server->step();
+      total.planned += s.planned;
+      total.coasted += s.coasted;
+      total.failures += s.failures;
+      total.notified += s.notified;
+    }
+    out_ << "step=" << total.planned << "/" << total.coasted << "/"
+         << total.failures << "/" << total.notified << ";";
+  }
+  double batched_tenants() const {
+    double n = 0.0;
+    for (const auto& server : servers_)
+      n += server->metrics().counter("fleet.batched_tenants").value();
+    return n;
   }
 
+ private:
+  bool solo_;
+  std::ostringstream& out_;
+  std::vector<std::unique_ptr<FleetServer>> servers_;
+  std::vector<SubscriptionToken> tokens_;
+  std::vector<FleetServer*> home_;
+  std::vector<TenantId> ids_;
+};
+
+/// A scripted 4-tenant scenario with a telemetry blackout and a hard fault.
+/// `solo` runs every tenant in its own FleetServer (see TenantSet); the
+/// digest must be the same either way.
+std::string run_scripted_scenario(bool solo = false) {
   std::ostringstream out;
-  auto token = fleet.subscribe([&](const PlanUpdate& u) {
-    out << u.application << '#' << u.seq << ':';
-    for (int inst : u.plan.instances) out << inst << ',';
-    for (Millicores q : u.plan.quota)
-      out << std::hex << std::bit_cast<std::uint64_t>(q) << std::dec << ',';
-    out << std::hex << std::bit_cast<std::uint64_t>(u.plan.predicted_ms)
-        << std::dec << (u.degraded ? "!D" : "") << ';';
-  });
+  TenantSet tenants{solo, out};
+  for (int i = 0; i < 4; ++i) {
+    TenantSpec spec = make_spec("app" + std::to_string(i), 120.0 + 40.0 * i);
+    // Tenant 1's distinct solver config keeps it out of the others' group.
+    if (i == 1) spec.solver.multi_starts = 2;
+    tenants.add(spec);
+  }
 
   for (int step = 0; step < 12; ++step) {
     const double now = 10.0 * (step + 1);
-    for (int i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < 4; ++i) {
       // Deterministic per-tenant traffic: phase-shifted swings big enough
       // to beat the hysteresis band on most steps.
-      double qps = 40.0 + 12.0 * ((step * (i + 3) + i) % 5);
+      double qps = 40.0 + 12.0 * static_cast<double>((step * (i + 3) + i) % 5);
       if (i == 3 && step >= 4 && step <= 6) qps = 0.0;  // telemetry blackout
       if (i == 2 && step == 5) {
         // Hard fault: malformed workload vector; plan() throws, tenant 2
         // degrades alone.
-        fleet.push(qps_update(ids[i], now, {qps, qps}));
+        tenants.push(i, now, {qps, qps});
         continue;
       }
-      fleet.push(qps_update(ids[i], now, {qps}));
+      tenants.push(i, now, {qps});
     }
-    const auto stats = fleet.step();
-    out << "step" << step << "=" << stats.planned << "/" << stats.coasted
-        << "/" << stats.failures << "/" << stats.notified << ";";
+    tenants.step();
+  }
+  if (!solo) {
+    EXPECT_GT(tenants.batched_tenants(), 0.0)
+        << "scenario must actually exercise batched groups";
   }
   return out.str();
 }
@@ -588,120 +638,111 @@ TEST(FleetServer, ScriptedScenarioReplaysBitIdenticallyAcrossThreadCounts) {
                          "GRAF_THREADS (DESIGN.md §3.7/§3.10)";
 }
 
-// --- Batched planning (§3.13): bit-identity with the per-tenant path --------
+// --- Batched planning (§3.13): bit-identity with solo tenants ---------------
 
 // The tentpole contract: coalescing same-model tenants into one
-// block-diagonal solve_batch must reproduce the per-tenant fan-out exactly —
-// same quota bits, same predicted_ms bits, same step stats — at every thread
-// count. Tenant 1's distinct solver config (multi_starts=2, pool fan-out)
-// keeps a solo group in the mix, so the scenario covers batched groups and
-// per-tenant fallback side by side.
+// block-diagonal solve_batch must reproduce each tenant solving alone in its
+// own FleetServer exactly — same quota bits, same predicted_ms bits, same
+// step stats — at every thread count. Tenant 1's distinct solver config
+// (multi_starts=2) keeps a group of one in the mix, so the scenario covers
+// batched groups and lone tenants side by side.
 TEST(FleetServer, BatchedPlanningBitIdenticalToPerTenantAcrossThreadCounts) {
   for (std::size_t threads : {1u, 2u, 8u}) {
     ThreadGuard guard{threads};
-    const std::string batched = run_scripted_scenario(true);
-    const std::string fanout = run_scripted_scenario(false);
+    const std::string batched = run_scripted_scenario(false);
+    const std::string solo = run_scripted_scenario(true);
     EXPECT_FALSE(batched.empty());
-    EXPECT_EQ(batched, fanout)
-        << "batched fleet planning must be bit-identical to the per-tenant "
-           "path at GRAF_THREADS=" << threads << " (DESIGN.md §3.13)";
+    EXPECT_EQ(batched, solo)
+        << "batched fleet planning must be bit-identical to solo tenants "
+           "at GRAF_THREADS=" << threads << " (DESIGN.md §3.13)";
   }
 }
 
 TEST(FleetServer, BatchedGroupsCoalesceSameModelTenants) {
-  FleetServer batched{FleetConfig{.batch_plans = true}};
-  FleetServer fanout{FleetConfig{.batch_plans = false}};
-  std::vector<TenantId> bids, fids;
+  FleetServer batched;
+  std::vector<TenantId> bids;
+  std::vector<std::unique_ptr<FleetServer>> solo;
+  std::vector<TenantId> sids;
   for (int i = 0; i < 3; ++i) {
     TenantSpec spec = make_spec("svc" + std::to_string(i), 150.0 + 30.0 * i);
     if (i == 2) spec.solver.multi_starts = 2;  // distinct config: solo group
     bids.push_back(batched.add_tenant(spec));
-    fids.push_back(fanout.add_tenant(spec));
+    solo.push_back(std::make_unique<FleetServer>());
+    sids.push_back(solo.back()->add_tenant(spec));
   }
   for (int i = 0; i < 3; ++i) {
     const double qps = 45.0 + 10.0 * i;
     batched.push(qps_update(bids[i], 1.0, {qps}));
-    fanout.push(qps_update(fids[i], 1.0, {qps}));
+    solo[i]->push(qps_update(sids[i], 1.0, {qps}));
   }
   EXPECT_EQ(batched.step().planned, 3u);
-  EXPECT_EQ(fanout.step().planned, 3u);
+  for (auto& server : solo) EXPECT_EQ(server->step().planned, 1u);
 
   // Tenants 0 and 1 share (fingerprint, node count, solver config): exactly
   // one batched group of two. Tenant 2's multi_starts mismatch solves alone.
   EXPECT_EQ(batched.metrics().counter("fleet.batched_groups").value(), 1.0);
   EXPECT_EQ(batched.metrics().counter("fleet.batched_tenants").value(), 2.0);
-  EXPECT_EQ(fanout.metrics().counter("fleet.batched_groups").value(), 0.0);
+  for (auto& server : solo)
+    EXPECT_EQ(server->metrics().counter("fleet.batched_groups").value(), 0.0);
 
   for (int i = 0; i < 3; ++i) {
     const auto& bp = batched.tenant(bids[i])->last_plan();
-    const auto& fp = fanout.tenant(fids[i])->last_plan();
-    ASSERT_EQ(bp.quota.size(), fp.quota.size());
+    const auto& sp = solo[i]->tenant(sids[i])->last_plan();
+    ASSERT_EQ(bp.quota.size(), sp.quota.size());
     for (std::size_t s = 0; s < bp.quota.size(); ++s)
       EXPECT_EQ(std::bit_cast<std::uint64_t>(bp.quota[s]),
-                std::bit_cast<std::uint64_t>(fp.quota[s]));
+                std::bit_cast<std::uint64_t>(sp.quota[s]));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(bp.predicted_ms),
-              std::bit_cast<std::uint64_t>(fp.predicted_ms));
-    EXPECT_EQ(bp.instances, fp.instances);
+              std::bit_cast<std::uint64_t>(sp.predicted_ms));
+    EXPECT_EQ(bp.instances, sp.instances);
   }
 }
 
 /// Batch-composition churn: tenants join and leave mid-run, so the batched
 /// grouping reshuffles between steps (groups of 1..4 members). Same digest
 /// contract as run_scripted_scenario.
-std::string run_composition_scenario(bool batch_plans) {
-  FleetServer fleet{FleetConfig{.batch_plans = batch_plans}};
+std::string run_composition_scenario(bool solo) {
   std::ostringstream out;
-  auto token = fleet.subscribe([&](const PlanUpdate& u) {
-    out << u.application << '#' << u.seq << ':';
-    for (int inst : u.plan.instances) out << inst << ',';
-    for (Millicores q : u.plan.quota)
-      out << std::hex << std::bit_cast<std::uint64_t>(q) << std::dec << ',';
-    out << std::hex << std::bit_cast<std::uint64_t>(u.plan.predicted_ms)
-        << std::dec << (u.degraded ? "!D" : "") << ';';
-  });
-
-  std::vector<TenantId> ids;
+  TenantSet tenants{solo, out};
   std::vector<bool> gone;
-  ids.push_back(fleet.add_tenant(make_spec("base0", 150.0)));
-  ids.push_back(fleet.add_tenant(make_spec("base1", 190.0)));
+  tenants.add(make_spec("base0", 150.0));
+  tenants.add(make_spec("base1", 190.0));
   gone.assign(2, false);
   for (int step = 0; step < 10; ++step) {
     if (step == 3) {
       // Two tenants enter: the next batched group can grow to four.
-      ids.push_back(fleet.add_tenant(make_spec("join2", 230.0)));
-      ids.push_back(fleet.add_tenant(make_spec("join3", 270.0)));
-      gone.resize(ids.size(), false);
+      tenants.add(make_spec("join2", 230.0));
+      tenants.add(make_spec("join3", 270.0));
+      gone.resize(4, false);
     }
     if (step == 7) {
       // One leaves mid-run: its slot recycles, the batch shrinks.
-      fleet.remove_tenant(ids[1]);
+      tenants.remove(1);
       gone[1] = true;
     }
     const double now = 10.0 * (step + 1);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
+    for (std::size_t i = 0; i < gone.size(); ++i) {
       if (gone[i]) continue;
       const double qps =
-          40.0 + 12.0 * ((static_cast<std::size_t>(step) * (i + 2) + i) % 5);
-      fleet.push(qps_update(ids[i], now, {qps}));
+          40.0 + 12.0 * static_cast<double>((static_cast<std::size_t>(step) * (i + 2) + i) % 5);
+      tenants.push(i, now, {qps});
     }
-    const auto stats = fleet.step();
-    out << "step" << step << "=" << stats.planned << "/" << stats.coasted
-        << "/" << stats.failures << "/" << stats.notified << ";";
+    tenants.step();
   }
-  if (batch_plans) {
-    EXPECT_GT(fleet.metrics().counter("fleet.batched_tenants").value(), 0.0)
+  if (!solo) {
+    EXPECT_GT(tenants.batched_tenants(), 0.0)
         << "composition scenario must actually exercise batched groups";
   }
   return out.str();
 }
 
 TEST(FleetServer, BatchedPlanningBitIdenticalUnderCompositionChurn) {
-  for (std::size_t threads : {1u, 8u}) {
+  for (std::size_t threads : {1u, 2u, 8u}) {
     ThreadGuard guard{threads};
-    const std::string batched = run_composition_scenario(true);
-    const std::string fanout = run_composition_scenario(false);
+    const std::string batched = run_composition_scenario(false);
+    const std::string solo = run_composition_scenario(true);
     EXPECT_FALSE(batched.empty());
-    EXPECT_EQ(batched, fanout)
+    EXPECT_EQ(batched, solo)
         << "tenants entering/leaving mid-run must not perturb batched "
            "results at GRAF_THREADS=" << threads;
   }
@@ -791,7 +832,7 @@ TEST(FleetServer, PerTenantPlanCacheCapacityFromSpec) {
 }
 
 TEST(FleetServer, BatchedGroupThrowFallsBackAndEveryTenantCommits) {
-  FleetServer fleet;  // batch_plans on by default
+  FleetServer fleet;
   std::vector<TenantId> ids;
   for (int t = 0; t < 3; ++t)
     ids.push_back(fleet.add_tenant(make_spec("app-" + std::to_string(t), 200.0)));
@@ -821,7 +862,7 @@ TEST(FleetServer, BatchedGroupThrowFallsBackAndEveryTenantCommits) {
 
   // The healthy tenants' fallback plans must equal a from-scratch solo
   // solve — the fallback re-runs each member through its own pipeline.
-  FleetServer ref{{.batch_plans = false}};
+  FleetServer ref;
   const TenantId rid = ref.add_tenant(make_spec("app-0", 200.0));
   ref.push(qps_update(rid, 1.0, {55.0}));
   ref.step();
@@ -833,6 +874,97 @@ TEST(FleetServer, BatchedGroupThrowFallsBackAndEveryTenantCommits) {
   fleet.push(qps_update(ids[1], 2.0, {60.0}));
   EXPECT_EQ(fleet.step().planned, 1u);
   EXPECT_FALSE(fleet.tenant(ids[1])->degraded());
+}
+
+// --- Admission and ingest validation ----------------------------------------
+
+// A spec rejected mid-admission must leave nothing behind: no serving handle
+// attached to the registry key (the corrected retry's promote would swap a
+// freed handle) and no claimed slot.
+TEST(FleetServer, RejectedAdmissionLeavesNoHandleOrSlotBehind) {
+  FleetServer fleet;
+  TenantSpec bad = make_spec("retry-app", 200.0);
+  bad.max_instances = {0, 4};  // set_max_instances rejects a zero cap
+  EXPECT_THROW(fleet.add_tenant(bad), std::invalid_argument);
+  EXPECT_EQ(fleet.tenant_count(), 0u);
+  EXPECT_FALSE(fleet.find("retry-app", 200.0).has_value());
+
+  TenantSpec good = make_spec("retry-app", 200.0);
+  good.max_instances = {4, 4};
+  const TenantId id = fleet.add_tenant(good);
+  EXPECT_EQ(id.slot, 0u) << "the rejected spec must not leak its slot";
+  Tenant* t = fleet.tenant(id);
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->handle().acquire(), fleet.registry().active(t->key()));
+
+  // A later promote on the key swaps only live handles.
+  const std::uint64_t v2 = fleet.registry().publish(t->key(), trained_model(), {});
+  ASSERT_TRUE(fleet.registry().promote(t->key(), v2));
+  EXPECT_EQ(t->handle().acquire(), fleet.registry().active(t->key()));
+  fleet.push(qps_update(id, 1.0, {60.0}));
+  EXPECT_EQ(fleet.step().planned, 1u);
+  EXPECT_FALSE(t->degraded());
+}
+
+// Pushed rates are validated at drain: a NaN, infinite or negative rate
+// never reaches the solver or a plan-cache key. The update is counted under
+// fleet.ingest.rejected{cause} and the tenant holds its last plan through
+// the signal-loss path.
+TEST(FleetServer, NonFiniteOrNegativeRatesAreRejectedAtDrain) {
+  FleetServer fleet;
+  // Loose SLO: only feasible plans enter the plan cache.
+  const TenantId single = fleet.add_tenant(make_spec("one-api", 1000.0));
+  TenantSpec dual_spec = make_spec("two-api", 1000.0);
+  dual_spec.fanout = {{1.0, 1.0}, {1.0, 1.0}};
+  const TenantId dual = fleet.add_tenant(dual_spec);
+  fleet.push(qps_update(single, 1.0, {60.0}));
+  fleet.push(qps_update(dual, 1.0, {40.0, 20.0}));
+  ASSERT_EQ(fleet.step().planned, 2u);
+
+  struct Probe {
+    TenantId id;
+    std::vector<Qps> good, bad;
+    const char* cause;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Probe probes[] = {{single, {60.0}, {inf}, "inf"},
+                          {single, {60.0}, {nan}, "nan"},
+                          {dual, {40.0, 20.0}, {80.0, -5.0}, "negative"}};
+  double now = 2.0;
+  for (const Probe& p : probes) {
+    SCOPED_TRACE(p.cause);
+    Tenant* t = fleet.tenant(p.id);
+    ASSERT_TRUE(t->has_plan());
+    const std::vector<int> held = t->last_plan().instances;
+    telemetry::MetricsRegistry& m = t->metrics();
+    const double nan_faults = m.counter("faults.solver_nan").value();
+    const double iterations = m.counter("core.solver_iterations_total").value();
+    const std::uint64_t hits = t->controller().plan_cache_hits();
+    const std::uint64_t misses = t->controller().plan_cache_misses();
+    const std::uint64_t losses = t->signal_losses();
+
+    fleet.push(qps_update(p.id, now, p.bad));
+    const FleetServer::StepStats stats = fleet.step();
+    now += 1.0;
+    EXPECT_EQ(stats.planned, 0u);
+    EXPECT_EQ(stats.failures, 0u);
+    EXPECT_EQ(
+        fleet.metrics().counter("fleet.ingest.rejected", {{"cause", p.cause}}).value(), 1.0);
+    EXPECT_EQ(t->signal_losses(), losses + 1);
+    EXPECT_EQ(t->last_plan().instances, held) << "the last plan must hold";
+    EXPECT_EQ(m.counter("faults.solver_nan").value(), nan_faults);
+    EXPECT_EQ(m.counter("core.solver_iterations_total").value(), iterations);
+    EXPECT_EQ(t->controller().plan_cache_misses(), misses) << "no cache key computed";
+
+    // The cached entry survived: the next valid push answers from it.
+    fleet.push(qps_update(p.id, now, p.good));
+    EXPECT_EQ(fleet.step().planned, 1u);
+    now += 1.0;
+    EXPECT_EQ(t->controller().plan_cache_hits(), hits + 1);
+    EXPECT_EQ(m.counter("core.solver_iterations_total").value(), iterations);
+    EXPECT_FALSE(t->degraded());
+  }
 }
 
 }  // namespace

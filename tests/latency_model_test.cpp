@@ -173,7 +173,7 @@ TEST_F(TrainedModelFixture, PredictVarMatchesPredict) {
   nn::Tensor q0{{700.0, 900.0}};
   nn::Tape tape;
   nn::Var qv = tape.leaf(q0, false);
-  nn::Var out = m.predict_var(tape, w, qv);
+  nn::Var out = m.predict_var_rows(tape, nn::Tensor{{50.0, 70.0}}, qv);
   std::vector<double> q{700.0, 900.0};
   EXPECT_NEAR(tape.value(out).item(), m.predict(w, q), 1e-9);
 }
@@ -182,10 +182,9 @@ TEST_F(TrainedModelFixture, QuotaGradientIsNegativeOnAverage) {
   // d latency / d quota should be negative (more CPU -> less latency) at
   // interior points of the trained region.
   auto& m = model();
-  std::vector<double> w{70.0, 70.0};
   nn::Tape tape;
   nn::Var qv = tape.leaf(nn::Tensor{{600.0, 600.0}});
-  nn::Var out = m.predict_var(tape, w, qv);
+  nn::Var out = m.predict_var_rows(tape, nn::Tensor{{70.0, 70.0}}, qv);
   tape.backward(out);
   const nn::Tensor& g = tape.grad(qv);
   EXPECT_LT(g(0, 0) + g(0, 1), 0.0);

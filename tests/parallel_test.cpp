@@ -20,6 +20,7 @@
 #include "core/configuration_solver.h"
 #include "core/sample_collector.h"
 #include "core/workload_analyzer.h"
+#include "gnn/batched_latency_model.h"
 #include "gnn/latency_model.h"
 #include "nn/tensor.h"
 #include "telemetry/metrics.h"
@@ -264,12 +265,10 @@ gnn::LatencyModel& parallel_solver_model() {
   return model;
 }
 
-core::SolverResult solve_at(std::size_t threads, std::size_t starts,
-                            bool batched = true) {
+core::SolverResult solve_at(std::size_t threads, std::size_t starts) {
   set_global_threads(threads);
   core::SolverConfig scfg;
   scfg.multi_starts = starts;
-  scfg.batched_multi_start = batched;
   core::ConfigurationSolver solver{parallel_solver_model(), scfg};
   std::vector<double> w{50.0, 50.0};
   std::vector<double> lo{300.0, 300.0};
@@ -280,36 +279,59 @@ core::SolverResult solve_at(std::size_t threads, std::size_t starts,
 }
 
 TEST(ParallelDeterminism, MultiStartSolveIsBitIdenticalAcrossThreadCounts) {
-  // Both descent paths: the PR-5 batched K-row tape (thread count can't
-  // matter — one tape) and the PR-3 per-start fan-out (threads are only
-  // executors). Either way 1 == 2 == 8 threads, bit for bit.
-  for (bool batched : {true, false}) {
-    const auto r1 = solve_at(1, 6, batched);
-    const auto r2 = solve_at(2, 6, batched);
-    const auto r8 = solve_at(8, 6, batched);
-    ASSERT_EQ(r1.quota.size(), 2u);
-    for (std::size_t i = 0; i < r1.quota.size(); ++i) {
-      EXPECT_EQ(r1.quota[i], r2.quota[i]) << "batched=" << batched << " " << i;
-      EXPECT_EQ(r1.quota[i], r8.quota[i]) << "batched=" << batched << " " << i;
-    }
-    EXPECT_EQ(r1.predicted_ms, r2.predicted_ms) << "batched=" << batched;
-    EXPECT_EQ(r1.predicted_ms, r8.predicted_ms) << "batched=" << batched;
-    EXPECT_EQ(r1.loss, r2.loss) << "batched=" << batched;
-    EXPECT_EQ(r1.loss, r8.loss) << "batched=" << batched;
+  // The K starts are rows of one tape, so the thread count can't matter:
+  // 1 == 2 == 8 threads, bit for bit.
+  const auto r1 = solve_at(1, 6);
+  const auto r2 = solve_at(2, 6);
+  const auto r8 = solve_at(8, 6);
+  ASSERT_EQ(r1.quota.size(), 2u);
+  for (std::size_t i = 0; i < r1.quota.size(); ++i) {
+    EXPECT_EQ(r1.quota[i], r2.quota[i]) << i;
+    EXPECT_EQ(r1.quota[i], r8.quota[i]) << i;
   }
+  EXPECT_EQ(r1.predicted_ms, r2.predicted_ms);
+  EXPECT_EQ(r1.predicted_ms, r8.predicted_ms);
+  EXPECT_EQ(r1.loss, r2.loss);
+  EXPECT_EQ(r1.loss, r8.loss);
 }
 
 TEST(ParallelDeterminism, BatchedAndConcurrentSolvesAgreeAtAnyThreadCount) {
-  // The two paths are bit-identical to *each other*, so mixing thread
-  // counts and paths still lands on the same answer.
-  const auto batched1 = solve_at(1, 6, true);
-  const auto fanout8 = solve_at(8, 6, false);
-  ASSERT_EQ(batched1.quota.size(), fanout8.quota.size());
-  for (std::size_t i = 0; i < batched1.quota.size(); ++i)
-    EXPECT_EQ(batched1.quota[i], fanout8.quota[i]) << "service " << i;
-  EXPECT_EQ(batched1.loss, fanout8.loss);
-  EXPECT_EQ(batched1.predicted_ms, fanout8.predicted_ms);
-  EXPECT_EQ(batched1.iterations, fanout8.iterations);
+  // Solves running concurrently on an 8-thread pool (one solver per task,
+  // one shared model) match the same requests stacked into one solve_batch
+  // tape on a single thread, bit for bit: descents freeze the shared
+  // weights, and stacked rows never mix.
+  core::SolverConfig scfg;
+  scfg.multi_starts = 6;
+  const std::vector<double> lo{300.0, 300.0};
+  const std::vector<double> hi{2000.0, 2000.0};
+  const std::vector<std::vector<double>> workloads{
+      {40.0, 40.0}, {50.0, 60.0}, {70.0, 45.0}, {55.0, 55.0}};
+  // Trained here, not lazily inside a pool task: training resizes the pool.
+  gnn::LatencyModel& model = parallel_solver_model();
+
+  set_global_threads(8);
+  std::vector<core::SolverResult> concurrent(workloads.size());
+  global_pool().parallel_for(workloads.size(), [&](std::size_t i) {
+    core::ConfigurationSolver solver{model, scfg};
+    concurrent[i] = solver.solve(workloads[i], 180.0, lo, hi);
+  });
+  set_global_threads(1);
+  gnn::BatchedLatencyModel batched{model, scfg.multi_starts};
+  std::vector<core::BatchItem> items;
+  for (const auto& w : workloads) items.push_back({w, 180.0, lo, hi});
+  const auto stacked = core::ConfigurationSolver::solve_batch(batched, scfg, items);
+  set_global_threads(0);
+
+  ASSERT_EQ(stacked.size(), concurrent.size());
+  for (std::size_t t = 0; t < stacked.size(); ++t) {
+    const core::SolverResult& b = stacked[t].result;
+    ASSERT_EQ(b.quota.size(), concurrent[t].quota.size());
+    for (std::size_t i = 0; i < b.quota.size(); ++i)
+      EXPECT_EQ(b.quota[i], concurrent[t].quota[i]) << "tenant " << t << " service " << i;
+    EXPECT_EQ(b.loss, concurrent[t].loss) << "tenant " << t;
+    EXPECT_EQ(b.predicted_ms, concurrent[t].predicted_ms) << "tenant " << t;
+    EXPECT_EQ(b.iterations, concurrent[t].iterations) << "tenant " << t;
+  }
 }
 
 TEST(ParallelDeterminism, BlockedKernelsIgnoreThreadCount) {

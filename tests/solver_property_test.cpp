@@ -121,30 +121,32 @@ TEST_P(SolverSweep, SlackBranchGetsLessCpu) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSlos, SolverSweep, ::testing::Range(0, 6));
 
-// The batched multi-start path must be an exact drop-in for the concurrent
-// per-start path: same winner, same loss, same per-start bookkeeping, down
-// to the last bit (DESIGN.md §3.9 explains why the K x n tape can be exact).
-TEST(BatchedMultiStart, MatchesConcurrentPathBitwise) {
+// A multi-start solve is the one-item case of a stacked fleet batch: the
+// same item inside a batch with other tenants (different workloads and
+// SLOs) must land on the same winner, loss, and per-start bookkeeping, down
+// to the last bit (DESIGN.md §3.9 explains why stacked rows stay exact).
+TEST(BatchedMultiStart, SoloSolveMatchesStackedBatchBitwise) {
   std::vector<double> workload{50.0, 50.0, 50.0, 50.0};
+  std::vector<double> other{35.0, 60.0, 45.0, 70.0};
   std::vector<double> lo(4, 350.0);
   std::vector<double> hi(4, 1900.0);
   for (double slo : {160.0, 240.0, 330.0}) {
     SolverConfig scfg;
     scfg.multi_starts = 4;
-    scfg.batched_multi_start = true;
-    ConfigurationSolver batched{model(), scfg};
-    scfg.batched_multi_start = false;
-    ConfigurationSolver concurrent{model(), scfg};
+    ConfigurationSolver solo{model(), scfg};
+    const auto rs = solo.solve(workload, slo, lo, hi);
 
-    const auto rb = batched.solve(workload, slo, lo, hi);
-    const auto rc = concurrent.solve(workload, slo, lo, hi);
-    ASSERT_EQ(rb.quota.size(), rc.quota.size());
+    gnn::BatchedLatencyModel batched{model(), scfg.multi_starts};
+    const std::vector<BatchItem> items{{other, slo * 1.2, lo, hi},
+                                       {workload, slo, lo, hi}};
+    const auto rb = ConfigurationSolver::solve_batch(batched, scfg, items)[1].result;
+    ASSERT_EQ(rb.quota.size(), rs.quota.size());
     for (std::size_t i = 0; i < rb.quota.size(); ++i)
-      EXPECT_EQ(rb.quota[i], rc.quota[i]) << "slo=" << slo << " i=" << i;
-    EXPECT_EQ(rb.loss, rc.loss) << "slo=" << slo;
-    EXPECT_EQ(rb.predicted_ms, rc.predicted_ms) << "slo=" << slo;
-    EXPECT_EQ(rb.iterations, rc.iterations) << "slo=" << slo;
-    EXPECT_EQ(rb.converged, rc.converged) << "slo=" << slo;
+      EXPECT_EQ(rb.quota[i], rs.quota[i]) << "slo=" << slo << " i=" << i;
+    EXPECT_EQ(rb.loss, rs.loss) << "slo=" << slo;
+    EXPECT_EQ(rb.predicted_ms, rs.predicted_ms) << "slo=" << slo;
+    EXPECT_EQ(rb.iterations, rs.iterations) << "slo=" << slo;
+    EXPECT_EQ(rb.converged, rs.converged) << "slo=" << slo;
   }
 }
 

@@ -522,37 +522,48 @@ fleet::TenantSpec surrogate_spec(const std::string& app, double slo_ms) {
 }
 
 TEST(FleetSurrogate, BatchedGroupsMatchPerTenantSolvesBitwise) {
-  auto run = [](bool batched) {
-    fleet::FleetServer server{{.batch_plans = batched}};
+  // Three fingerprint-equal surrogate tenants on one FleetServer (one
+  // stacked surrogate descent) vs. each in its own single-tenant server.
+  auto run = [](bool solo) {
+    std::vector<std::unique_ptr<fleet::FleetServer>> servers;
+    std::vector<fleet::FleetServer*> home;
     std::vector<fleet::TenantId> ids;
-    for (int t = 0; t < 3; ++t)
-      ids.push_back(server.add_tenant(
+    for (int t = 0; t < 3; ++t) {
+      if (servers.empty() || solo)
+        servers.push_back(std::make_unique<fleet::FleetServer>());
+      home.push_back(servers.back().get());
+      ids.push_back(home.back()->add_tenant(
           surrogate_spec("app-" + std::to_string(t), 1000.0)));
-    for (int t = 0; t < 3; ++t)
-      server.push({.tenant = ids[static_cast<std::size_t>(t)], .now = 1.0,
-                   .api_qps = {55.0 + 5.0 * t}});
-    const fleet::FleetServer::StepStats stats = server.step();
-    EXPECT_EQ(stats.planned, 3u);
+    }
+    for (std::size_t t = 0; t < 3; ++t)
+      home[t]->push({.tenant = ids[t], .now = 1.0,
+                     .api_qps = {55.0 + 5.0 * static_cast<double>(t)}});
+    std::size_t planned = 0;
+    for (auto& server : servers) planned += server->step().planned;
+    EXPECT_EQ(planned, 3u);
     std::uint64_t digest = 1469598103934665603ULL;
-    for (fleet::TenantId id : ids) {
-      const fleet::Tenant* t = server.tenant(id);
-      for (double q : t->last_plan().quota) digest = mix(digest, q);
-      digest = mix(digest, t->last_plan().predicted_ms);
-      for (int inst : t->last_plan().instances)
+    for (std::size_t t = 0; t < 3; ++t) {
+      const fleet::Tenant* tenant = home[t]->tenant(ids[t]);
+      for (double q : tenant->last_plan().quota) digest = mix(digest, q);
+      digest = mix(digest, tenant->last_plan().predicted_ms);
+      for (int inst : tenant->last_plan().instances)
         digest = mix(digest, static_cast<double>(inst));
-      const core::TieredPlanner* planner =
-          server.tenant(id)->tiered_planner();
+      const core::TieredPlanner* planner = home[t]->tenant(ids[t])->tiered_planner();
       digest = mix(digest, static_cast<double>(planner->fast_hits()));
       digest = mix(digest, static_cast<double>(planner->escalations()));
     }
-    if (batched) {
-      EXPECT_GE(server.metrics().counter("fleet.batched_groups").value(), 1.0)
+    if (!solo) {
+      EXPECT_GE(servers.front()->metrics().counter("fleet.batched_groups").value(), 1.0)
           << "fingerprint-equal surrogate tenants must share a batch";
     }
     return digest;
   };
-  EXPECT_EQ(run(false), run(true))
-      << "stacked surrogate groups must be bit-identical to solo solves";
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    ThreadGuard guard{threads};
+    EXPECT_EQ(run(true), run(false))
+        << "stacked surrogate groups must be bit-identical to solo solves at "
+           "GRAF_THREADS=" << threads;
+  }
 }
 
 }  // namespace
