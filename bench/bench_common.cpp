@@ -1,12 +1,16 @@
 #include "bench_common.h"
 
+#include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <thread>
 
 #include "autoscalers/k8s_hpa.h"
 #include "common/stats.h"
+#include "common/thread_pool.h"
 #include "workload/closed_loop.h"
 #include "workload/open_loop.h"
 
@@ -30,9 +34,36 @@ telemetry::BenchExporter& results() {
   return exporter;
 }
 
+namespace {
+
+/// `git describe --always --dirty` of the source tree, or "unknown".
+std::string source_revision() {
+  const std::string cmd =
+      std::string{"git -C '"} + GRAF_SOURCE_DIR + "' describe --always --dirty 2>/dev/null";
+  std::string out;
+  if (FILE* pipe = popen(cmd.c_str(), "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+    pclose(pipe);
+  }
+  while (!out.empty() && std::isspace(static_cast<unsigned char>(out.back())))
+    out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
+
+}  // namespace
+
 bool write_bench_results(const std::string& filename) {
   if (results().empty()) return false;
   const std::string path = bench_out_path(filename);
+  // The machine and build these rows ran on; replaces the file's meta.
+  telemetry::BenchExporter& out = results();
+  out.set_meta("nproc", std::to_string(std::thread::hardware_concurrency()));
+  out.set_meta("GRAF_THREADS", std::to_string(configured_threads()));
+  out.set_meta("GRAF_NATIVE", GRAF_BUILD_NATIVE);
+  out.set_meta("sanitizer", GRAF_BUILD_SANITIZE);
+  out.set_meta("compiler", GRAF_BUILD_COMPILER);
+  out.set_meta("git_sha", source_revision());
   // Several binaries share one BENCH file (perf micro, chaos surge, ...):
   // fold the rows already on disk in first — fresh same-name rows win, rows
   // from other binaries survive the rewrite.

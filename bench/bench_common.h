@@ -39,6 +39,9 @@ telemetry::BenchExporter& results();
 
 /// Write accumulated results to bench_out_path(filename); prints the
 /// destination to stderr. No-op (returns false) when nothing was recorded.
+/// The file's "meta" object is replaced with this run's machine and build:
+/// nproc, GRAF_THREADS (the pool size in effect), GRAF_NATIVE, sanitizer,
+/// compiler and the source tree's git revision.
 bool write_bench_results(const std::string& filename);
 
 /// Benchmark-scale knobs. The paper's full-scale constants (50k samples,

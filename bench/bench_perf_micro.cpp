@@ -236,6 +236,28 @@ void BM_MatmulNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulNaive)->Arg(128);
 
+// A * B^T at the descent's backward shapes ({M, K, N}: A is M x K, B is
+// N x K): the readout's first layer on a 2-start, 6-service stack, a hidden
+// and the first message layer over 12 stacked node rows, and the surrogate
+// MLP's first layer on one row.
+void BM_MatmulNt(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  Rng rng{29};
+  nn::Tensor a{m, k};
+  nn::Tensor b{n, k};
+  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = rng.uniform(-1.0, 1.0);
+  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = rng.uniform(-1.0, 1.0);
+  nn::Tensor out;
+  for (auto _ : state) {
+    nn::matmul_nt_into(out, a, b);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MatmulNt)->Args({2, 24, 48})->Args({12, 8, 12})->Args({12, 8, 4})->Args({1, 32, 40});
+
 // Multi-start descent: all K starts as rows of one K x n tape.
 void BM_SolveBatched(benchmark::State& state) {
   auto& model = shared_model();

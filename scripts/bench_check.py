@@ -72,6 +72,7 @@ def load_rows(path):
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     rows = {}
+    # The top-level "meta" object (machine and build) holds no rows.
     for row in doc.get("results", []):
         unit = row.get("unit", "ns")
         if unit in UNIT_NS:

@@ -41,6 +41,7 @@ void ResourceController::set_metrics(telemetry::MetricsRegistry* registry) {
     solver_iterations_ = predicted_p99_ = scale_factor_ = planned_quota_ = nullptr;
     degraded_gauge_ = saturated_gauge_ = nullptr;
     fault_model_mismatch_ = fault_analyzer_ = fault_nan_ = fault_infeasible_ = nullptr;
+    fault_invalid_workload_ = nullptr;
     cache_hits_counter_ = cache_misses_counter_ = cache_evictions_counter_ = nullptr;
     cache_saved_us_ = nullptr;
   } else {
@@ -58,6 +59,7 @@ void ResourceController::set_metrics(telemetry::MetricsRegistry* registry) {
     fault_analyzer_ = &registry->counter("faults.analyzer_not_ready");
     fault_nan_ = &registry->counter("faults.solver_nan");
     fault_infeasible_ = &registry->counter("faults.solver_infeasible");
+    fault_invalid_workload_ = &registry->counter("faults.invalid_workload");
     cache_hits_counter_ = &registry->counter("core.plan_cache.hits");
     cache_misses_counter_ = &registry->counter("core.plan_cache.misses");
     cache_evictions_counter_ = &registry->counter("core.plan_cache.evictions");
@@ -142,13 +144,14 @@ void ResourceController::set_max_instances(std::vector<int> max_instances) {
   invalidate_plan_cache();  // clamping rules are part of the cached result
 }
 
-AllocationPlan ResourceController::degraded_plan(telemetry::Counter* cause) {
+AllocationPlan ResourceController::degraded_plan(telemetry::Counter* cause,
+                                                 bool keep_cache) {
   ++degraded_plans_;
   if (cause != nullptr) cause->add();
   // Entering degraded mode signals the solve pipeline can't be trusted
   // (model mismatch, analyzer blackout, NaN, infeasible) — stop serving
   // cached products of that same pipeline until a clean solve lands.
-  invalidate_plan_cache();
+  if (!keep_cache) invalidate_plan_cache();
   AllocationPlan plan;
   if (have_last_good_) {
     plan = last_good_;
@@ -212,6 +215,16 @@ PlanPrep ResourceController::begin_plan(std::span<const Qps> api_qps, double slo
   }
   const std::size_t n = model_->node_count();
   std::vector<double> node_workload = analyzer_.distribute(api_qps);
+  // A NaN, infinite or negative rate is bad input, not a fault of the
+  // pipeline: answer from the fallback before it reaches a cache key
+  // (workload_bucket's llround(log1p(w))) or the solver, and keep the cache.
+  for (double w : node_workload) {
+    if (!std::isfinite(w) || w < 0.0) {
+      prep.plan = degraded_plan(fault_invalid_workload_, /*keep_cache=*/true);
+      prep.done = true;
+      return prep;
+    }
+  }
 
   // Plan-cache lookup: post-distribute workloads fold fan-out/topology
   // effects into the key, so two ticks that quantize alike would solve

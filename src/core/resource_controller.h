@@ -47,8 +47,9 @@ struct AllocationPlan {
   /// predicted_ms was re-evaluated at the clamped allocation.
   bool saturated = false;
   /// Fallback plan: the solve could not be trusted (NaN/infeasible result,
-  /// analyzer not ready, served-model shape mismatch) and the controller
-  /// reused its last feasible plan (or the hi-bound default) instead.
+  /// analyzer not ready, served-model shape mismatch) or its input was
+  /// invalid (a NaN, infinite or negative distributed workload), and the
+  /// controller reused its last feasible plan (or the hi-bound default).
   bool degraded = false;
 };
 
@@ -150,7 +151,8 @@ class ResourceController {
   /// predicted p99, scale factor, and total quota; degraded-mode visibility
   /// via the `core.degraded` / `core.plan_saturated` gauges and the
   /// `faults.model_shape_mismatch` / `faults.analyzer_not_ready` /
-  /// `faults.solver_nan` / `faults.solver_infeasible` counters. Also
+  /// `faults.solver_nan` / `faults.solver_infeasible` /
+  /// `faults.invalid_workload` counters. Also
   /// forwards to the solver's per-iteration profiling. nullptr detaches
   /// (default).
   void set_metrics(telemetry::MetricsRegistry* registry);
@@ -169,7 +171,8 @@ class ResourceController {
   // controller re-plans every sync period but traffic only drifts. The
   // generation counter bumps (and the cache clears) on model hot-swap,
   // set_training_reference, set_max_instances, and every degraded-plan
-  // transition, so a stale model or topology can never serve a cached plan.
+  // transition except an invalid-workload rejection (the pipeline is still
+  // sound), so a stale model or topology can never serve a cached plan.
 
   /// Max cached plans, LRU-evicted (0 disables caching; clears the cache).
   void set_plan_cache_capacity(std::size_t capacity);
@@ -195,8 +198,9 @@ class ResourceController {
   std::uint64_t planner_bits();
   /// Fallback: last feasible plan if one exists, else the hi-bound default
   /// (quota = hi — the most conservative allocation inside the trained
-  /// region, approximating what a best-effort solve would reach).
-  AllocationPlan degraded_plan(telemetry::Counter* cause);
+  /// region, approximating what a best-effort solve would reach). Clears
+  /// the plan cache unless `keep_cache` (bad input, healthy pipeline).
+  AllocationPlan degraded_plan(telemetry::Counter* cause, bool keep_cache = false);
   void publish_plan(const AllocationPlan& plan);
 
   gnn::LatencyModel* model_;
@@ -232,6 +236,7 @@ class ResourceController {
   telemetry::Counter* fault_analyzer_ = nullptr;
   telemetry::Counter* fault_nan_ = nullptr;
   telemetry::Counter* fault_infeasible_ = nullptr;
+  telemetry::Counter* fault_invalid_workload_ = nullptr;
 
   std::vector<CachedPlan> plan_cache_;
   std::size_t plan_cache_capacity_ = 64;

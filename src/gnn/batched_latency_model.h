@@ -6,9 +6,10 @@
 // weights, and message passing never mixes rows of the node-feature
 // matrices (DESIGN.md §3.9 row independence), the block-diagonal forward is
 // *exactly* a row-batched forward: graph g's rows occupy rows
-// [g*K, (g+1)*K) of every per-node feature matrix, the adjacency is never
-// materialized, and each blocked GEMM runs once over all N*K rows instead
-// of N times over K. Row g*K+k of the output is bit-identical to row k of
+// [g*K, (g+1)*K) of every node's block of the node-stacked feature matrix
+// (DESIGN.md §3.2), the adjacency is never materialized, and each blocked
+// GEMM runs once over all n*N*K node rows instead of once per node and
+// graph. Row g*K+k of the output is bit-identical to row k of
 // graph g's own forward — the property the fleet's batched planner is
 // proven against. A solo solve is the N = 1 case.
 #pragma once

@@ -83,17 +83,16 @@ LatencyModel::Batch LatencyModel::assemble(const Dataset& data,
                                            std::span<const std::size_t> idx) const {
   Batch b;
   const std::size_t batch = idx.size();
-  b.features.reserve(node_count_);
-  for (std::size_t n = 0; n < node_count_; ++n)
-    b.features.emplace_back(batch, kNodeFeatures);
+  b.features = nn::Tensor{node_count_ * batch, kNodeFeatures};
   b.labels = nn::Tensor{batch, 1};
   for (std::size_t r = 0; r < batch; ++r) {
     const Sample& s = data[idx[r]];
     for (std::size_t n = 0; n < node_count_; ++n) {
-      b.features[n](r, 0) = s.workload[n] * w_scale_;
-      b.features[n](r, 1) = s.quota[n] * q_scale_;
-      b.features[n](r, 2) = q_min_mc_ / s.quota[n];
-      b.features[n](r, 3) = s.workload[n] / s.quota[n] / ratio_max_;
+      const std::size_t row = n * batch + r;
+      b.features(row, 0) = s.workload[n] * w_scale_;
+      b.features(row, 1) = s.quota[n] * q_scale_;
+      b.features(row, 2) = q_min_mc_ / s.quota[n];
+      b.features(row, 3) = s.workload[n] / s.quota[n] / ratio_max_;
     }
     b.labels(r, 0) = s.latency_ms / label_ref_;
   }
@@ -108,12 +107,9 @@ nn::Var LatencyModel::forward_batch(nn::Tape& tape, const Batch& b, Rng& rng,
 
 nn::Var LatencyModel::forward_features(nn::Tape& tape, const Batch& b, Rng& rng,
                                        bool training) {
-  std::vector<nn::Var> feats;
-  feats.reserve(b.features.size());
   // By reference: the Batch outlives every use of the tape (callers build it
   // before forwarding and read results before rebuilding), so no copies.
-  for (const auto& f : b.features) feats.push_back(tape.constant_ref(f));
-  return model_.forward(tape, feats, rng, training);
+  return model_.forward(tape, tape.constant_ref(b.features), rng, training);
 }
 
 void LatencyModel::set_metrics(telemetry::MetricsRegistry* registry) {
@@ -241,17 +237,15 @@ double LatencyModel::predict(std::span<const double> workload_qps,
     throw std::invalid_argument{"LatencyModel::predict: dimension mismatch"};
   telemetry::ScopedTimer timer{forward_timer_};
   nn::Tape tape;
-  std::vector<nn::Var> feats;
-  feats.reserve(node_count_);
+  nn::Tensor f{node_count_, kNodeFeatures};  // node-stacked, one row per node
   for (std::size_t n = 0; n < node_count_; ++n) {
-    nn::Tensor f{1, kNodeFeatures};
-    f(0, 0) = workload_qps[n] * w_scale_;
-    f(0, 1) = quota_millicores[n] * q_scale_;
-    f(0, 2) = q_min_mc_ / quota_millicores[n];
-    f(0, 3) = workload_qps[n] / quota_millicores[n] / ratio_max_;
-    feats.push_back(tape.constant(std::move(f)));
+    f(n, 0) = workload_qps[n] * w_scale_;
+    f(n, 1) = quota_millicores[n] * q_scale_;
+    f(n, 2) = q_min_mc_ / quota_millicores[n];
+    f(n, 3) = workload_qps[n] / quota_millicores[n] / ratio_max_;
   }
-  nn::Var out = model_.forward(tape, feats, rng_, /*training=*/false);
+  nn::Var out = model_.forward(tape, tape.constant(std::move(f)), rng_,
+                               /*training=*/false);
   return tape.value(out).item() * label_ref_;
 }
 
@@ -264,27 +258,28 @@ nn::Var LatencyModel::predict_var_rows(nn::Tape& tape, const nn::Tensor& workloa
     throw std::invalid_argument{
         "LatencyModel::predict_var_rows: quota must match workload rows x n"};
   const std::size_t batch = q.rows();
-  std::vector<nn::Var> feats;
-  feats.reserve(node_count_);
-  for (std::size_t n = 0; n < node_count_; ++n) {
-    nn::Var q_raw = nn::slice_cols(quota_mc, n, 1);
-    nn::Var q_inv = nn::reciprocal(q_raw);
-    // Per-row constant columns, staged into recycled tape buffers (no
-    // steady-state allocation). The w/ratio_max column scales 1/q with an
-    // elementwise mul(), the same product bits as a scalar scale().
-    nn::Tensor& wbuf = tape.stage(batch, 1);
-    for (std::size_t r = 0; r < batch; ++r) wbuf(r, 0) = workload_qps(r, n) * w_scale_;
-    nn::Var w = tape.commit_constant();
-    nn::Var qn = nn::scale(q_raw, q_scale_);
-    nn::Var inv_feat = nn::scale(q_inv, q_min_mc_);
-    nn::Tensor& rbuf = tape.stage(batch, 1);
+  const std::size_t rows = node_count_ * batch;
+  // Node-stacked features, built once over every node's rows: row
+  // n·batch + r is node n of quota row r. Per-row constant columns are
+  // staged into recycled tape buffers (no steady-state allocation). The
+  // w/ratio_max column scales 1/q with an elementwise mul(), the same
+  // product bits as a scalar scale().
+  nn::Var q_raw = nn::col_blocks_to_rows(quota_mc, node_count_);
+  nn::Var q_inv = nn::reciprocal(q_raw);
+  nn::Tensor& wbuf = tape.stage(rows, 1);
+  for (std::size_t n = 0; n < node_count_; ++n)
     for (std::size_t r = 0; r < batch; ++r)
-      rbuf(r, 0) = workload_qps(r, n) / ratio_max_;
-    nn::Var ratio_feat = nn::mul(q_inv, tape.commit_constant());
-    const nn::Var parts[] = {w, qn, inv_feat, ratio_feat};
-    feats.push_back(nn::concat_cols(parts));
-  }
-  nn::Var out = model_.forward(tape, feats, rng_, /*training=*/false);
+      wbuf(n * batch + r, 0) = workload_qps(r, n) * w_scale_;
+  nn::Var w = tape.commit_constant();
+  nn::Var qn = nn::scale(q_raw, q_scale_);
+  nn::Var inv_feat = nn::scale(q_inv, q_min_mc_);
+  nn::Tensor& rbuf = tape.stage(rows, 1);
+  for (std::size_t n = 0; n < node_count_; ++n)
+    for (std::size_t r = 0; r < batch; ++r)
+      rbuf(n * batch + r, 0) = workload_qps(r, n) / ratio_max_;
+  nn::Var ratio_feat = nn::mul(q_inv, tape.commit_constant());
+  const nn::Var parts[] = {w, qn, inv_feat, ratio_feat};
+  nn::Var out = model_.forward(tape, nn::concat_cols(parts), rng_, /*training=*/false);
   return nn::scale(out, label_ref_);
 }
 

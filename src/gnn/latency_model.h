@@ -167,8 +167,8 @@ class LatencyModel {
 
  private:
   struct Batch {
-    std::vector<nn::Tensor> features;  // per node: batch x F
-    nn::Tensor labels;                 // batch x 1 (normalized)
+    nn::Tensor features;  // node-stacked: (n·batch) x F, node i at rows i·batch
+    nn::Tensor labels;    // batch x 1 (normalized)
   };
 
   Batch assemble(const Dataset& data, std::span<const std::size_t> idx) const;

@@ -44,43 +44,26 @@ MpnnModel::MpnnModel(const Dag& graph, const MpnnConfig& cfg, Rng& rng)
   }
 }
 
-nn::Var MpnnModel::forward(nn::Tape& tape, std::span<const nn::Var> node_features,
-                           Rng& rng, bool training) {
+nn::Var MpnnModel::forward(nn::Tape& tape, nn::Var nodes, Rng& rng, bool training) {
   const std::size_t n = parents_.size();
-  if (node_features.size() != n)
-    throw std::invalid_argument{"MpnnModel::forward: feature count != node count"};
-  const std::size_t batch = tape.value(node_features.front()).rows();
-
-  std::vector<nn::Var> h{node_features.begin(), node_features.end()};
-
+  nn::Var h = nodes;
   if (cfg_.use_mpnn) {
     for (std::size_t k = 0; k < cfg_.message_steps; ++k) {
-      // Messages from every node, computed once per step.
-      std::vector<nn::Var> msg;
-      msg.reserve(n);
-      for (std::size_t i = 0; i < n; ++i)
-        msg.push_back(phi_[k].forward(tape, h[i], rng, training));
-
-      std::vector<nn::Var> next;
-      next.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        nn::Var agg;
-        if (parents_[i].empty()) {
-          agg = tape.zeros(batch, cfg_.embed_dim);
-        } else {
-          agg = msg[static_cast<std::size_t>(parents_[i].front())];
-          for (std::size_t p = 1; p < parents_[i].size(); ++p)
-            agg = nn::add(agg, msg[static_cast<std::size_t>(parents_[i][p])]);
-        }
-        const nn::Var both[] = {h[i], agg};
-        next.push_back(gamma_[k].forward(tape, nn::concat_cols(both), rng, training));
-      }
-      h = std::move(next);
+      const nn::Var msg = phi_[k].forward(tape, h, rng, training, n);
+      const nn::Var both[] = {h, nn::sum_row_blocks(msg, parents_)};
+      h = gamma_[k].forward(tape, nn::concat_cols(both), rng, training, n);
     }
   }
+  return readout_.forward(tape, nn::row_blocks_to_cols(h, n), rng, training);
+}
 
-  nn::Var flat = nn::concat_cols(h);
-  return readout_.forward(tape, flat, rng, training);
+nn::Var MpnnModel::forward(nn::Tape& tape, std::span<const nn::Var> node_features,
+                           Rng& rng, bool training) {
+  if (node_features.size() != parents_.size())
+    throw std::invalid_argument{"MpnnModel::forward: feature count != node count"};
+  const nn::Var side_by_side = nn::concat_cols(node_features);
+  return forward(tape, nn::col_blocks_to_rows(side_by_side, parents_.size()), rng,
+                 training);
 }
 
 void MpnnModel::collect_params(std::vector<nn::Param*>& out) {

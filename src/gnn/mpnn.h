@@ -8,6 +8,16 @@
 // node feature vector at step 1 and the previous embedding afterwards.
 // Setting Config::use_mpnn = false yields the paper's Fig. 11 ablation
 // ("GRAF w/o MPNN"): the readout consumes the raw node features directly.
+//
+// The forward is node-stacked (DESIGN.md §3.2): an R-row batch of n nodes
+// is one (n·R) x F matrix, node i's rows at [i·R, (i+1)·R), so phi_k and
+// gamma_k each run once over every node's rows, the parent sums are one
+// nn::sum_row_blocks, and nn::row_blocks_to_cols lays the final embeddings
+// side by side for the readout. Rows never mix, and every weight gradient
+// is reduced per node block (nn::Tape::param_blocks), so results — values,
+// input gradients and Param::grad — are bit-identical to running the MLPs
+// once per node. One forward serves training, every solver descent,
+// stacked scoring and LatencyModel::predict().
 #pragma once
 
 #include <cstddef>
@@ -39,8 +49,12 @@ class MpnnModel : public nn::Module {
   /// The DAG is captured by reference to its structure (copied).
   MpnnModel(const Dag& graph, const MpnnConfig& cfg, Rng& rng);
 
-  /// node_features[i] is a (batch x node_features) Var for graph node i.
-  /// Returns a (batch x 1) latency prediction (in normalized label units).
+  /// `nodes` is the node-stacked (n·batch x node_features) input, graph
+  /// node i's rows at [i·batch, (i+1)·batch). Returns a (batch x 1) latency
+  /// prediction (in normalized label units).
+  nn::Var forward(nn::Tape& tape, nn::Var nodes, Rng& rng, bool training);
+  /// node_features[i] is a (batch x node_features) Var for graph node i;
+  /// stacks them and runs the forward above.
   nn::Var forward(nn::Tape& tape, std::span<const nn::Var> node_features,
                   Rng& rng, bool training);
 

@@ -1,5 +1,6 @@
 #include "nn/autodiff.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -24,6 +25,54 @@ Tape& same_tape(Var a, Var b) {
   return *a.tape;
 }
 
+// Dependency ids {a, b[0], b[1], ...} of a row-block weight op, after
+// checking that every weight leaf reads the same tensor (the leaves of one
+// Param) and that a's rows split into equal blocks. The returned span is
+// valid until the next call.
+std::span<const int> block_deps(Var a, std::span<const Var> b) {
+  if (b.empty()) throw std::invalid_argument{"op: no weight leaves"};
+  Tape& t = same_tape(a, b.front());
+  const Tensor& w = t.value(b.front());
+  if (t.value(a).rows() % b.size() != 0)
+    throw std::invalid_argument{"op: rows do not split into the weight blocks"};
+  thread_local std::vector<int> ids;
+  ids.clear();
+  ids.push_back(a.id);
+  for (Var v : b) {
+    same_tape(a, v);
+    if (&t.value(v) != &w)
+      throw std::invalid_argument{"op: weight leaves must read one tensor"};
+    ids.push_back(v.id);
+  }
+  return ids;
+}
+
+// The weight leaves of a row-block op node: deps[0] is the input and
+// deps[1 + j] row block j's leaf.
+std::span<const int> weight_leaves(const std::vector<int>& deps) {
+  return {deps.data() + 1, deps.size() - 1};
+}
+
+// dst (R x blocks*C) column block j <- src ((blocks*R) x C) row block j.
+void copy_rows_to_cols(Tensor& dst, const Tensor& src, std::size_t blocks) {
+  const std::size_t rows = dst.rows();
+  const std::size_t cols = src.cols();
+  for (std::size_t j = 0; j < blocks; ++j)
+    for (std::size_t r = 0; r < rows; ++r)
+      std::copy_n(src.data() + (j * rows + r) * cols, cols,
+                  dst.data() + r * blocks * cols + j * cols);
+}
+
+// dst ((blocks*R) x C) row block j <- src (R x blocks*C) column block j.
+void copy_cols_to_rows(Tensor& dst, const Tensor& src, std::size_t blocks) {
+  const std::size_t rows = src.rows();
+  const std::size_t cols = dst.cols();
+  for (std::size_t j = 0; j < blocks; ++j)
+    for (std::size_t r = 0; r < rows; ++r)
+      std::copy_n(src.data() + r * blocks * cols + j * cols, cols,
+                  dst.data() + (j * rows + r) * cols);
+}
+
 }  // namespace
 
 // ---- Arena -----------------------------------------------------------------
@@ -35,6 +84,7 @@ Tape::Node& Tape::acquire() {
   n.param = nullptr;
   n.backward = nullptr;
   n.deps.clear();  // keeps capacity
+  n.groups = {};
   n.a = -1;
   n.b = -1;
   n.i0 = 0;
@@ -73,15 +123,6 @@ Var Tape::constant_ref(const Tensor& value) {
   return Var{this, static_cast<int>(live_++)};
 }
 
-Var Tape::constant_fill(std::size_t rows, std::size_t cols, double v) {
-  Node& n = acquire();
-  n.value.resize_zero(rows, cols);
-  if (v != 0.0) n.value.fill(v);
-  return Var{this, static_cast<int>(live_++)};
-}
-
-Var Tape::zeros(std::size_t rows, std::size_t cols) { return constant_fill(rows, cols, 0.0); }
-
 Var Tape::leaf(Tensor value, bool requires_grad) {
   Node& n = acquire();
   n.value = std::move(value);
@@ -103,6 +144,14 @@ Var Tape::param(Param& p) {
     self.param->grad += self.grad;
   };
   return Var{this, static_cast<int>(live_++)};
+}
+
+std::span<const Var> Tape::param_blocks(Param& p, std::size_t blocks) {
+  if (blocks == 0) throw std::invalid_argument{"param_blocks: need >= 1 block"};
+  block_leaves_.clear();  // keeps capacity
+  const std::size_t leaves = freeze_params_ ? 1 : blocks;
+  for (std::size_t j = 0; j < leaves; ++j) block_leaves_.push_back(param(p));
+  return block_leaves_;
 }
 
 void Tape::flush_param_grads() {
@@ -236,39 +285,48 @@ Var add(Var a, Var b) {
   });
 }
 
-Var add_row_broadcast(Var a, Var b) {
-  Tape& t = same_tape(a, b);
+Var add_row_broadcast(Var a, Var b) { return add_row_broadcast(a, {&b, 1}); }
+
+Var add_row_broadcast(Var a, std::span<const Var> b) {
+  const std::span<const int> deps = block_deps(a, b);
+  Tape& t = *a.tape;
   const Tensor& av = t.value(a);
-  const Tensor& bv = t.value(b);
+  const Tensor& bv = t.value(b.front());
   if (bv.rows() != 1 || bv.cols() != av.cols())
     throw std::invalid_argument{"add_row_broadcast: bias must be 1 x cols(a)"};
   Tensor& out = t.stage(av.rows(), av.cols());
   for (std::size_t i = 0; i < av.rows(); ++i)
     for (std::size_t j = 0; j < av.cols(); ++j) out(i, j) = av(i, j) + bv(0, j);
-  return t.commit2(a.id, b.id, [](Tape& t, int id) {
+  return t.commit_n(deps, [](Tape& t, int id) {
     auto& n = OpAccess::node(t, id);
     const Tensor& g = n.grad;
-    t.accumulate(n.a, g);
-    if (t.requires_grad(n.b)) {
+    t.accumulate(n.deps.front(), g);
+    const std::span<const int> leaves = weight_leaves(n.deps);
+    const std::size_t rows = g.rows() / leaves.size();
+    for (std::size_t blk = 0; blk < leaves.size(); ++blk) {
+      if (!t.requires_grad(leaves[blk])) continue;
       Tensor& gb = OpAccess::scratch(t);
       gb.resize_zero(1, g.cols());
-      for (std::size_t i = 0; i < g.rows(); ++i)
+      for (std::size_t i = blk * rows; i < (blk + 1) * rows; ++i)
         for (std::size_t j = 0; j < g.cols(); ++j) gb(0, j) += g(i, j);
-      t.accumulate(n.b, gb);
+      t.accumulate(leaves[blk], gb);
     }
   });
 }
 
-Var bias_relu(Var a, Var b) {
-  Tape& t = same_tape(a, b);
+Var bias_relu(Var a, Var b) { return bias_relu(a, {&b, 1}); }
+
+Var bias_relu(Var a, std::span<const Var> b) {
+  const std::span<const int> deps = block_deps(a, b);
+  Tape& t = *a.tape;
   const Tensor& av = t.value(a);
-  const Tensor& bv = t.value(b);
+  const Tensor& bv = t.value(b.front());
   if (bv.rows() != 1 || bv.cols() != av.cols())
     throw std::invalid_argument{"bias_relu: bias must be 1 x cols(a)"};
   Tensor& out = t.stage(av.rows(), av.cols());
   bias_relu_into(out, av, bv);
   // y > 0 iff the pre-activation was > 0, so the output doubles as the mask.
-  return t.commit2(a.id, b.id, [](Tape& t, int id) {
+  return t.commit_n(deps, [](Tape& t, int id) {
     auto& n = OpAccess::node(t, id);
     const Tensor& g = n.grad;
     const Tensor& y = n.value;
@@ -276,15 +334,18 @@ Var bias_relu(Var a, Var b) {
     s.resize_zero(g.rows(), g.cols());
     for (std::size_t i = 0; i < g.size(); ++i)
       s.data()[i] = y.data()[i] > 0.0 ? g.data()[i] : 0.0;
-    t.accumulate(n.a, s);
-    if (t.requires_grad(n.b)) {
-      // Column sums of the masked gradient; scratch is free again because
-      // accumulate() copied it.
+    t.accumulate(n.deps.front(), s);
+    const std::span<const int> leaves = weight_leaves(n.deps);
+    const std::size_t rows = g.rows() / leaves.size();
+    for (std::size_t blk = 0; blk < leaves.size(); ++blk) {
+      if (!t.requires_grad(leaves[blk])) continue;
+      // Column sums of the block's masked gradient; scratch is free again
+      // because accumulate() copied it.
       s.resize_zero(1, g.cols());
-      for (std::size_t i = 0; i < g.rows(); ++i)
+      for (std::size_t i = blk * rows; i < (blk + 1) * rows; ++i)
         for (std::size_t j = 0; j < g.cols(); ++j)
           if (y(i, j) > 0.0) s(0, j) += g(i, j);
-      t.accumulate(n.b, s);
+      t.accumulate(leaves[blk], s);
     }
   });
 }
@@ -321,24 +382,31 @@ Var mul(Var a, Var b) {
   });
 }
 
-Var matmul(Var a, Var b) {
-  Tape& t = same_tape(a, b);
+Var matmul(Var a, Var b) { return matmul(a, {&b, 1}); }
+
+Var matmul(Var a, std::span<const Var> b) {
+  const std::span<const int> deps = block_deps(a, b);
+  Tape& t = *a.tape;
   const Tensor& av = t.value(a);
-  const Tensor& bv = t.value(b);
+  const Tensor& bv = t.value(b.front());
   if (av.cols() != bv.rows()) throw std::invalid_argument{"matmul: inner dims differ"};
   Tensor& out = t.stage(av.rows(), bv.cols());
   matmul_into(out, av, bv);
-  return t.commit2(a.id, b.id, [](Tape& t, int id) {
+  return t.commit_n(deps, [](Tape& t, int id) {
     auto& n = OpAccess::node(t, id);
     const Tensor& g = n.grad;
+    const int a = n.deps.front();
+    const std::span<const int> leaves = weight_leaves(n.deps);
     Tensor& s = OpAccess::scratch(t);
-    if (t.requires_grad(n.a)) {
-      matmul_nt_into(s, g, OpAccess::val(t, n.b));
-      t.accumulate(n.a, s);
+    if (t.requires_grad(a)) {
+      matmul_nt_into(s, g, OpAccess::val(t, leaves.front()));
+      t.accumulate(a, s);
     }
-    if (t.requires_grad(n.b)) {
-      matmul_tn_into(s, OpAccess::val(t, n.a), g);
-      t.accumulate(n.b, s);
+    const std::size_t rows = g.rows() / leaves.size();
+    for (std::size_t blk = 0; blk < leaves.size(); ++blk) {
+      if (!t.requires_grad(leaves[blk])) continue;
+      matmul_tn_into(s, OpAccess::val(t, a), g, blk * rows, rows);
+      t.accumulate(leaves[blk], s);
     }
   });
 }
@@ -503,6 +571,91 @@ Var slice_cols(Var a, std::size_t start, std::size_t len) {
     s.resize_zero(in.rows(), in.cols());
     for (std::size_t i = 0; i < in.rows(); ++i)
       for (std::size_t j = 0; j < n.i1; ++j) s(i, n.i0 + j) = g(i, j);
+    t.accumulate(n.a, s);
+  });
+}
+
+Var col_blocks_to_rows(Var a, std::size_t blocks) {
+  Tape& t = *a.tape;
+  const Tensor& in = t.value(a);
+  if (blocks == 0 || in.cols() % blocks != 0)
+    throw std::invalid_argument{"col_blocks_to_rows: columns do not split into blocks"};
+  Tensor& out = t.stage(in.rows() * blocks, in.cols() / blocks);
+  copy_cols_to_rows(out, in, blocks);
+  OpAccess::staged(t).i0 = blocks;
+  return t.commit1(a.id, [](Tape& t, int id) {
+    auto& n = OpAccess::node(t, id);
+    const Tensor& in = OpAccess::val(t, n.a);
+    Tensor& s = OpAccess::scratch(t);
+    s.resize_zero(in.rows(), in.cols());
+    copy_rows_to_cols(s, n.grad, n.i0);
+    t.accumulate(n.a, s);
+  });
+}
+
+Var row_blocks_to_cols(Var a, std::size_t blocks) {
+  Tape& t = *a.tape;
+  const Tensor& in = t.value(a);
+  if (blocks == 0 || in.rows() % blocks != 0)
+    throw std::invalid_argument{"row_blocks_to_cols: rows do not split into blocks"};
+  Tensor& out = t.stage(in.rows() / blocks, in.cols() * blocks);
+  copy_rows_to_cols(out, in, blocks);
+  OpAccess::staged(t).i0 = blocks;
+  return t.commit1(a.id, [](Tape& t, int id) {
+    auto& n = OpAccess::node(t, id);
+    const Tensor& in = OpAccess::val(t, n.a);
+    Tensor& s = OpAccess::scratch(t);
+    s.resize_zero(in.rows(), in.cols());
+    copy_cols_to_rows(s, n.grad, n.i0);
+    t.accumulate(n.a, s);
+  });
+}
+
+Var sum_row_blocks(Var a, std::span<const std::vector<int>> sources) {
+  Tape& t = *a.tape;
+  const Tensor& in = t.value(a);
+  const std::size_t blocks = sources.size();
+  if (blocks == 0 || in.rows() % blocks != 0)
+    throw std::invalid_argument{"sum_row_blocks: rows do not split into blocks"};
+  for (const auto& src : sources)
+    for (int j : src)
+      if (j < 0 || static_cast<std::size_t>(j) >= blocks)
+        throw std::invalid_argument{"sum_row_blocks: source block out of range"};
+  const std::size_t len = in.rows() / blocks * in.cols();
+  Tensor& out = t.stage(in.rows(), in.cols());
+  for (std::size_t i = 0; i < blocks; ++i) {
+    const std::vector<int>& src = sources[i];
+    if (src.empty()) continue;  // zero block
+    double* dst = out.data() + i * len;
+    std::copy_n(in.data() + static_cast<std::size_t>(src.front()) * len, len, dst);
+    for (std::size_t p = 1; p < src.size(); ++p) {
+      const double* add = in.data() + static_cast<std::size_t>(src[p]) * len;
+      for (std::size_t e = 0; e < len; ++e) dst[e] = dst[e] + add[e];
+    }
+  }
+  OpAccess::staged(t).groups = sources;
+  return t.commit1(a.id, [](Tape& t, int id) {
+    auto& n = OpAccess::node(t, id);
+    const Tensor& g = n.grad;
+    const std::size_t blocks = n.groups.size();
+    const std::size_t len = g.size() / blocks;
+    Tensor& s = OpAccess::scratch(t);
+    s.resize_zero(g.rows(), g.cols());
+    thread_local std::vector<char> seen;
+    seen.assign(blocks, 0);
+    for (std::size_t i = blocks; i-- > 0;) {
+      const double* gi = g.data() + i * len;
+      for (int src : n.groups[i]) {
+        const auto j = static_cast<std::size_t>(src);
+        double* sj = s.data() + j * len;
+        if (seen[j] == 0) {
+          std::copy_n(gi, len, sj);
+          seen[j] = 1;
+        } else {
+          for (std::size_t e = 0; e < len; ++e) sj[e] += gi[e];
+        }
+      }
+    }
     t.accumulate(n.a, s);
   });
 }

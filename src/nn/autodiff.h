@@ -64,17 +64,19 @@ class Tape {
   /// Non-differentiable input recorded by reference — no copy. `value`
   /// must outlive every use of this tape up to the next reset().
   Var constant_ref(const Tensor& value);
-  /// Non-differentiable rows x cols tensor filled with `v`, built in the
-  /// node's recycled buffer (no allocation in steady state).
-  Var constant_fill(std::size_t rows, std::size_t cols, double v);
-  /// Non-differentiable rows x cols zero tensor (recycled buffer).
-  Var zeros(std::size_t rows, std::size_t cols);
   /// Differentiable input; gradient readable via grad() after backward().
   Var leaf(Tensor value, bool requires_grad = true);
   /// Parameter input; gradient accumulates into `p.grad` during backward().
   /// Recorded by reference — `p` must outlive uses of this tape up to the
   /// next reset() (it always does: optimizers step between passes).
   Var param(Param& p);
+  /// Weight leaves for a row-block op (matmul, add_row_broadcast,
+  /// bias_relu) over `blocks` stacked row blocks: one param leaf per block,
+  /// so each block's gradient is reduced on its own and reaches `p.grad` in
+  /// the order `blocks` separate forwards would deliver it — or, on a
+  /// frozen tape, one constant shared by every block. The span is valid
+  /// until the next call.
+  std::span<const Var> param_blocks(Param& p, std::size_t blocks);
 
   // ---- Op-authoring API (staged nodes) ------------------------------------
   //
@@ -146,6 +148,7 @@ class Tape {
     Param* param = nullptr;
     BackwardFn backward = nullptr;
     std::vector<int> deps;    // variable-arity dependencies (concat_cols)
+    std::span<const std::vector<int>> groups;  // sum_row_blocks sources
     int a = -1;               // dependency ids for <=2-operand ops
     int b = -1;
     std::size_t i0 = 0;       // integer op args (e.g. slice start/len)
@@ -168,6 +171,7 @@ class Tape {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::size_t live_ = 0;
   Tensor scratch_;  // shared temp for backward hooks (serial, recycled)
+  std::vector<Var> block_leaves_;  // param_blocks() result (recycled)
   bool defer_param_grads_ = false;
   bool freeze_params_ = false;
 };
@@ -175,19 +179,29 @@ class Tape {
 // ---- Operations -----------------------------------------------------------
 // All ops require operands on the same tape.
 
+// Row-block weight ops. `b` lists one weight leaf per row block of `a`
+// (Tape::param_blocks): a's rows split into b.size() equal blocks, and
+// every leaf reads the same tensor, so the forward is the plain op over all
+// rows. Backward reduces each block's weight gradient separately into its
+// own leaf with the loops a per-block op would run, so the gradient bits
+// match b.size() separate ops. A single leaf is the ordinary op.
+
 /// Elementwise sum; shapes must match.
 Var add(Var a, Var b);
 /// a (B x C) + bias b (1 x C) broadcast over rows.
 Var add_row_broadcast(Var a, Var b);
+Var add_row_broadcast(Var a, std::span<const Var> b);
 /// Fused max(0, a + broadcast_rows(b)) — one node instead of the
 /// add_row_broadcast + relu pair (the MLP hidden-layer hot path).
 Var bias_relu(Var a, Var b);
+Var bias_relu(Var a, std::span<const Var> b);
 /// Elementwise difference.
 Var sub(Var a, Var b);
 /// Elementwise (Hadamard) product.
 Var mul(Var a, Var b);
 /// Matrix product.
 Var matmul(Var a, Var b);
+Var matmul(Var a, std::span<const Var> b);
 /// Multiply by scalar constant.
 Var scale(Var a, double s);
 /// Add scalar constant elementwise.
@@ -206,6 +220,23 @@ Var dropout(Var a, double p, Rng& rng, bool training);
 Var concat_cols(std::span<const Var> parts);
 /// Columns [start, start+len) of a.
 Var slice_cols(Var a, std::size_t start, std::size_t len);
+
+// Node-stacked layout (DESIGN.md §3.2): n per-node R x C blocks stacked
+// node-major into one (n·R) x C matrix, so each message-passing layer runs
+// once over every node's rows.
+
+/// R x (blocks·C) -> (blocks·R) x C: column block j becomes row block j.
+Var col_blocks_to_rows(Var a, std::size_t blocks);
+/// (blocks·R) x C -> R x (blocks·C): row block j becomes column block j
+/// (the per-node embeddings side by side, as the readout consumes them).
+Var row_blocks_to_cols(Var a, std::size_t blocks);
+/// a stacks sources.size() row blocks; block i of the result is the
+/// left-to-right sum of a's blocks sources[i] (a zero block when empty).
+/// Backward adds block i's gradient into each source block for i
+/// descending, copying the first contribution — the order a reverse walk
+/// over per-block sums delivers it. `sources` is referenced, not copied:
+/// it must outlive the tape's next reset().
+Var sum_row_blocks(Var a, std::span<const std::vector<int>> sources);
 /// Sum of all entries -> 1x1.
 Var sum_all(Var a);
 /// Per-row sum: (B x C) -> (B x 1). Batched solves use this for the

@@ -36,16 +36,14 @@ void Module::load_state_dict(const std::vector<Tensor>& state) {
 Linear::Linear(std::size_t in, std::size_t out, Rng& rng)
     : in_{in}, out_{out}, w_{kaiming_uniform(in, out, rng)}, b_{Tensor{1, out}} {}
 
-Var Linear::forward(Tape& tape, Var x) {
-  Var w = tape.param(w_);
-  Var b = tape.param(b_);
-  return add_row_broadcast(matmul(x, w), b);
+Var Linear::forward(Tape& tape, Var x, std::size_t blocks) {
+  Var y = matmul(x, tape.param_blocks(w_, blocks));
+  return add_row_broadcast(y, tape.param_blocks(b_, blocks));
 }
 
-Var Linear::forward_relu(Tape& tape, Var x) {
-  Var w = tape.param(w_);
-  Var b = tape.param(b_);
-  return bias_relu(matmul(x, w), b);
+Var Linear::forward_relu(Tape& tape, Var x, std::size_t blocks) {
+  Var y = matmul(x, tape.param_blocks(w_, blocks));
+  return bias_relu(y, tape.param_blocks(b_, blocks));
 }
 
 void Linear::collect_params(std::vector<Param*>& out) {
@@ -61,14 +59,14 @@ Mlp::Mlp(std::vector<std::size_t> dims, double dropout_p, Rng& rng)
     layers_.emplace_back(dims_[i], dims_[i + 1], rng);
 }
 
-Var Mlp::forward(Tape& tape, Var x, Rng& rng, bool training) {
+Var Mlp::forward(Tape& tape, Var x, Rng& rng, bool training, std::size_t blocks) {
   Var h = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const bool last = i + 1 == layers_.size();
     if (last) {
-      h = layers_[i].forward(tape, h);
+      h = layers_[i].forward(tape, h, blocks);
     } else {
-      h = layers_[i].forward_relu(tape, h);
+      h = layers_[i].forward_relu(tape, h, blocks);
       h = dropout(h, dropout_p_, rng, training);
     }
   }

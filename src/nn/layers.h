@@ -50,14 +50,20 @@ class Module {
 };
 
 /// Fully-connected layer: y = x W + b, Kaiming-uniform initialized.
+///
+/// `blocks` > 1 runs the layer once over x's rows split into that many
+/// equal row blocks (a node-stacked message-passing layer): the output is
+/// the plain product, and on a trainable tape each block's W/b gradient is
+/// reduced separately (Tape::param_blocks), so Param::grad gets the bits
+/// `blocks` separate forwards would give it.
 class Linear : public Module {
  public:
   Linear(std::size_t in, std::size_t out, Rng& rng);
 
-  Var forward(Tape& tape, Var x);
+  Var forward(Tape& tape, Var x, std::size_t blocks = 1);
   /// Fused y = max(0, x W + b) — one tape node for the bias+ReLU pair
   /// (hidden-layer hot path; see nn::bias_relu).
-  Var forward_relu(Tape& tape, Var x);
+  Var forward_relu(Tape& tape, Var x, std::size_t blocks = 1);
 
   std::size_t in_features() const { return in_; }
   std::size_t out_features() const { return out_; }
@@ -82,8 +88,10 @@ class Mlp : public Module {
  public:
   Mlp(std::vector<std::size_t> dims, double dropout_p, Rng& rng);
 
-  /// Forward pass. `training` enables dropout (inverted-dropout scaling).
-  Var forward(Tape& tape, Var x, Rng& rng, bool training);
+  /// Forward pass. `training` enables dropout (inverted-dropout scaling);
+  /// `blocks` as in Linear::forward (dropout masks are then drawn over the
+  /// stacked rows, layer by layer).
+  Var forward(Tape& tape, Var x, Rng& rng, bool training, std::size_t blocks = 1);
 
   std::size_t in_features() const { return dims_.front(); }
   std::size_t out_features() const { return dims_.back(); }

@@ -40,21 +40,31 @@ std::vector<double>& pack_buffer() {
   return buf;
 }
 
-// C[0..h)[0..w) += A-rows * B-strip over kb ascending k. `b` points at the
-// strip's (k=0, j=0) element with row stride ldb. Generic edge version;
-// trip counts are runtime values. Accumulators seed from C so a later
-// k-panel resumes the exact fma chain of the earlier ones.
+// The kb x kNR transposed-strip panel of matmul_nt_into; grow-only, so a
+// steady-state caller never reallocates or zero-fills it.
+std::vector<double>& nt_panel() {
+  thread_local std::vector<double> buf;
+  return buf;
+}
+
+// C[0..h)[0..w) += A-rows * B-strip over kb ascending k. The strip's
+// (k, u) element sits at b[k * ldb + u * ldu]: ldu == 1 for a row-major
+// strip of B, ldb == 1 and ldu == K for a strip read in place out of the
+// row-major B of A * B^T. Generic edge version; trip counts are runtime
+// values. Accumulators seed from C so a later k-panel resumes the exact fma
+// chain of the earlier ones.
 inline void micro_tile(double* c, std::size_t ldc, const double* a,
                        std::size_t lda, const double* b, std::size_t ldb,
-                       std::size_t kb, std::size_t h, std::size_t w) {
+                       std::size_t ldu, std::size_t kb, std::size_t h,
+                       std::size_t w) {
   double acc[kMR][kNR] = {};
   for (std::size_t r = 0; r < h; ++r)
     for (std::size_t u = 0; u < w; ++u) acc[r][u] = c[r * ldc + u];
   for (std::size_t k = 0; k < kb; ++k) {
-    const double* brow = b + k * ldb;
-    for (std::size_t r = 0; r < h; ++r) {
-      const double av = a[r * lda + k];
-      for (std::size_t u = 0; u < w; ++u) acc[r][u] = std::fma(av, brow[u], acc[r][u]);
+    for (std::size_t u = 0; u < w; ++u) {
+      const double bv = b[k * ldb + u * ldu];
+      for (std::size_t r = 0; r < h; ++r)
+        acc[r][u] = std::fma(a[r * lda + k], bv, acc[r][u]);
     }
   }
   for (std::size_t r = 0; r < h; ++r)
@@ -150,26 +160,6 @@ inline void micro_tile_w8_h(double* c, std::size_t ldc, const double* a,
     case 2: micro_tile_w8<2>(c, ldc, a, lda, b, ldb, kb); break;
     default: micro_tile_w8<1>(c, ldc, a, lda, b, ldb, kb); break;
   }
-}
-
-// Dot-product tile for C = A * B^T: C[r][u] += dot(A-row r, B-row u). One
-// scalar-fma implementation for every tile, so the chain per element is
-// identical regardless of tile shape or batch size.
-inline void micro_tile_nt(double* c, std::size_t ldc, const double* a,
-                          std::size_t lda, const double* b, std::size_t ldb,
-                          std::size_t kb, std::size_t h, std::size_t w) {
-  double acc[kMR][kNR] = {};
-  for (std::size_t r = 0; r < h; ++r)
-    for (std::size_t u = 0; u < w; ++u) acc[r][u] = c[r * ldc + u];
-  for (std::size_t k = 0; k < kb; ++k) {
-    for (std::size_t r = 0; r < h; ++r) {
-      const double av = a[r * lda + k];
-      for (std::size_t u = 0; u < w; ++u)
-        acc[r][u] = std::fma(av, b[u * ldb + k], acc[r][u]);
-    }
-  }
-  for (std::size_t r = 0; r < h; ++r)
-    for (std::size_t u = 0; u < w; ++u) c[r * ldc + u] = acc[r][u];
 }
 
 }  // namespace
@@ -361,7 +351,7 @@ void matmul_into(Tensor& out, const Tensor& a, const Tensor& b) {
         if (w == kNR)
           micro_tile_w8_h(cptr, N, aptr, K, bptr, ldb, kb, h);
         else
-          micro_tile(cptr, N, aptr, K, bptr, ldb, kb, h, w);
+          micro_tile(cptr, N, aptr, K, bptr, ldb, 1, kb, h, w);
       }
     }
   }
@@ -374,8 +364,13 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 }
 
 void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b) {
+  matmul_tn_into(out, a, b, 0, a.rows());
+}
+
+void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b,
+                    std::size_t row0, std::size_t rows) {
   if (a.rows() != b.rows()) throw std::invalid_argument{"matmul_tn: dims differ"};
-  const std::size_t K = a.rows();
+  if (row0 + rows > a.rows()) throw std::invalid_argument{"matmul_tn: row range"};
   const std::size_t M = a.cols();
   const std::size_t N = b.cols();
   out.resize_zero(M, N);
@@ -383,7 +378,7 @@ void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b) {
   // (weight-gradient shapes are small). Per element the k chain ascends.
   // The zero skip is hot here: `a` is usually a ReLU/dropout-masked
   // activation, so whole lanes vanish.
-  for (std::size_t k = 0; k < K; ++k) {
+  for (std::size_t k = row0; k < row0 + rows; ++k) {
     const double* arow = a.data() + k * M;
     const double* brow = b.data() + k * N;
     for (std::size_t i = 0; i < M; ++i) {
@@ -410,16 +405,30 @@ void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b) {
   const double* A = a.data();
   const double* B = b.data();
   double* C = out.data();
+  // Column u of B^T is row u of B, so a kNR-wide strip of B^T is kNR rows
+  // of B. Full strips are transposed into a kb x kNR panel and run on the
+  // vector tile; tails read B in place through the strided edge tile. Both
+  // run each element's ascending-k fma chain, so the split cannot change
+  // results. The panel is fully overwritten before use: no zero fill.
+  auto& panel = nt_panel();
   for (std::size_t k0 = 0; k0 < K; k0 += kKC) {
     const std::size_t kb = std::min(kKC, K - k0);
+    if (panel.size() < kb * kNR) panel.resize(kb * kNR);
     for (std::size_t j0 = 0; j0 < N; j0 += kNR) {
       const std::size_t w = std::min(kNR, N - j0);
-      const double* bptr = B + j0 * K + k0;
+      const double* bstrip = B + j0 * K + k0;
+      if (w == kNR) {
+        for (std::size_t k = 0; k < kb; ++k)
+          for (std::size_t u = 0; u < kNR; ++u) panel[k * kNR + u] = bstrip[u * K + k];
+      }
       for (std::size_t i0 = 0; i0 < M; i0 += kMR) {
         const std::size_t h = std::min(kMR, M - i0);
         double* cptr = C + i0 * N + j0;
         const double* aptr = A + i0 * K + k0;
-        micro_tile_nt(cptr, N, aptr, K, bptr, K, kb, h, w);
+        if (w == kNR)
+          micro_tile_w8_h(cptr, N, aptr, K, panel.data(), kNR, kb, h);
+        else
+          micro_tile(cptr, N, aptr, K, bstrip, 1, K, kb, h, w);
       }
     }
   }

@@ -99,7 +99,8 @@ Tensor operator*(double s, Tensor&& a);
 Tensor matmul(const Tensor& a, const Tensor& b);
 /// a^T * b  without materializing the transpose.
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
-/// a * b^T without materializing the transpose.
+/// a * b^T. Full 8-column strips of b^T are packed into a thread-local
+/// panel (DESIGN.md §3.9); b itself is never transposed in full.
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 // Destination-reuse forms of the products above: `out` is reshaped with
@@ -107,6 +108,11 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 // are what the autodiff ops call so a steady-state tape touches no heap.
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b);
 void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b);
+/// a[row0, row0+rows)^T * b[row0, row0+rows): the weight gradient of one
+/// row block of a stacked product, bit-identical to matmul_tn_into over
+/// that block as a tensor of its own (same ascending-row chain).
+void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b,
+                    std::size_t row0, std::size_t rows);
 void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b);
 
 /// Reference triple-loop product (the pre-blocking implementation); kept as

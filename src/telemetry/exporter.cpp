@@ -137,8 +137,28 @@ void BenchExporter::record_at(const std::string& name, double value,
   rows_.push_back({name, value, unit, unix_seconds});
 }
 
+void BenchExporter::set_meta(const std::string& key, const std::string& value) {
+  for (auto& [k, v] : meta_)
+    if (k == key) {
+      v = value;
+      return;
+    }
+  meta_.emplace_back(key, value);
+}
+
 void BenchExporter::write_json(std::ostream& os) const {
-  os << "{\n  \"results\": [";
+  os << "{\n";
+  if (!meta_.empty()) {
+    os << "  \"meta\": {";
+    bool first = true;
+    for (const auto& [k, v] : meta_) {
+      os << (first ? "" : ", ") << "\"" << json_escape(k) << "\": \"" << json_escape(v)
+         << "\"";
+      first = false;
+    }
+    os << "},\n";
+  }
+  os << "  \"results\": [";
   bool first = true;
   for (const Row& r : rows_) {
     if (!first) os << ",";
@@ -157,8 +177,9 @@ bool BenchExporter::write_json_file(const std::string& path) const {
 namespace {
 
 /// Minimal recursive-descent reader for the flat bench format write_json
-/// emits ({"results": [{"name", "value", "unit", "timestamp"}, ...]}).
-/// Unknown keys are skipped; it is not a general JSON parser.
+/// emits ({"meta": {...}, "results": [{"name", "value", "unit",
+/// "timestamp"}, ...]}). Unknown row keys are skipped; it is not a general
+/// JSON parser.
 struct BenchReader {
   const std::string& text;
   std::size_t pos = 0;
@@ -258,11 +279,23 @@ struct BenchReader {
     return consume('}');
   }
 
-  bool read_file(std::vector<BenchExporter::Row>& rows) {
+  /// The {"key": "value", ...} meta object.
+  bool read_meta(std::vector<std::pair<std::string, std::string>>& meta) {
     if (!consume('{')) return false;
-    std::string key;
-    if (!read_string(key) || key != "results" || !consume(':') || !consume('['))
-      return false;
+    bool first = true;
+    while (!peek('}')) {
+      if (!first && !consume(',')) return false;
+      first = false;
+      std::string key;
+      std::string value;
+      if (!read_string(key) || !consume(':') || !read_string(value)) return false;
+      meta.emplace_back(std::move(key), std::move(value));
+    }
+    return consume('}');
+  }
+
+  bool read_rows(std::vector<BenchExporter::Row>& rows) {
+    if (!consume('[')) return false;
     bool first = true;
     while (!peek(']')) {
       if (!first && !consume(',')) return false;
@@ -271,7 +304,29 @@ struct BenchReader {
       if (!read_row(row)) return false;
       rows.push_back(std::move(row));
     }
-    return consume(']') && consume('}');
+    return consume(']');
+  }
+
+  bool read_file(std::vector<BenchExporter::Row>& rows,
+                 std::vector<std::pair<std::string, std::string>>& meta) {
+    if (!consume('{')) return false;
+    bool have_rows = false;
+    bool first = true;
+    while (!peek('}')) {
+      if (!first && !consume(',')) return false;
+      first = false;
+      std::string key;
+      if (!read_string(key) || !consume(':')) return false;
+      if (key == "meta") {
+        if (!read_meta(meta)) return false;
+      } else if (key == "results") {
+        if (!read_rows(rows)) return false;
+        have_rows = true;
+      } else {
+        return false;
+      }
+    }
+    return have_rows && consume('}');
   }
 };
 
@@ -298,8 +353,10 @@ bool BenchExporter::merge_json_file(const std::string& path) {
   std::string text{std::istreambuf_iterator<char>{in},
                    std::istreambuf_iterator<char>{}};
   std::vector<Row> file_rows;
+  std::vector<std::pair<std::string, std::string>> file_meta;
   BenchReader reader{text};
-  if (!reader.read_file(file_rows)) return false;
+  if (!reader.read_file(file_rows, file_meta)) return false;
+  if (meta_.empty()) meta_ = std::move(file_meta);
   std::vector<Row> merged;
   merged.reserve(file_rows.size() + rows_.size());
   for (Row& r : file_rows) {

@@ -7,12 +7,14 @@
 //   series JSON   {"series": [{"key": ..., "points": [[t, v], ...]}, ...]}
 //   series CSV    key,time,value  (one row per point, header included)
 //   snapshot JSON {"metrics": [{"name", "labels", "type", ...}, ...]}
-//   bench JSON    {"results": [{"name", "value", "unit", "timestamp"}, ...]}
+//   bench JSON    {"meta": {key: string, ...},
+//                  "results": [{"name", "value", "unit", "timestamp"}, ...]}
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "telemetry/metrics.h"
@@ -52,6 +54,14 @@ class BenchExporter {
   const std::vector<Row>& rows() const { return rows_; }
   bool empty() const { return rows_.empty(); }
 
+  /// Run metadata: the machine and build the rows were measured on, written
+  /// as a top-level "meta" object of string values (omitted when empty).
+  /// Setting an existing key overwrites its value.
+  void set_meta(const std::string& key, const std::string& value);
+  const std::vector<std::pair<std::string, std::string>>& meta() const {
+    return meta_;
+  }
+
   void write_json(std::ostream& os) const;
   bool write_json_file(const std::string& path) const;
 
@@ -63,12 +73,15 @@ class BenchExporter {
   /// compared modulo a trailing "/real_time" segment (google-benchmark's
   /// UseRealTime decoration), so a bench switching between CPU-time and
   /// wall-clock reporting replaces its old row instead of stranding a dead
-  /// duplicate under the other spelling. Returns false (exporter unchanged)
-  /// when the file is missing or does not parse.
+  /// duplicate under the other spelling. This exporter's meta object
+  /// replaces the file's; the file's is adopted only when this exporter has
+  /// none. Returns false (exporter unchanged) when the file is missing or
+  /// does not parse.
   bool merge_json_file(const std::string& path);
 
  private:
   std::vector<Row> rows_;
+  std::vector<std::pair<std::string, std::string>> meta_;
 };
 
 }  // namespace graf::telemetry

@@ -11,7 +11,9 @@
 #include <functional>
 #include <new>
 
+#include "apps/catalog.h"
 #include "common/rng.h"
+#include "gnn/batched_latency_model.h"
 #include "nn/loss.h"
 
 /// Heap allocations since program start, counted by the global operator-new
@@ -152,6 +154,48 @@ TEST(Autodiff, ConcatColsGradient) {
     Var y = concat_cols(parts);
     return sum_all(mul(y, y));
   });
+}
+
+// The node-stacked layout ops: both block moves (each is the other's
+// backward) and parent sums with a shared source, a multi-source block and
+// an empty (zero) block.
+TEST(Autodiff, RowBlockLayoutGradients) {
+  Rng rng{13};
+  const Tensor m = random_tensor(2, 1, rng);
+  const Tensor w = random_tensor(6, 1, rng);
+  gradcheck(random_tensor(2, 6, rng), [&](Tape& t, Var x) {
+    Var stacked = col_blocks_to_rows(x, 3);  // 6 x 2
+    return sum_all(mul(matmul(stacked, t.constant(m)), t.constant(w)));
+  });
+  const Tensor v = random_tensor(2, 6, rng);
+  gradcheck(random_tensor(6, 2, rng), [&](Tape& t, Var x) {
+    return sum_all(mul(row_blocks_to_cols(x, 3), t.constant(v)));
+  });
+  const std::vector<std::vector<int>> sources{{}, {0}, {2, 0, 1}, {0, 2}};
+  const Tensor u = random_tensor(8, 3, rng);
+  gradcheck(random_tensor(8, 3, rng), [&](Tape& t, Var x) {
+    Var s = sum_row_blocks(x, sources);
+    return sum_all(mul(mul(s, s), t.constant(u)));
+  });
+}
+
+// Row-block weight ops take only leaves of one tensor, in a count that
+// splits the rows evenly; parent sums only name existing blocks.
+TEST(Autodiff, RowBlockOpsRejectMismatchedInputs) {
+  Param p{Tensor{2, 3, 0.5}};
+  Param q{Tensor{2, 3, 0.5}};
+  Tape t;
+  Var x = t.leaf(Tensor{4, 2, 1.0});
+  const Var mixed[] = {t.param(p), t.param(q)};
+  EXPECT_THROW(matmul(x, mixed), std::invalid_argument);
+  EXPECT_THROW(matmul(t.leaf(Tensor{3, 2, 1.0}), t.param_blocks(p, 2)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(matmul(x, t.param_blocks(p, 2)));
+  EXPECT_THROW(t.param_blocks(p, 0), std::invalid_argument);
+  const std::vector<std::vector<int>> bad{{0}, {2}};
+  EXPECT_THROW(sum_row_blocks(x, bad), std::invalid_argument);
+  EXPECT_THROW(row_blocks_to_cols(t.leaf(Tensor{3, 2, 1.0}), 2), std::invalid_argument);
+  EXPECT_THROW(col_blocks_to_rows(t.leaf(Tensor{2, 3, 1.0}), 2), std::invalid_argument);
 }
 
 TEST(Autodiff, SliceColsGradient) {
@@ -333,6 +377,50 @@ TEST(Autodiff, SteadyStateTapeRunsAllocationFree) {
       g_alloc_count.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(allocs, 0u);
   EXPECT_DOUBLE_EQ(steady, warm);  // recycled buffers change nothing
+}
+
+// The solver's steady state end to end: one frozen descent iteration — the
+// node-stacked BatchedLatencyModel::predict_var forward over two Online
+// Boutique graphs plus the backward into the quota rows — must reuse every
+// tape buffer, weight-leaf list and kernel panel once warmed up.
+TEST(Autodiff, FrozenMpnnDescentIterationIsAllocationFree) {
+  const apps::Topology topo = apps::online_boutique();
+  gnn::MpnnConfig cfg;
+  cfg.embed_dim = 8;
+  cfg.mpnn_hidden = 8;
+  cfg.readout_hidden = 24;
+  gnn::LatencyModel model{apps::make_dag(topo), cfg, 5};
+  const std::size_t n = model.node_count();
+  gnn::BatchedLatencyModel batched{model, 1};
+  batched.add_graph(std::vector<double>(n, 40.0));
+  batched.add_graph(std::vector<double>(n, 90.0));
+  Rng rng{79};
+  Tensor q0{2, n};
+  for (std::size_t i = 0; i < q0.size(); ++i) q0.data()[i] = rng.uniform(300.0, 2000.0);
+  Param quota{q0};
+  Tape tape;
+
+  auto run = [&] {
+    tape.reset();
+    tape.set_freeze_params(false);
+    Var q = tape.param(quota);
+    tape.set_freeze_params(true);
+    Var loss = sum_all(batched.predict_var(tape, q));
+    quota.zero_grad();
+    tape.backward(loss);
+    return tape.value(loss).item();
+  };
+
+  const double warm = run();
+  run();
+
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const double steady = run();
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_DOUBLE_EQ(steady, warm);
+  EXPECT_GT(quota.grad.max_abs(), 0.0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "apps/catalog.h"
 #include "core/configuration_solver.h"
@@ -414,6 +415,66 @@ TEST(ResourceController, ServedModelShapeMismatchDegradesInsteadOfThrowing) {
   handle.swap(std::make_shared<gnn::LatencyModel>(model.clone()));
   const auto healed = rc.plan(api, 280.0);
   EXPECT_FALSE(healed.degraded);
+}
+
+// Regression: a negative rate used to be solved and committed as a
+// feasible plan pinned at the lower bounds, and an inf/NaN rate ran every
+// descent iteration on NaN features, counted as faults.solver_nan, and
+// cleared the plan cache. Bad input must be rejected before the cache
+// probe, without a solver iteration, and leave the cache intact.
+TEST(ResourceController, NonFiniteOrNegativeWorkloadsDegradeWithoutSolving) {
+  auto& model = solver_model();
+  ConfigurationSolver solver{model, {}};
+  WorkloadAnalyzer analyzer{1, 2};
+  analyzer.set_fanout({{1.0, 1.0}});
+  ResourceController rc{model, solver, analyzer, {300.0, 300.0}, {2000.0, 2000.0},
+                        {1000.0, 1000.0}};
+  gnn::Dataset ref;
+  gnn::Sample s;
+  s.workload = {60.0, 60.0};
+  s.quota = {1000.0, 1000.0};
+  s.latency_ms = 100.0;
+  ref.push_back(s);
+  rc.set_training_reference(ref);
+  telemetry::MetricsRegistry registry;
+  rc.set_metrics(&registry);
+  auto& solver_iters = registry.counter("core.solver_iterations_total");
+  auto& invalid = registry.counter("faults.invalid_workload");
+
+  // Before any clean solve the fallback is the hi-bounds plan.
+  const std::vector<Qps> negative{-30.0};
+  const auto cold = rc.plan(negative, 200.0);
+  EXPECT_TRUE(cold.degraded);
+  EXPECT_FALSE(cold.feasible);
+  EXPECT_EQ(cold.quota, (std::vector<Millicores>{2000.0, 2000.0}));
+  EXPECT_EQ(solver_iters.value(), 0.0);
+
+  const std::vector<Qps> api{50.0};
+  const auto good = rc.plan(api, 200.0);
+  ASSERT_FALSE(good.degraded);
+  const double iters = solver_iters.value();
+  ASSERT_GT(iters, 0.0);
+
+  for (const double bad : {-30.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    const std::vector<Qps> rates{bad};
+    const auto plan = rc.plan(rates, 200.0);
+    EXPECT_TRUE(plan.degraded) << bad;
+    EXPECT_EQ(plan.quota, good.quota) << bad;
+    EXPECT_EQ(plan.instances, good.instances) << bad;
+  }
+  EXPECT_EQ(solver_iters.value(), iters);  // no descent ran
+  EXPECT_DOUBLE_EQ(invalid.value(), 4.0);
+  EXPECT_DOUBLE_EQ(registry.counter("faults.solver_nan").value(), 0.0);
+  EXPECT_EQ(rc.plan_cache_misses(), 1u);  // no key was built for bad input
+  EXPECT_EQ(rc.degraded_plans(), 4u);
+
+  // The cache survived: the good workload still answers from it.
+  const auto again = rc.plan(api, 200.0);
+  EXPECT_EQ(rc.plan_cache_hits(), 1u);
+  EXPECT_EQ(solver_iters.value(), iters);
+  EXPECT_EQ(again.quota, good.quota);
+  EXPECT_FALSE(again.degraded);
 }
 
 // ---- Plan cache -------------------------------------------------------------

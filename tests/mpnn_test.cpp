@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -144,6 +149,143 @@ TEST(Mpnn, EmptyGraphRejected) {
   Dag d;
   Rng rng{7};
   EXPECT_THROW((MpnnModel{d, small_cfg(), rng}), std::invalid_argument);
+}
+
+// ---- Node-stacked forward contract ------------------------------------------
+//
+// forward() runs phi_k/gamma_k once over every node's stacked rows. It must
+// reproduce, bit for bit, the per-node composition below — paper Eq. 3
+// written one node at a time from the public ops and the model's own
+// params() — in the output, the input-feature gradients and every
+// Param::grad, on a frozen tape, a trainable eager tape, and two deferred
+// tapes flushed in order (the training shard path).
+
+/// 0 is a parentless root with children 1, 2, 3; node 4 has three parents
+/// (recorded out of index order); 4 and 5 have no children.
+Dag contract_dag() {
+  Dag d;
+  for (int i = 0; i < 6; ++i) d.add_node("n" + std::to_string(i));
+  d.add_edge(0, 1);
+  d.add_edge(0, 2);
+  d.add_edge(0, 3);
+  d.add_edge(3, 4);
+  d.add_edge(1, 4);
+  d.add_edge(2, 4);
+  d.add_edge(2, 5);
+  return d;
+}
+
+/// One MLP over its (W, b) params: ReLU hidden layers, linear last layer.
+nn::Var reference_mlp(nn::Tape& t, nn::Var x, std::span<nn::Param* const> p) {
+  for (std::size_t l = 0; l < p.size(); l += 2) {
+    const nn::Var w = t.param(*p[l]);
+    const nn::Var b = t.param(*p[l + 1]);
+    const nn::Var y = nn::matmul(x, w);
+    x = l + 2 == p.size() ? nn::add_row_broadcast(y, b) : nn::bias_relu(y, b);
+  }
+  return x;
+}
+
+/// The per-node MPNN: params() lists phi_0.., gamma_0.., then the readout,
+/// three (W, b) layers each.
+nn::Var reference_forward(nn::Tape& t, MpnnModel& m, std::span<const nn::Var> feats) {
+  const std::vector<nn::Param*> params = m.params();
+  const auto& parents = m.parents();
+  const std::size_t n = parents.size();
+  const std::size_t steps = m.config().message_steps;
+  const std::size_t rows = t.value(feats.front()).rows();
+  const auto mlp = [&](std::size_t index) {
+    return std::span<nn::Param* const>{params.data() + index * 6, 6};
+  };
+  std::vector<nn::Var> h{feats.begin(), feats.end()};
+  for (std::size_t k = 0; k < steps; ++k) {
+    std::vector<nn::Var> msg;
+    for (std::size_t i = 0; i < n; ++i) msg.push_back(reference_mlp(t, h[i], mlp(k)));
+    std::vector<nn::Var> next;
+    for (std::size_t i = 0; i < n; ++i) {
+      nn::Var agg;
+      if (parents[i].empty()) {
+        agg = t.constant(nn::Tensor{rows, m.config().embed_dim});
+      } else {
+        agg = msg[static_cast<std::size_t>(parents[i].front())];
+        for (std::size_t p = 1; p < parents[i].size(); ++p)
+          agg = nn::add(agg, msg[static_cast<std::size_t>(parents[i][p])]);
+      }
+      const nn::Var both[] = {h[i], agg};
+      next.push_back(reference_mlp(t, nn::concat_cols(both), mlp(steps + k)));
+    }
+    h = std::move(next);
+  }
+  return reference_mlp(t, nn::concat_cols(h), mlp(2 * steps));
+}
+
+enum class TapeMode { kFrozen, kEager, kDeferred };
+
+struct ContractRun {
+  std::vector<nn::Tensor> outputs;     // per tape
+  std::vector<nn::Tensor> feat_grads;  // per tape, per node
+  std::vector<nn::Tensor> param_grads;
+};
+
+ContractRun run_contract(MpnnModel& m, bool stacked, TapeMode mode) {
+  m.zero_grad();
+  const std::size_t tapes = mode == TapeMode::kDeferred ? 2 : 1;
+  Rng feat_rng{41};
+  Rng dropout_rng{43};
+  ContractRun run;
+  std::vector<std::unique_ptr<nn::Tape>> kept;
+  for (std::size_t s = 0; s < tapes; ++s) {
+    nn::Tape& t = *kept.emplace_back(std::make_unique<nn::Tape>());
+    t.set_freeze_params(mode == TapeMode::kFrozen);
+    t.set_defer_param_grads(mode == TapeMode::kDeferred);
+    std::vector<nn::Var> feats;
+    for (std::size_t i = 0; i < m.graph_size(); ++i) {
+      nn::Tensor x{3, 2};
+      for (std::size_t e = 0; e < x.size(); ++e) x.data()[e] = feat_rng.uniform(-1.0, 1.0);
+      feats.push_back(t.leaf(std::move(x)));
+    }
+    const bool training = mode != TapeMode::kFrozen;
+    const nn::Var out = stacked ? m.forward(t, feats, dropout_rng, training)
+                                : reference_forward(t, m, feats);
+    t.backward(nn::sum_all(out));
+    run.outputs.push_back(t.value(out));
+    for (const nn::Var& f : feats) run.feat_grads.push_back(t.grad(f));
+  }
+  for (auto& t : kept) t->flush_param_grads();
+  for (nn::Param* p : m.params()) run.param_grads.push_back(p->grad);
+  return run;
+}
+
+void expect_same_bits(const std::vector<nn::Tensor>& got,
+                      const std::vector<nn::Tensor>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    ASSERT_TRUE(got[t].same_shape(want[t])) << what << " #" << t;
+    for (std::size_t e = 0; e < got[t].size(); ++e)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t].data()[e]),
+                std::bit_cast<std::uint64_t>(want[t].data()[e]))
+          << what << " #" << t << " entry " << e;
+  }
+}
+
+TEST(Mpnn, StackedForwardMatchesPerNodeCompositionBitwise) {
+  Rng rng{8};
+  MpnnModel m{contract_dag(), small_cfg(), rng};
+  for (const TapeMode mode : {TapeMode::kFrozen, TapeMode::kEager, TapeMode::kDeferred}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const ContractRun want = run_contract(m, /*stacked=*/false, mode);
+    const ContractRun got = run_contract(m, /*stacked=*/true, mode);
+    expect_same_bits(got.outputs, want.outputs, "output");
+    expect_same_bits(got.feat_grads, want.feat_grads, "feature gradient");
+    expect_same_bits(got.param_grads, want.param_grads, "Param::grad");
+    if (mode != TapeMode::kFrozen) {
+      double touched = 0.0;
+      for (const nn::Tensor& g : got.param_grads) touched += g.max_abs();
+      EXPECT_GT(touched, 0.0);
+    } else {
+      for (const nn::Tensor& g : got.param_grads) EXPECT_EQ(g.max_abs(), 0.0);
+    }
+  }
 }
 
 }  // namespace

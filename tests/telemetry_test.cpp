@@ -426,6 +426,54 @@ TEST(Exporter, BenchExporterMergeReplacesRealTimeSuffixVariants) {
   std::remove(path.c_str());
 }
 
+// The run's machine/build "meta" object: written ahead of the rows, read
+// back by merge, and replaced — not merged key by key — by the fresh run's
+// meta, while the file's rows survive as before.
+TEST(Exporter, BenchExporterMetaRoundTripsAndIsReplacedOnMerge) {
+  const std::string path = "bench_meta_test.json";
+  {
+    BenchExporter old;
+    old.set_meta("nproc", "2");
+    old.set_meta("git_sha", "aaaa");
+    old.record_at("BM_Kept", 10.0, "ns", 100);
+    old.record_at("BM_Both", 20.0, "ns", 100);
+    ASSERT_TRUE(old.write_json_file(path));
+  }
+  {
+    BenchExporter reader;  // no meta of its own: adopts the file's
+    ASSERT_TRUE(reader.merge_json_file(path));
+    ASSERT_EQ(reader.meta().size(), 2u);
+    EXPECT_EQ(reader.meta()[0], (std::pair<std::string, std::string>{"nproc", "2"}));
+    EXPECT_EQ(reader.meta()[1],
+              (std::pair<std::string, std::string>{"git_sha", "aaaa"}));
+    ASSERT_EQ(reader.rows().size(), 2u);
+  }
+  BenchExporter fresh;
+  fresh.set_meta("git_sha", "bbbb");
+  fresh.set_meta("compiler", "GNU \"13\"");
+  fresh.set_meta("git_sha", "cccc");  // set_meta overwrites in place
+  fresh.record_at("BM_Both", 30.0, "ns", 200);
+  ASSERT_TRUE(fresh.merge_json_file(path));
+  ASSERT_EQ(fresh.meta().size(), 2u);
+  EXPECT_EQ(fresh.meta()[0], (std::pair<std::string, std::string>{"git_sha", "cccc"}));
+  EXPECT_EQ(fresh.meta()[1],
+            (std::pair<std::string, std::string>{"compiler", "GNU \"13\""}));
+  ASSERT_EQ(fresh.rows().size(), 2u);
+  EXPECT_EQ(fresh.rows()[0].name, "BM_Kept");
+  EXPECT_DOUBLE_EQ(fresh.rows()[0].value, 10.0);
+  EXPECT_EQ(fresh.rows()[1].name, "BM_Both");
+  EXPECT_DOUBLE_EQ(fresh.rows()[1].value, 30.0);
+
+  // The merged file parses again with the fresh meta and both rows.
+  ASSERT_TRUE(fresh.write_json_file(path));
+  BenchExporter again;
+  ASSERT_TRUE(again.merge_json_file(path));
+  EXPECT_EQ(again.meta(), fresh.meta());
+  ASSERT_EQ(again.rows().size(), 2u);
+  EXPECT_EQ(again.rows()[1].timestamp, 200);
+  std::remove(path.c_str());
+}
+
 // -- Cluster integration -----------------------------------------------------
 
 // Acceptance criterion: the telemetry histogram's p99 over a simulated

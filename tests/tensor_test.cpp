@@ -200,6 +200,22 @@ TEST(Tensor, TransposedVariantsMatchNaiveComposition) {
   ASSERT_TRUE(nt.same_shape(ref_nt));
   for (std::size_t i = 0; i < nt.size(); ++i)
     EXPECT_EQ(nt.data()[i], ref_nt.data()[i]);
+
+  // Every path of the a * b^T kernel: packed full 8-wide strips, in-place
+  // 1..7-wide tails (N mod 8 in {0, 1, 4, 7}), partial and full row tiles,
+  // and K across the 512-deep panel boundary.
+  for (const std::size_t m : {1, 2, 7, 8, 9, 17})
+    for (const std::size_t n : {1, 4, 7, 8, 9, 12, 15, 16, 17, 20, 23})
+      for (const std::size_t k : {1, 24, 513}) {
+        const Tensor x = random_tensor(m, k, rng);
+        const Tensor y = random_tensor(n, k, rng);
+        const Tensor got = matmul_nt(x, y);
+        const Tensor want = matmul_naive(x, transpose(y));
+        ASSERT_TRUE(got.same_shape(want));
+        for (std::size_t i = 0; i < got.size(); ++i)
+          EXPECT_EQ(got.data()[i], want.data()[i])
+              << m << "x" << k << " * (" << n << "x" << k << ")^T entry " << i;
+      }
 }
 
 TEST(Tensor, BiasReluFusionMatchesComposition) {
