@@ -19,11 +19,8 @@
 #include "core/configuration_solver.h"
 #include "core/workload_analyzer.h"
 #include "gnn/latency_model.h"
+#include "serve/serving_handle.h"
 #include "sim/cluster.h"
-
-namespace graf::serve {
-class ServingHandle;
-}
 
 namespace graf::core {
 

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "serve/forecast_store.h"
-
 namespace graf::forecast {
 
 std::unique_ptr<Forecaster> make_forecaster(const ForecastSpec& spec) {

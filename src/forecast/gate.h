@@ -25,11 +25,8 @@
 #include "forecast/ar_forecaster.h"
 #include "forecast/forecaster.h"
 #include "forecast/holt_winters.h"
+#include "serve/serving_handle.h"
 #include "telemetry/metrics.h"
-
-namespace graf::serve {
-class ForecastHandle;
-}
 
 namespace graf::forecast {
 

@@ -5,15 +5,9 @@
 // weight tensors as raw IEEE-754 doubles, and provenance metadata — enough
 // to reconstruct a bit-identical LatencyModel with no other inputs.
 //
-// Layout (all integers little-or-big per the host; the endianness tag
-// rejects cross-endian files instead of byte-swapping):
-//
-//   magic            8 bytes  "GRAFCKPT"
-//   format version   u32      kFormatVersion
-//   endianness tag   u32      0x01020304 written natively
-//   payload size     u64      bytes between here and the CRC
-//   payload          ...      config | graph | scalers | meta | params
-//   crc32            u32      CRC-32 (IEEE 802.3) of the payload bytes
+// The file is the shared CRC-32 frame (wire.h) with magic "GRAFCKPT" and
+// version kCheckpointFormatVersion around a config | graph | scalers |
+// meta | params payload.
 //
 // Every failure mode (truncation, bit corruption, version or endianness
 // mismatch, architecture mismatch) raises CheckpointError with a message

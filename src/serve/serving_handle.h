@@ -1,36 +1,44 @@
-// Hot-swappable handle to the latency model currently in service.
+// Hot-swappable handle to the model currently in service.
 //
-// The control plane (ResourceController / GrafController) acquires the
-// active model at the start of every allocation decision; the online
-// trainer (src/serve/online_trainer.h) swaps a freshly fine-tuned model in
-// between decisions. Shared ownership keeps a model alive for the duration
-// of any plan() computed against it even if it is demoted mid-flight, so
-// swapping never pauses allocation.
+// The control plane acquires the active model at the start of every
+// decision: ResourceController the latency model, TieredPlanner the
+// surrogate, ForecastGate the forecaster. A registry (registry.h) swaps a
+// newly promoted version in between decisions. Shared ownership keeps a
+// model alive for the duration of any plan computed against it even if it
+// is demoted mid-flight, so swapping never pauses allocation.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 
-#include "gnn/latency_model.h"
+namespace graf::gnn {
+class LatencyModel;
+class SurrogateModel;
+}  // namespace graf::gnn
+
+namespace graf::forecast {
+class Forecaster;
+}
 
 namespace graf::serve {
 
-class ServingHandle {
+template <typename T>
+class Handle {
  public:
-  using ModelPtr = std::shared_ptr<gnn::LatencyModel>;
+  using Ptr = std::shared_ptr<T>;
 
-  ServingHandle() = default;
-  explicit ServingHandle(ModelPtr initial) : active_{std::move(initial)} {}
+  Handle() = default;
+  explicit Handle(Ptr initial) : active_{std::move(initial)} {}
 
   /// The model currently in service (may be null before the first swap).
-  ModelPtr acquire() const {
+  Ptr acquire() const {
     std::lock_guard lock{mu_};
     return active_;
   }
 
   /// Atomically replace the active model; returns the previous one.
-  ModelPtr swap(ModelPtr next) {
+  Ptr swap(Ptr next) {
     std::lock_guard lock{mu_};
     active_.swap(next);
     ++swaps_;
@@ -49,8 +57,14 @@ class ServingHandle {
 
  private:
   mutable std::mutex mu_;
-  ModelPtr active_;
+  Ptr active_;
   std::uint64_t swaps_ = 0;
 };
+
+using ServingHandle = Handle<gnn::LatencyModel>;
+using SurrogateHandle = Handle<gnn::SurrogateModel>;
+/// Serves the Forecaster interface: a ForecastRegistry publishes
+/// ArForecasters, and tests may swap in any other forecaster.
+using ForecastHandle = Handle<forecast::Forecaster>;
 
 }  // namespace graf::serve
