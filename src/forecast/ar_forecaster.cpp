@@ -35,7 +35,6 @@ ArForecaster::ArForecaster(ArConfig cfg)
   cfg_.min_history = std::max(cfg_.min_history, cfg_.order + 4);
   adam_ = std::make_unique<nn::Adam>(std::vector<nn::Param*>{&w_, &b_},
                                      nn::Adam::Config{.lr = cfg_.lr});
-  history_.reserve(cfg_.window + cfg_.order);
 }
 
 ArForecaster::ArForecaster(const ArForecaster& o)

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -57,6 +58,13 @@ class MpnnModel : public nn::Module {
   /// stacks them and runs the forward above.
   nn::Var forward(nn::Tape& tape, std::span<const nn::Var> node_features,
                   Rng& rng, bool training);
+
+  /// Parameters a model of this shape holds, computed without building it
+  /// (saturating, nn::Mlp::param_count): lets a checkpoint decoder match an
+  /// untrusted config against the parameter bytes present before the
+  /// constructor allocates anything.
+  static std::uint64_t param_count(std::uint64_t node_count, const MpnnConfig& cfg);
+  using nn::Module::param_count;
 
   const MpnnConfig& config() const { return cfg_; }
   std::size_t graph_size() const { return parents_.size(); }

@@ -49,6 +49,9 @@ class SurrogateModel {
 
   SurrogateModel(std::size_t node_count, const SurrogateConfig& cfg,
                  std::uint64_t seed);
+  /// Parameters the constructor would build, without building them
+  /// (saturating, nn::Mlp::param_count).
+  static std::uint64_t param_count(std::uint64_t node_count, const SurrogateConfig& cfg);
 
   std::size_t node_count() const { return node_count_; }
   const SurrogateConfig& config() const { return cfg_; }

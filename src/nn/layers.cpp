@@ -73,6 +73,25 @@ Var Mlp::forward(Tape& tape, Var x, Rng& rng, bool training, std::size_t blocks)
   return h;
 }
 
+std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  return __builtin_add_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+
+std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  return __builtin_mul_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+
+std::uint64_t Mlp::param_count(std::initializer_list<std::uint64_t> dims) {
+  std::uint64_t n = 0;
+  for (const std::uint64_t* d = dims.begin(); d + 1 < dims.end(); ++d) {
+    if (d[0] == 0 || d[1] == 0) return UINT64_MAX;
+    n = sat_add(n, sat_add(sat_mul(d[0], d[1]), d[1]));
+  }
+  return n;
+}
+
 void Mlp::collect_params(std::vector<Param*>& out) {
   for (auto& l : layers_) l.collect_params(out);
 }

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -80,6 +82,11 @@ class Linear : public Module {
   Param b_;
 };
 
+/// Size arithmetic over untrusted architecture fields (a checkpoint's
+/// config): the result saturates at UINT64_MAX instead of wrapping.
+std::uint64_t sat_add(std::uint64_t a, std::uint64_t b);
+std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b);
+
 /// MLP: Linear -> ReLU [-> Dropout] repeated, with a linear final layer.
 ///
 /// `dims` lists {in, hidden..., out}; e.g. {4, 20, 20, 20} builds the
@@ -95,6 +102,12 @@ class Mlp : public Module {
 
   std::size_t in_features() const { return dims_.front(); }
   std::size_t out_features() const { return dims_.back(); }
+
+  /// Weights and biases an Mlp over `dims` holds, computed without building
+  /// it (saturating). A zero width counts as UINT64_MAX: no parameter bytes
+  /// can match it.
+  static std::uint64_t param_count(std::initializer_list<std::uint64_t> dims);
+  using Module::param_count;
 
   void collect_params(std::vector<Param*>& out) override;
 

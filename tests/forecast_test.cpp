@@ -13,11 +13,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "checkpoint_bytes.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/configuration_solver.h"
@@ -397,6 +399,26 @@ TEST(ForecastCheckpoint, DetectsCorruptionTruncationAndBadMagic) {
     bad.replace(0, 8, "GRAFCKPT");
     std::stringstream in{bad};
     EXPECT_THROW(serve::load_forecast_checkpoint(in), serve::CheckpointError);
+  }
+}
+
+TEST(ForecastCheckpoint, NonFiniteStateRejected) {
+  const ArForecaster ar = trained_ar();
+  std::stringstream buf;
+  serve::save_forecast_checkpoint(buf, ar, {});
+  const std::string good = buf.str();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // scale, residual sigma, the first history value, the last weight (bias).
+  const std::size_t history = serve::craft::kGraffcScale + 8 + 8 + 1 + 8 + 8;
+  const std::size_t bias = good.size() - serve::craft::kHeader - 4 - 8;
+  for (std::size_t at : {serve::craft::kGraffcScale, serve::craft::kGraffcScale + 8,
+                         history, bias}) {
+    std::string bad = good;
+    serve::craft::poke(bad, at, nan);
+    serve::craft::reseal(bad);
+    std::stringstream in{bad};
+    EXPECT_THROW(serve::load_forecast_checkpoint(in), serve::CheckpointError)
+        << "NaN at payload offset " << at;
   }
 }
 

@@ -12,12 +12,14 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/catalog.h"
+#include "checkpoint_bytes.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/resource_controller.h"
@@ -207,6 +209,23 @@ TEST(SurrogateStore, CorruptPayloadRaisesCheckpointError) {
 
   std::stringstream truncated{bytes.substr(0, 32)};
   EXPECT_THROW(serve::load_surrogate_checkpoint(truncated), serve::CheckpointError);
+}
+
+TEST(SurrogateStore, NonFiniteScalerOrWeightRaisesCheckpointError) {
+  std::stringstream ss;
+  serve::save_surrogate_checkpoint(ss, distilled().model, {});
+  const std::string good = ss.str();
+  const double inf = std::numeric_limits<double>::infinity();
+  // w_scale, then the first weight of the first tensor.
+  for (std::size_t at : {serve::craft::kGrafsgScalers,
+                         serve::craft::grafsg_weights_at("") + 8 + 16}) {
+    std::string bad = good;
+    serve::craft::poke(bad, at, inf);
+    serve::craft::reseal(bad);
+    std::stringstream in{bad};
+    EXPECT_THROW(serve::load_surrogate_checkpoint(in), serve::CheckpointError)
+        << "inf at payload offset " << at;
+  }
 }
 
 TEST(SurrogateStore, RegistryPromoteAndRollbackBumpPlannerGeneration) {
