@@ -51,6 +51,7 @@ FleetServer::FleetServer(FleetConfig cfg)
 FleetServer::~FleetServer() = default;
 
 TenantId FleetServer::add_tenant(const TenantSpec& spec) {
+  Tenant::validate(spec);  // before find(): a NaN SLO cannot form a key
   if (find(spec.application, spec.slo_ms))
     throw std::invalid_argument("fleet: tenant (" + spec.application + ", " +
                                 std::to_string(spec.slo_ms) +

@@ -8,6 +8,23 @@
 
 namespace graf::serve {
 
+namespace {
+
+/// Why ingest refuses `s` (the serve.rejected_samples cause label), or
+/// nullptr when it is a well-formed observation for an `nodes`-node model.
+/// NaN fails every comparison, so each check passes only a value in range.
+const char* rejected_sample_cause(const gnn::Sample& s, std::size_t nodes) {
+  if (s.workload.size() != nodes || s.quota.size() != nodes) return "dimension";
+  for (std::size_t i = 0; i < nodes; ++i) {
+    if (!(std::isfinite(s.workload[i]) && s.workload[i] >= 0.0)) return "workload";
+    if (!(std::isfinite(s.quota[i]) && s.quota[i] > 0.0)) return "quota";
+  }
+  if (!(std::isfinite(s.latency_ms) && s.latency_ms >= 0.0)) return "latency";
+  return nullptr;
+}
+
+}  // namespace
+
 OnlineTrainer::OnlineTrainer(ModelRegistry& registry, ServingHandle& handle,
                              ModelKey key, OnlineTrainerConfig cfg)
     : registry_{registry}, handle_{handle}, key_{std::move(key)}, cfg_{cfg} {
@@ -29,6 +46,7 @@ void OnlineTrainer::adopt_active_baseline() {
 }
 
 void OnlineTrainer::set_metrics(telemetry::MetricsRegistry* registry) {
+  tel_registry_ = registry;
   if (registry == nullptr) {
     tel_drifts_ = tel_fine_tunes_ = tel_promotions_ = tel_rejects_ = tel_rollbacks_ =
         nullptr;
@@ -45,6 +63,8 @@ void OnlineTrainer::set_metrics(telemetry::MetricsRegistry* registry) {
   tel_baseline_ = &registry->gauge("serve.baseline_error_pct");
   tel_threshold_ = &registry->gauge("serve.drift_threshold_pct");
   tel_fine_tune_timer_ = &registry->histogram("serve.fine_tune_us");
+  for (const char* cause : {"dimension", "workload", "quota", "latency"})
+    registry->counter("serve.rejected_samples", {{"cause", cause}});
   sync_gauges();
 }
 
@@ -58,6 +78,12 @@ void OnlineTrainer::sync_gauges() {
 bool OnlineTrainer::ingest(const gnn::Sample& sample, double now) {
   auto model = handle_.acquire();
   if (model == nullptr) throw std::runtime_error{"OnlineTrainer: empty serving handle"};
+  if (const char* cause = rejected_sample_cause(sample, model->node_count())) {
+    ++stats_.rejected_samples;
+    if (tel_registry_ != nullptr)
+      tel_registry_->counter("serve.rejected_samples", {{"cause", cause}}).add();
+    return false;
+  }
 
   const double pred = model->predict(sample.workload, sample.quota);
   const double err_pct =

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -300,6 +301,57 @@ TEST_F(ServeFixture, TrainerRequiresPromotedModel) {
   EXPECT_THROW(
       (OnlineTrainer{empty, h, {.application = "none", .slo_ms = 1.0}, {}}),
       std::invalid_argument);
+}
+
+// --- Ingest validation --------------------------------------------------------
+
+// A malformed sample reaches neither the drift EWMA nor the fine-tune
+// window. Before ingest checked its input, one NaN-latency sample left the
+// EWMA at NaN for good: 50 samples at 90% error then raised no drift
+// event, and the rollback watchdog read the same poisoned EWMA.
+TEST_F(ServeFixture, MalformedSamplesAreRejectedBeforeTheEwma) {
+  telemetry::MetricsRegistry metrics;
+  OnlineTrainerConfig cfg = trainer_cfg();
+  cfg.min_samples = 1000;  // no fine-tune: this test watches the EWMA only
+  OnlineTrainer trainer{registry, handle, key, cfg};
+  trainer.set_metrics(&metrics);
+  const double baseline = trainer.stats().error_ewma_pct;
+
+  const gnn::Sample good = regime_dataset(kRegimeA, 1, 70).front();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, void (*)(gnn::Sample&, double, double)> broken[] = {
+      {"latency", [](gnn::Sample& s, double n, double) { s.latency_ms = n; }},
+      {"latency", [](gnn::Sample& s, double, double) { s.latency_ms = -1.0; }},
+      {"workload", [](gnn::Sample& s, double, double i) { s.workload[0] = i; }},
+      {"workload", [](gnn::Sample& s, double, double) { s.workload[1] = -3.0; }},
+      {"quota", [](gnn::Sample& s, double, double) { s.quota[0] = 0.0; }},
+      {"quota", [](gnn::Sample& s, double n, double) { s.quota[1] = n; }},
+      {"dimension", [](gnn::Sample& s, double, double) { s.quota.pop_back(); }},
+  };
+  for (const auto& [cause, breaks] : broken) {
+    gnn::Sample s = good;
+    breaks(s, nan, inf);
+    EXPECT_FALSE(trainer.ingest(s, 1.0)) << cause;
+  }
+  EXPECT_EQ(trainer.stats().rejected_samples, std::size(broken));
+  EXPECT_EQ(trainer.stats().samples_seen, 0u);
+  EXPECT_EQ(trainer.window_size(), 0u);
+  EXPECT_EQ(trainer.stats().error_ewma_pct, baseline);
+  const std::pair<const char*, double> per_cause[] = {
+      {"latency", 2.0}, {"workload", 2.0}, {"quota", 2.0}, {"dimension", 1.0}};
+  for (const auto& [cause, n] : per_cause)
+    EXPECT_EQ(metrics.counter("serve.rejected_samples", {{"cause", cause}}).value(), n)
+        << cause;
+
+  // The trainer still drifts on 50 samples at 90% error.
+  gnn::Sample off = good;
+  off.latency_ms = handle.acquire()->predict(good.workload, good.quota) / 1.9;
+  for (int i = 0; i < 50; ++i) trainer.ingest(off, 2.0 + i);
+  EXPECT_TRUE(std::isfinite(trainer.stats().error_ewma_pct));
+  EXPECT_GT(trainer.stats().error_ewma_pct, 80.0);
+  EXPECT_EQ(trainer.stats().drift_events, 1u);
+  EXPECT_EQ(trainer.window_size(), 50u);
 }
 
 // --- Multi-handle attach (fleet regression) ---------------------------------
