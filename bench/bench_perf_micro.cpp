@@ -23,7 +23,6 @@
 #include "gnn/latency_model.h"
 #include "gnn/surrogate_model.h"
 #include "nn/tensor.h"
-#include "sim/sharded_cluster.h"
 #include "telemetry/metrics.h"
 #include "telemetry/profiler.h"
 #include "trace/latency_window.h"
@@ -162,42 +161,6 @@ void BM_SimulatorEventThroughputTelemetry(benchmark::State& state) {
   state.counters["events/s"] = rate.counter();
 }
 BENCHMARK(BM_SimulatorEventThroughputTelemetry)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// Aggregate sharded-simulator throughput (ISSUE 8's tentpole): the same
-// boutique workload at 5x the request rate, partitioned over 8 shard
-// queues, run in conservative rpc_latency windows on Arg(0) pool threads.
-// The /1 -> /8 pair is the scaling claim (>= 4x aggregate events/s on a
-// multi-core host; flat wall-clock on single-core CI, the PR-3 caveat) —
-// results are bit-identical across the pair by construction, so the pair
-// measures pure speedup. Gated in scripts/bench_check.py on /1 only.
-void BM_ShardedSimulatorEventThroughput(benchmark::State& state) {
-  set_global_threads(static_cast<std::size_t>(state.range(0)));
-  WallRate rate;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto topo = apps::online_boutique();
-    sim::ShardedClusterConfig cfg;
-    cfg.seed = 5;
-    cfg.shards = 8;
-    cfg.rpc_latency = 0.005;  // 5ms hops: 200 sync windows per sim-second
-    sim::ShardedCluster cluster{topo.services, topo.apis, cfg};
-    workload::OpenLoopConfig g;
-    g.rate = workload::Schedule::constant(1000.0);
-    g.api_weights = topo.api_weights;
-    workload::preload_open_loop(cluster, g, 30.0);
-    state.ResumeTiming();
-    rate.start();
-    cluster.run_until(30.0);
-    rate.stop(cluster.events_processed());
-  }
-  state.counters["events/s"] = rate.counter();
-  set_global_threads(0);
-}
-BENCHMARK(BM_ShardedSimulatorEventThroughput)
-    ->Arg(1)
-    ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -9,15 +9,12 @@ Gate rows (time-per-op, lower is better):
   BM_Matmul/128              blocked GEMM kernel
   BM_GnnInference            one latency-model forward
   BM_SimulatorEventThroughput  30 simulated seconds of online_boutique
-  BM_ShardedSimulatorEventThroughput/1  the same workload at 5x rate over 8
-                             shard queues, single-threaded (the /8 row is
-                             ungated: on a single-core CI box 8 workers
-                             just contend for one core, so its wall clock
-                             reads flat-to-slower vs /1 by design)
   BM_FleetBatchedPlanThroughput/1  8-tenant fleet step with the tenants
                              coalesced into one block-diagonal solve_batch
                              (DESIGN.md 3.13), single-threaded (the /8 row
-                             is ungated, same caveat)
+                             is ungated: on a single-core CI box 8 workers
+                             just contend for one core, so its wall clock
+                             reads flat-to-slower vs /1 by design)
   BM_ForecastStep            one forecast-gated control tick (observe +
                              predict + scale)
   BM_SurrogatePlanThroughput/1  one two-tier plan (surrogate descent + one
@@ -57,7 +54,6 @@ GATES = [
     "BM_Matmul/128",
     "BM_GnnInference",
     "BM_SimulatorEventThroughput",
-    "BM_ShardedSimulatorEventThroughput/1",
     "BM_FleetBatchedPlanThroughput/1",
     "BM_ForecastStep",
     "BM_SurrogatePlanThroughput/1",

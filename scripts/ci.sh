@@ -25,19 +25,19 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # The chaos group (fault injection + degraded-mode integration), the fleet
 # group (multi-tenant control plane, including the §3.13 batched-vs-
 # per-tenant bitwise-identity tests), the forecast group (workload
-# forecasting + pre-warmed planning), the sim group (sharded simulator
-# digests), the surrogate group (distilled fast-path planning, §3.14 —
-# solver-in-the-loop distillation and tiered solves carry the same
-# bit-identity contract), and the solver group (golden descent digests on the
-# four paper topologies) again at pinned thread counts: these runs must
-# replay bit-identically whether the pool has 1 worker or 8 (DESIGN.md
-# §3.7/§3.8/§3.10/§3.11/§3.12/§3.13/§3.14 determinism contract).
-# Under the sanitizer legs this doubles as the ASan/TSan pass over the
-# fleet's ingest ring, subscriber registry, registry hot-swap paths, and
-# the sharded engine's window barriers.
+# forecasting + pre-warmed planning), the fuzz group (seeded byte mutation
+# of the three checkpoint decoders), the surrogate group (distilled
+# fast-path planning, §3.14 — solver-in-the-loop distillation and tiered
+# solves carry the same bit-identity contract), and the solver group
+# (golden descent digests on the four paper topologies) again at pinned
+# thread counts: these runs must replay bit-identically whether the pool
+# has 1 worker or 8 (DESIGN.md §3.7/§3.8/§3.10/§3.11/§3.13/§3.14
+# determinism contract). Under the sanitizer legs this doubles as the
+# ASan/TSan pass over the fleet's ingest ring, subscriber registry,
+# registry hot-swap paths, and the checkpoint decoders.
 for threads in 1 8; do
   GRAF_THREADS=$threads \
-    ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'chaos|fleet|forecast|sim|surrogate|solver'
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'chaos|fleet|forecast|fuzz|surrogate|solver'
 done
 
 # Perf smoke gate (plain leg only: sanitizer overhead would trip any time

@@ -34,29 +34,14 @@ void EventQueue::sift_down(std::size_t i) {
   heap_[i] = std::move(ev);
 }
 
-void EventQueue::push(Seconds t, std::uint64_t key, std::uint32_t owner,
-                      EventFn fn) {
-  if (t < now_) t = now_;
-  heap_.push_back(Event{t, key, std::move(fn), owner});
-  sift_up(heap_.size() - 1);
-}
-
 void EventQueue::schedule_at(Seconds t, EventFn fn) {
-  if (lp_counters_ == nullptr) {
-    // Single-queue mode: key = insertion sequence, the historical ordering.
-    push(t, seq_++, current_lp_, std::move(fn));
-  } else {
-    push(t, mint_key(), current_lp_, std::move(fn));
-  }
+  if (t < now_) t = now_;
+  heap_.push_back(Event{t, seq_++, std::move(fn)});
+  sift_up(heap_.size() - 1);
 }
 
 void EventQueue::schedule_in(Seconds dt, EventFn fn) {
   schedule_at(now_ + (dt > 0.0 ? dt : 0.0), std::move(fn));
-}
-
-void EventQueue::schedule_keyed(Seconds t, std::uint64_t key, std::uint32_t owner,
-                                EventFn fn) {
-  push(t, key, owner, std::move(fn));
 }
 
 bool EventQueue::step() {
@@ -74,18 +59,12 @@ bool EventQueue::step() {
   }
   now_ = ev.time;
   ++processed_;
-  if (lp_counters_ != nullptr) current_lp_ = ev.owner;
   ev.fn();
   return true;
 }
 
 void EventQueue::run_until(Seconds t) {
   while (!heap_.empty() && heap_.front().time <= t) step();
-  if (now_ < t) now_ = t;
-}
-
-void EventQueue::run_until_before(Seconds t) {
-  while (!heap_.empty() && heap_.front().time < t) step();
   if (now_ < t) now_ = t;
 }
 

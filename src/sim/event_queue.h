@@ -2,20 +2,8 @@
 //
 // Everything in the cluster simulator (request arrivals, processor-sharing
 // completions, instance readiness, autoscaler control ticks) is an event.
-// Ordering is (time, key): in the default single-queue mode the key is the
-// insertion sequence, so ties break by insertion order and runs are
-// deterministic — byte-for-byte the historical behavior.
-//
-// The sharded simulator (sharded_cluster.h) runs one queue per shard and
-// needs tie-breaking that is *partition-independent*: whether two services
-// share a queue or not must never change the order either of them observes.
-// For that, a queue can run in origin-context mode: every event is stamped
-// with a key derived from the logical process (LP) that created it —
-// (origin LP << kLpShift) | that LP's own monotonic counter — and popping an
-// event switches the context to the event's owner LP. Two events created by
-// the same LP always compare the same way in any grouping, and events from
-// different LPs never touch shared state, so replay is bit-identical at any
-// shard/thread count (DESIGN.md §3.12).
+// Ordering is (time, insertion sequence), so ties break by insertion order
+// and runs are deterministic.
 //
 // The heap is a hand-rolled 4-ary implicit heap rather than
 // std::priority_queue: the shallower tree halves the sift-down depth per
@@ -40,14 +28,7 @@ using EventFn = std::function<void()>;
 
 class EventQueue {
  public:
-  /// Origin-LP bit position inside an event key (low bits: per-LP counter).
-  static constexpr int kLpShift = 40;
-
   EventQueue() { heap_.reserve(kInitialCapacity); }
-
-  static std::uint64_t make_key(std::uint32_t lp, std::uint64_t count) {
-    return (static_cast<std::uint64_t>(lp) << kLpShift) | count;
-  }
 
   Seconds now() const { return now_; }
 
@@ -57,52 +38,19 @@ class EventQueue {
   /// Schedule `dt` seconds from now (dt < 0 is clamped to 0).
   void schedule_in(Seconds dt, EventFn fn);
 
-  /// Schedule with an explicit ordering key and owner LP (sharded engine:
-  /// cross-shard message delivery, pre-drawn arrivals, fault events). Keys
-  /// must be unique within a queue; ties in time break by key.
-  void schedule_keyed(Seconds t, std::uint64_t key, std::uint32_t owner, EventFn fn);
-
   /// Pop and run the earliest event. Returns false if the queue is empty.
   bool step();
 
   /// Run all events with time <= t, then advance the clock to t.
   void run_until(Seconds t);
 
-  /// Run all events with time strictly < t, then advance the clock to t —
-  /// one conservative sync window of the sharded engine. Events at exactly
-  /// t belong to the next window (messages for time t may still be in
-  /// flight from other shards).
-  void run_until_before(Seconds t);
-
   /// Run until the queue is empty (use with care; generators that
   /// perpetually reschedule themselves never drain).
   void run_all();
 
-  // -- origin-context mode (sharded engine) ----------------------------------
-
-  /// Enter origin-context mode: `counters` is a table of per-LP key
-  /// counters (owned by the engine, one slot per LP plus the coordinator).
-  /// From now on schedule_at/in stamp key = make_key(current LP, counter++)
-  /// and owner = current LP, and step() sets the current LP from the popped
-  /// event's owner. Pass nullptr to return to single-queue mode.
-  void set_lp_counters(std::uint64_t* counters) { lp_counters_ = counters; }
-
-  /// Current origin LP (who gets charged for events scheduled right now).
-  /// The engine sets this around coordinator-context mutations; during a
-  /// run it tracks the owner of the event being executed.
-  void set_current_lp(std::uint32_t lp) { current_lp_ = lp; }
-  std::uint32_t current_lp() const { return current_lp_; }
-
-  /// Mint the next key for the current LP (origin-context mode only).
-  std::uint64_t mint_key() {
-    return make_key(current_lp_, lp_counters_[current_lp_]++);
-  }
-
   bool empty() const { return heap_.empty(); }
   std::size_t pending() const { return heap_.size(); }
   std::uint64_t processed() const { return processed_; }
-  /// Time of the earliest pending event (undefined when empty()).
-  Seconds next_time() const { return heap_.front().time; }
 
   /// Profile each step() — heap pop + handler dispatch — into `h`
   /// (microseconds of wall time). nullptr (the default) disables the two
@@ -114,26 +62,21 @@ class EventQueue {
 
   struct Event {
     Seconds time;
-    std::uint64_t key;
+    std::uint64_t seq;
     EventFn fn;
-    std::uint32_t owner;
   };
 
-  /// a fires before b: time, then key (legacy mode: key == insertion seq,
-  /// so this is exactly the historical (time, insertion order) rule).
+  /// a fires before b: time, then insertion order.
   static bool before(const Event& a, const Event& b) {
     if (a.time != b.time) return a.time < b.time;
-    return a.key < b.key;
+    return a.seq < b.seq;
   }
 
-  void push(Seconds t, std::uint64_t key, std::uint32_t owner, EventFn fn);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
   std::vector<Event> heap_;  // 4-ary: children of i are 4i+1 .. 4i+4
   telemetry::LogHistogram* pop_timer_ = nullptr;
-  std::uint64_t* lp_counters_ = nullptr;  // non-null = origin-context mode
-  std::uint32_t current_lp_ = 0;
   Seconds now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;

@@ -35,7 +35,7 @@ std::vector<FaultEvent> FaultInjector::generate(const FaultScheduleConfig& cfg,
   // uniform_int rejection-samples — it consumes a variable number of raw
   // draws depending on its range — so a service pick fed from the shared
   // class stream would shift every later draw whenever service_count
-  // changes (e.g. tenants joining a shared sharded cluster). With per-event
+  // changes (e.g. a topology growing a service). With per-event
   // sub-streams, and the range-dependent service pick ordered last within
   // its stream, changing service_count changes only which service each
   // event hits: times, picks, modes and factors stay pinned.

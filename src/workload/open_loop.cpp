@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/sharded_cluster.h"
-
 namespace graf::workload {
 
 OpenLoopGenerator::OpenLoopGenerator(sim::Cluster& cluster, OpenLoopConfig cfg)
@@ -40,39 +38,6 @@ void OpenLoopGenerator::arm_next(const std::shared_ptr<State>& st) {
     ++st->generated;
     arm_next(st);
   });
-}
-
-std::uint64_t preload_open_loop(sim::ShardedCluster& cluster, OpenLoopConfig cfg,
-                                Seconds until) {
-  if (cfg.on_complete)
-    throw std::invalid_argument{
-        "preload_open_loop: on_complete is not supported — callbacks would "
-        "run mid-window on a shard thread"};
-  if (cfg.api_weights.empty()) {
-    cfg.api_weights.assign(cluster.api_count(), 0.0);
-    cfg.api_weights[0] = 1.0;
-  }
-  if (cfg.api_weights.size() != cluster.api_count())
-    throw std::invalid_argument{"preload_open_loop: weight/API count mismatch"};
-  Rng rng{cfg.seed};
-  Seconds t = cluster.now();
-  std::uint64_t n = 0;
-  for (;;) {
-    const double rate = cfg.rate.at(t);
-    if (rate <= 0.0) {
-      // Idle poll forward until the schedule turns back on (same cadence as
-      // the event-driven generator).
-      t += 0.1;
-      if (t >= until) break;
-      continue;
-    }
-    t += cfg.poisson ? rng.exponential(rate) : 1.0 / rate;
-    if (t > until) break;
-    const int api = static_cast<int>(rng.weighted_index(cfg.api_weights));
-    cluster.schedule_arrival(t, api);
-    ++n;
-  }
-  return n;
 }
 
 }  // namespace graf::workload

@@ -15,10 +15,6 @@
 #include "sim/cluster.h"
 #include "workload/schedule.h"
 
-namespace graf::sim {
-class ShardedCluster;
-}
-
 namespace graf::workload {
 
 struct OpenLoopConfig {
@@ -55,15 +51,5 @@ class OpenLoopGenerator {
 
   std::shared_ptr<State> state_;
 };
-
-/// Sharded-engine analogue of OpenLoopGenerator: pre-draws the whole arrival
-/// schedule (same inter-arrival and API-choice draw order, one Rng{cfg.seed}
-/// stream) and injects it via ShardedCluster::schedule_arrival. Arrivals are
-/// drawn from cluster.now() up to and including `until`. Returns the number
-/// of arrivals scheduled. cfg.on_complete must be empty — per-request
-/// callbacks would run mid-window on a shard thread, which the coordinator
-/// rule forbids; read the cluster's aggregate counters instead.
-std::uint64_t preload_open_loop(sim::ShardedCluster& cluster, OpenLoopConfig cfg,
-                                Seconds until);
 
 }  // namespace graf::workload

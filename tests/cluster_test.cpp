@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
+
+#include "apps/catalog.h"
+#include "sim/fault_injector.h"
+#include "workload/open_loop.h"
 
 namespace graf::sim {
 namespace {
@@ -260,6 +268,52 @@ TEST(Cluster, DeterministicAcrossRuns) {
     return c.e2e_latency_all().percentile(99.0);
   };
   EXPECT_DOUBLE_EQ(run(), run());
+}
+
+void hex(std::ostringstream& os, double v) {
+  os << '|' << std::hex << std::bit_cast<std::uint64_t>(v) << std::dec;
+}
+
+// Golden digest of a faulted online_boutique run, captured on the build
+// before EventQueue grew (and later lost) a keyed-ordering mode for a
+// sharded engine. Every event pop, RNG draw and float accumulation feeds
+// this string; any reordering breaks it.
+TEST(LegacyCluster, FaultedRunMatchesPreShardingGoldenDigest) {
+  auto topo = apps::online_boutique();
+  sim::Cluster cluster = apps::make_cluster(topo, {.seed = 5});
+  sim::FaultInjector inj{cluster};
+  inj.crash_instance(20.0, 1, 0x9e3779b97f4a7c15ULL, sim::CrashMode::kRequeue);
+  inj.crash_instance(45.0, 3, 0xdeadbeefcafef00dULL, sim::CrashMode::kAbort);
+  inj.throttle_cpu(30.0, 25.0, 2, 0.45);
+  inj.degrade_creations(50.0, 20.0, true, 8.0, 0.0);
+  inj.blackout_telemetry(70.0, 15.0);
+  inj.arm();
+  workload::OpenLoopConfig g;
+  g.rate = workload::Schedule::constant(200.0);
+  g.api_weights = topo.api_weights;
+  workload::OpenLoopGenerator gen{cluster, g};
+  gen.start(120.0);
+  cluster.run_until(120.0);
+
+  std::ostringstream d;
+  d << cluster.submitted() << ':' << cluster.completed() << ':'
+    << cluster.failed() << ':' << cluster.events().processed();
+  for (std::size_t s = 0; s < cluster.service_count(); ++s) {
+    const sim::Service& svc = cluster.service(static_cast<int>(s));
+    d << '|' << svc.arrivals() << ',' << svc.completions() << ',' << svc.drops()
+      << ',' << svc.crashes() << ',' << svc.creations_started();
+  }
+  hex(d, cluster.e2e_latency_all().percentile_since(0.0, 99.0));
+  hex(d, cluster.e2e_latency_all().percentile_since(0.0, 50.0));
+  for (std::size_t a = 0; a < cluster.api_count(); ++a)
+    hex(d, cluster.e2e_latency(static_cast<int>(a)).percentile_since(0.0, 99.0));
+
+  EXPECT_EQ(d.str(),
+            "24182:22070:0:184254"
+            "|24182,24182,0,0,0|24182,24182,0,1,1|11600,11599,0,0,0"
+            "|30498,30498,0,1,1|17077,14966,0,0,0|8650,8649,0,0,0"
+            "|40cc76ba2d1b2ace|40aeaabc7bbfb2f8"
+            "|40cca6343b11ffaf|40cc6f688b882768|406a304e60ee1cc5");
 }
 
 }  // namespace

@@ -129,59 +129,5 @@ TEST(EventQueue, RandomizedStressKeepsHeapOrder) {
   EXPECT_EQ(q.processed(), static_cast<std::uint64_t>(seq));
 }
 
-// --- keyed ordering / origin-context mode (sharded engine, ISSUE 8) ----------
-
-// The 4-ary heap itself is not stable — stability comes from the (time, key)
-// comparison. This pins the contract the sharded merge depends on: explicit
-// keys fully determine tie order, independent of insertion order.
-TEST(EventQueue, KeyedTiesBreakByKeyNotInsertionOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  // Insert in reverse key order; pops must follow keys, not insertion.
-  for (int i = 4; i >= 0; --i) {
-    q.schedule_keyed(1.0, static_cast<std::uint64_t>(i), 0,
-                     [&, i] { order.push_back(i); });
-  }
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, OriginContextMintsPerLpKeysAndTracksOwner) {
-  EventQueue q;
-  std::uint64_t counters[3] = {0, 0, 0};
-  q.set_lp_counters(counters);
-
-  std::vector<std::uint32_t> observed;
-  // LP 1 schedules first, then LP 0, both at the same time. Key order is
-  // (origin LP, per-LP counter), so LP 0's event must run first even though
-  // it was inserted second — insertion order no longer matters.
-  q.set_current_lp(1);
-  q.schedule_at(2.0, [&] { observed.push_back(q.current_lp()); });
-  q.set_current_lp(0);
-  q.schedule_at(2.0, [&] { observed.push_back(q.current_lp()); });
-  EXPECT_EQ(counters[0], 1u);
-  EXPECT_EQ(counters[1], 1u);
-
-  q.run_all();
-  // step() switches the context to each event's owner before running it.
-  EXPECT_EQ(observed, (std::vector<std::uint32_t>{0, 1}));
-
-  EXPECT_EQ(EventQueue::make_key(3, 7),
-            (std::uint64_t{3} << EventQueue::kLpShift) | 7u);
-}
-
-TEST(EventQueue, RunUntilBeforeIsHalfOpen) {
-  EventQueue q;
-  int ran = 0;
-  q.schedule_at(1.0, [&] { ++ran; });
-  q.schedule_at(2.0, [&] { ++ran; });  // exactly at the boundary
-  q.run_until_before(2.0);
-  EXPECT_EQ(ran, 1);
-  EXPECT_DOUBLE_EQ(q.now(), 2.0);  // clock still advances to the window end
-  EXPECT_EQ(q.pending(), 1u);
-  q.run_until_before(2.5);
-  EXPECT_EQ(ran, 2);  // picked up by the next window
-}
-
 }  // namespace
 }  // namespace graf::sim
