@@ -40,6 +40,22 @@ for threads in 1 8; do
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'chaos|fleet|forecast|fuzz|surrogate|solver'
 done
 
+# Portable build (plain leg only): the tensor kernels compiled without the
+# host ISA must reproduce the native build's bits, so the golden solver
+# digests and the kernel/serve cases that compare exact values run again in
+# a second build directory at GRAF_NATIVE=OFF. The full suite is not rerun
+# there: without hardware FMA every std::fma is a library call, and the
+# training-heavy suites take tens of minutes.
+if [ "$SANITIZE_FLAG" = OFF ]; then
+  PORTABLE_DIR="$BUILD_DIR-portable"
+  cmake -B "$PORTABLE_DIR" -S . \
+    -DCMAKE_CXX_FLAGS=-Werror \
+    -DGRAF_NATIVE=OFF
+  cmake --build "$PORTABLE_DIR" -j "$(nproc)" --target graf_tests graf_solver_golden_tests
+  ctest --test-dir "$PORTABLE_DIR" --output-on-failure -L solver
+  ctest --test-dir "$PORTABLE_DIR" --output-on-failure -R '^(Tensor|ServeFixture)\.'
+fi
+
 # Perf smoke gate (plain leg only: sanitizer overhead would trip any time
 # threshold): >25% regression on the hot-path benchmarks vs BENCH_perf.json.
 if [ "$SANITIZE_FLAG" = OFF ]; then
