@@ -1,8 +1,10 @@
 #include "serve/forecast_store.h"
 
+#include <algorithm>
 #include <fstream>
 #include <utility>
 
+#include "nn/layers.h"
 #include "serve/wire.h"
 
 namespace graf::serve {
@@ -51,6 +53,20 @@ void write_payload(Writer& w, const forecast::ArForecaster& f,
   w.f64(f.bias()(0, 0));
 }
 
+// Rejects a config whose refit work or history cap exceeds its budget
+// (forecast_store.h), computed as the constructor will clamp it.
+void check_budgets(const forecast::ArConfig& cfg) {
+  const std::uint64_t order = cfg.order;
+  const std::uint64_t window = std::max<std::uint64_t>(cfg.window, nn::sat_add(order, 2));
+  const std::uint64_t iterations = std::max<std::uint64_t>(cfg.iterations, 1);
+  const std::uint64_t work =
+      nn::sat_mul(iterations, nn::sat_mul(window, nn::sat_add(order, 1)));
+  if (work > kMaxForecastRefitWork)
+    throw CheckpointError{"config: refit work exceeds kMaxForecastRefitWork"};
+  if (nn::sat_add(window, order) > kMaxForecastHistory)
+    throw CheckpointError{"config: history cap exceeds kMaxForecastHistory"};
+}
+
 LoadedForecast read_payload(Reader& r) {
   // [config]
   forecast::ArConfig cfg;
@@ -62,6 +78,7 @@ LoadedForecast read_payload(Reader& r) {
   cfg.seed = r.u64();
   cfg.min_history = static_cast<std::size_t>(r.u64());
   cfg.band_z = r.finite("config");
+  check_budgets(cfg);
 
   // [state]
   const double scale = r.finite("state");

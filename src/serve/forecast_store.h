@@ -25,6 +25,15 @@ namespace graf::serve {
 
 inline constexpr std::uint32_t kForecastFormatVersion = 1;
 
+/// Budgets a .graffc config must stay within to load. The byte bound covers
+/// sizes, not these: a CRC-valid file can ask for any refit cost. The work
+/// of one refit is iterations x window x (order + 1) — Adam steps over the
+/// window's rows of order lags plus the bias, on the values the
+/// ArForecaster constructor clamps to — and the retained history is
+/// window + order values. A larger config is rejected as [config].
+inline constexpr std::uint64_t kMaxForecastRefitWork = std::uint64_t{1} << 26;
+inline constexpr std::uint64_t kMaxForecastHistory = std::uint64_t{1} << 20;
+
 /// Provenance stored with every forecaster checkpoint.
 struct ForecastMeta {
   std::string application;

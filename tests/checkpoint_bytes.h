@@ -67,7 +67,10 @@ inline std::size_t grafsg_weights_at(const std::string& application) {
   return kGrafsgScalers + 5 * 8 + 8 + application.size() + 5 * 8;
 }
 
-// .graffc payload: eight config fields, then the [state] scale and sigma.
+// .graffc payload: eight config fields (order, window, refit_every,
+// iterations, ...), then the [state] scale and sigma.
+inline constexpr std::size_t kGraffcWindow = 8;
+inline constexpr std::size_t kGraffcIterations = 3 * 8;
 inline constexpr std::size_t kGraffcScale = 8 * 8;
 
 }  // namespace graf::serve::craft

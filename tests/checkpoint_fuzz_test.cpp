@@ -303,6 +303,20 @@ TEST(CheckpointFuzz, GrafsgWideConfigRejectedBeforeConstruction) {
   EXPECT_FALSE(load(f, bytes, "a 2^16 x 2^18 first layer"));
 }
 
+// Budgets, not sizes: a CRC-valid .graffc asking for 2^40 Adam steps per
+// refit once loaded, and its first refit stalled the tenant's tick.
+TEST(CheckpointFuzz, GraffcRefitBudgetsRejected) {
+  const Format f = graffc();
+  std::string bytes = f.file;
+  craft::poke(bytes, craft::kGraffcIterations, std::uint64_t{1} << 40);
+  craft::reseal(bytes);
+  EXPECT_FALSE(load(f, bytes, "2^40 iterations per refit"));
+  bytes = f.file;
+  craft::poke(bytes, craft::kGraffcWindow, std::uint64_t{1} << 40);
+  craft::reseal(bytes);
+  EXPECT_FALSE(load(f, bytes, "2^40-tick window"));
+}
+
 TEST(CheckpointFuzz, NonFiniteStateRejected) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
