@@ -16,8 +16,9 @@
 // side by side for the readout. Rows never mix, and every weight gradient
 // is reduced per node block (nn::Tape::param_blocks), so results — values,
 // input gradients and Param::grad — are bit-identical to running the MLPs
-// once per node. One forward serves training, every solver descent,
-// stacked scoring and LatencyModel::predict().
+// once per node. The tape forward serves training, evaluation and
+// LatencyModel::predict(); MpnnModel::Frozen is the same forward, and its
+// input gradient, compiled for the solver's descent (DESIGN.md §3.2).
 #pragma once
 
 #include <cstddef>
@@ -47,6 +48,8 @@ struct MpnnConfig {
 
 class MpnnModel : public nn::Module {
  public:
+  class Frozen;
+
   /// The DAG is captured by reference to its structure (copied).
   MpnnModel(const Dag& graph, const MpnnConfig& cfg, Rng& rng);
 
@@ -83,6 +86,36 @@ class MpnnModel : public nn::Module {
   nn::Mlp readout_;
 
   static nn::Mlp make_readout(const Dag& graph, const MpnnConfig& cfg, Rng& rng);
+};
+
+/// The eval-mode forward over node-stacked rows with the weights frozen:
+/// every phi_k, gamma_k and the readout as an nn::FrozenMlp, the parent
+/// sums, concat and readout layout done in place. backward() returns the
+/// node features' gradient. Both are bit-identical to the tape: where an
+/// embedding h feeds both gamma_k (through the concat) and phi_k, its
+/// gradient is the concat slice plus phi_k's input gradient, and the parent
+/// sums' gradient is gathered for node blocks in descending order, as the
+/// tape's reverse walk delivers them.
+class MpnnModel::Frozen {
+ public:
+  explicit Frozen(MpnnModel& model);
+
+  /// (n·R) x node_features node-stacked features -> R x 1 (normalized
+  /// latency), valid until the next forward().
+  const nn::Tensor& forward(const nn::Tensor& nodes);
+  /// d(loss)/d(output) of the last forward (R x 1) -> the features'
+  /// gradient ((n·R) x node_features), valid until the next backward().
+  const nn::Tensor& backward(const nn::Tensor& dy);
+
+ private:
+  std::vector<std::vector<int>> parents_;
+  std::size_t node_features_;
+  std::vector<nn::FrozenMlp> phi_;
+  std::vector<nn::FrozenMlp> gamma_;
+  nn::FrozenMlp readout_;
+  nn::Tensor agg_, both_, readout_in_;  // forward scratch
+  nn::Tensor grad_h_, grad_in_, grad_agg_, grad_msg_;  // backward scratch
+  std::vector<char> seen_;
 };
 
 }  // namespace graf::gnn

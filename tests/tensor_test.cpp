@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "common/rng.h"
@@ -230,6 +232,37 @@ TEST(Tensor, BiasReluFusionMatchesComposition) {
       const double want = std::max(0.0, a(i, j) + bias(0, j));
       EXPECT_EQ(fused(i, j), want);
     }
+}
+
+// The frozen-MLP layer's tile epilogue against the two-step composition,
+// bit for bit, on every tile path: vector and edge tiles, packed and
+// in-place B, several k-panels, and a NaN row (the ReLU maps it to +0).
+TEST(Tensor, MatmulBiasEpilogueMatchesComposition) {
+  const struct {
+    std::size_t m, k, n;
+  } shapes[] = {{1, 4, 8},     {2, 24, 20}, {22, 8, 8}, {17, 96, 13},
+                {3, 513, 9},   {16, 1025, 16}, {9, 1, 7}, {24, 20, 20}};
+  Rng rng{113};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const auto& s : shapes) {
+    Tensor a = random_tensor(s.m, s.k, rng);
+    a(0, 0) = std::nan("");
+    const Tensor b = random_tensor(s.k, s.n, rng);
+    const Tensor bias = random_tensor(1, s.n, rng);
+    Tensor product, relu_want, got;
+    matmul_into(product, a, b);
+    bias_relu_into(relu_want, product, bias);
+    matmul_bias_into(got, a, b, bias, /*relu=*/true);
+    ASSERT_TRUE(got.same_shape(relu_want));
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(bits(got.data()[i]), bits(relu_want.data()[i]))
+          << s.m << "x" << s.k << "x" << s.n << " relu entry " << i;
+    matmul_bias_into(got, a, b, bias, /*relu=*/false);
+    for (std::size_t i = 0; i < s.m; ++i)
+      for (std::size_t j = 0; j < s.n; ++j)
+        EXPECT_EQ(bits(got(i, j)), bits(product(i, j) + bias(0, j)))
+            << s.m << "x" << s.k << "x" << s.n << " linear (" << i << ", " << j << ")";
+  }
 }
 
 // The rvalue arithmetic overloads must recycle the dying operand's buffer
