@@ -7,10 +7,11 @@
 // penalty by the SLO) so one penalty coefficient works across applications.
 // Every solve — one tenant, its multi-starts, a fleet group, the surrogate
 // tier — runs the same row-batched kernel (descend_rows): each start of each
-// item is one quota row of a single tape, stepped by one ADAM, projected back
-// into the per-service bounds from Algorithm 1, and frozen once its loss
-// change stays below `tolerance` for `patience` consecutive steps — the
-// paper's termination rule.
+// item is one quota row of a single frozen pass through the model
+// (gnn::QuotaPass), stepped by one ADAM, projected back into the
+// per-service bounds from Algorithm 1, and frozen once its loss change stays
+// below `tolerance` for `patience` consecutive steps — the paper's
+// termination rule.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +41,7 @@ struct SolverConfig {
   /// explicit margin makes it robust to an unbiased model (set to 1.0 for
   /// the paper's exact objective).
   double slo_margin = 0.93;
-  /// Independent descents, each one row of the same tape; the feasible
+  /// Independent descents, each one row of the same pass; the feasible
   /// minimum-quota result wins (ties broken by start index). Start 0
   /// descends from the upper bounds; starts k >= 1 from uniform draws in
   /// [lo, hi] seeded by derive_seed(multi_start_seed, k). 1 keeps the
@@ -79,9 +80,6 @@ struct BatchItemResult {
   std::size_t total_iterations = 0;
 };
 
-/// The differentiable forward the descent steps through: an R x n quota
-/// Var in, the R x 1 predicted latency (ms) out. Rows must never mix.
-using RowForward = std::function<nn::Var(nn::Tape&, nn::Var)>;
 /// Final-score override for one row: (item index, quota) -> latency (ms).
 using RowScore = std::function<double(std::size_t, std::span<const double>)>;
 
@@ -97,8 +95,8 @@ class ConfigurationSolver {
   SolverResult solve(std::span<const double> workload, double slo_ms,
                      std::span<const Millicores> lo, std::span<const Millicores> hi);
 
-  /// Descend every item's multi-starts as rows of ONE tape through the
-  /// shared block-diagonal batched model (fleet fan-in, DESIGN.md §3.13).
+  /// Descend every item's multi-starts as rows of ONE frozen pass through
+  /// the shared block-diagonal batched model (fleet fan-in, DESIGN.md §3.13).
   /// `batched` must be freshly constructed over the shared model with
   /// rows_per_graph == max(1, cfg.multi_starts); the items' graphs are
   /// added here in item order. Item t's result is bit-identical to what
@@ -115,17 +113,19 @@ class ConfigurationSolver {
   /// The one projected-ADAM descent kernel (DESIGN.md §3.9). Row t*K+k
   /// (K = max(1, cfg.multi_starts)) is item t's start k: start 0 descends
   /// from the item's hi bounds, starts k >= 1 from the
-  /// derive_seed(multi_start_seed, k) uniform draws in [lo, hi]. All rows descend on one tape through `forward`, with
-  /// model parameters frozen; each row carries its item's quota normalizer
-  /// and margined target as constant columns, is projected into its item's
-  /// bounds, and is frozen at its final value once converged. Rows are
-  /// scored by one stacked frozen forward, or by `score` when given, and
-  /// each item's winner is picked by pick_winner. Items must have n-wide
+  /// derive_seed(multi_start_seed, k) uniform draws in [lo, hi]. All rows
+  /// descend through `pass`, which must carry item t's workload on rows
+  /// t*K..t*K+K-1. Each iteration runs one forward and one backward of the
+  /// pass; the loss, its prediction gradient and the quota term's gradient
+  /// are computed here per row, in the order the autodiff tape used, so the
+  /// bits are the tape's. Each row is projected into its item's bounds and
+  /// frozen at its final value once converged. Rows are scored by one
+  /// stacked forward of the pass, or by `score` when given, and each item's
+  /// winner is picked by pick_winner. Items must have node_count-wide
   /// workloads and bounds.
   static std::vector<BatchItemResult> descend_rows(
-      std::size_t n, const SolverConfig& cfg, std::span<const BatchItem> items,
-      const RowForward& forward, const RowScore& score = {},
-      telemetry::LogHistogram* iter_timer = nullptr);
+      const SolverConfig& cfg, std::span<const BatchItem> items, gnn::QuotaPass& pass,
+      const RowScore& score = {}, telemetry::LogHistogram* iter_timer = nullptr);
 
   /// Winner rule shared by every multi-start descent: feasible minimum
   /// total quota; if no start is feasible, least-infeasible (lowest

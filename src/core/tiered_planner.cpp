@@ -175,10 +175,8 @@ std::vector<BatchItemResult> TieredPlanner::descend(gnn::SurrogateModel& surroga
       for (std::size_t i = 0; i < n; ++i)
         workload_rows(t * starts + k, i) = items[t].workload[i];
   }
-  return ConfigurationSolver::descend_rows(
-      n, cfg, items, [&](nn::Tape& tape, nn::Var quota) {
-        return surrogate.predict_var_rows(tape, workload_rows, quota);
-      });
+  gnn::SurrogateModel::Pass pass{surrogate, workload_rows};
+  return ConfigurationSolver::descend_rows(cfg, items, pass);
 }
 
 std::vector<SolverResult> TieredPlanner::solve_items(gnn::SurrogateModel& surrogate,
@@ -266,7 +264,7 @@ gnn::SurrogateDistiller::Result TieredPlanner::distill_for_planner(
   report.history = model.fit(train, val, cfg.base.train);
 
   // Phase 2 — rollout, label, fold in, fine-tune. Each round's queries
-  // descend as one stacked tape through the *current* surrogate, so round
+  // descend as one stacked pass through the *current* surrogate, so round
   // k covers the level set the round-(k-1) model steers to; the teacher
   // labels land exactly where the planner's verification forward will look.
   const std::size_t n = teacher.node_count();

@@ -2,8 +2,8 @@
 //
 // The planner solves on the distilled surrogate first — the solver's own
 // descent kernel (identical start draws, loss terms, ADAM trajectory,
-// convergence bookkeeping, winner rule), but through a tape orders of
-// magnitude smaller — then *verifies* the winning candidate with exactly
+// convergence bookkeeping, winner rule), but through a frozen pass orders
+// of magnitude smaller — then *verifies* the winning candidate with exactly
 // one full-GNN forward. If the full model's prediction at the candidate
 // disagrees with the surrogate's beyond a trust band (or predicts an SLO
 // breach), the planner escalates to the full-GNN solve and feeds the miss
@@ -19,7 +19,7 @@
 //
 // Determinism contract: a solve is a pure function of (surrogate bits,
 // solver config, trust band, full model bits, inputs). The fleet stacks
-// fingerprint-equal tenants' surrogate descents into one tape via
+// fingerprint-equal tenants' surrogate descents into one pass via
 // solve_items(); item t's result is bit-identical to the tenant's own
 // solo solve, the same §3.13 property the full-GNN batch path proves.
 #pragma once
@@ -83,7 +83,7 @@ struct SolverDistillConfig {
   gnn::DistillConfig base;
   /// Rollout-label-refit rounds (0 = plain distillation only).
   std::size_t rounds = 2;
-  /// Surrogate-descent rollouts per round, batched as one stacked tape.
+  /// Surrogate-descent rollouts per round, batched as one stacked pass.
   std::size_t queries_per_round = 256;
   /// Extra teacher labels per rollout at jittered quotas around the winner
   /// (each coordinate scaled by uniform(1 - jitter_pct, 1 + jitter_pct),
@@ -167,7 +167,7 @@ class TieredPlanner {
     std::span<const Millicores> hi;
   };
 
-  /// Descend every item's surrogate multi-starts as rows of ONE tape
+  /// Descend every item's surrogate multi-starts as rows of ONE pass
   /// through `surrogate` (which must be fingerprint-equal to each item
   /// planner's active surrogate), then verify/escalate per item. Item t's
   /// result is bit-identical to items[t].planner->solve(...) alone: the
@@ -189,7 +189,7 @@ class TieredPlanner {
   /// with (TieredPlannerConfig::solver) so the rollouts reproduce the
   /// production query distribution. Deterministic at any GRAF_THREADS:
   /// rollout draws are per-(round, query) derived streams and the descent
-  /// is the same single-tape path solve() runs.
+  /// is the same single-pass path solve() runs.
   static gnn::SurrogateDistiller::Result distill_for_planner(
       gnn::LatencyModel& teacher, std::span<const double> workload_hi,
       std::span<const Millicores> lo, std::span<const Millicores> hi,
@@ -208,8 +208,8 @@ class TieredPlanner {
 
  private:
   /// The pure surrogate tier: every item's multi-starts descend as rows of
-  /// one tape through the solver's descent kernel, scored by the stacked
-  /// surrogate forward. Shared by solve_items() and the distillation
+  /// one SurrogateModel::Pass through the solver's descent kernel, scored by
+  /// the pass's stacked forward. Shared by solve_items() and the distillation
   /// rollouts, so both see the exact same query distribution.
   static std::vector<BatchItemResult> descend(gnn::SurrogateModel& surrogate,
                                               const SolverConfig& cfg,

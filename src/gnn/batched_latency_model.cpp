@@ -34,23 +34,17 @@ std::size_t BatchedLatencyModel::add_graph(std::span<const double> workload_qps)
   if (workload_qps.size() != model_->node_count())
     throw std::invalid_argument{"BatchedLatencyModel::add_graph: dimension mismatch"};
   workloads_.emplace_back(workload_qps.begin(), workload_qps.end());
-  rows_dirty_ = true;
   return workloads_.size() - 1;
 }
 
-nn::Var BatchedLatencyModel::predict_var(nn::Tape& tape, nn::Var quota_mc) {
-  if (workloads_.empty())
-    throw std::invalid_argument{"BatchedLatencyModel::predict_var: no graphs"};
+LatencyModel::Pass BatchedLatencyModel::pass() {
   const std::size_t n = model_->node_count();
-  if (rows_dirty_) {
-    workload_rows_ = nn::Tensor{rows(), n};
-    for (std::size_t g = 0; g < workloads_.size(); ++g)
-      for (std::size_t k = 0; k < rows_per_graph_; ++k)
-        for (std::size_t i = 0; i < n; ++i)
-          workload_rows_(g * rows_per_graph_ + k, i) = workloads_[g][i];
-    rows_dirty_ = false;
-  }
-  return model_->predict_var_rows(tape, workload_rows_, quota_mc);
+  nn::Tensor workload_rows{rows(), n};
+  for (std::size_t g = 0; g < workloads_.size(); ++g)
+    for (std::size_t k = 0; k < rows_per_graph_; ++k)
+      for (std::size_t i = 0; i < n; ++i)
+        workload_rows(g * rows_per_graph_ + k, i) = workloads_[g][i];
+  return LatencyModel::Pass{*model_, workload_rows};
 }
 
 double BatchedLatencyModel::predict(std::size_t graph,

@@ -19,12 +19,12 @@
 #include <vector>
 
 #include "gnn/latency_model.h"
-#include "nn/autodiff.h"
+#include "nn/tensor.h"
 
 namespace graf::gnn {
 
 /// Stacks N same-topology workloads onto one shared LatencyModel so a
-/// single tape evaluates all of them. `rows_per_graph` (K) is the number of
+/// single frozen pass evaluates all of them. `rows_per_graph` (K) is the number of
 /// quota rows each graph contributes — the solver's multi-start count.
 class BatchedLatencyModel {
  public:
@@ -44,11 +44,10 @@ class BatchedLatencyModel {
 
   LatencyModel& model() { return *model_; }
 
-  /// Differentiable stacked forward: `quota_mc` is rows() x node_count
-  /// (graph g's start k at row g*K+k); the returned rows() x 1 Var is
-  /// latency in ms per row, bit-identical per row to a forward over that
-  /// graph alone.
-  nn::Var predict_var(nn::Tape& tape, nn::Var quota_mc);
+  /// The frozen pass over every stacked row (graph g's start k at row
+  /// g*K+k reads graph g's workload): per row, bit-identical to a pass over
+  /// that graph alone.
+  LatencyModel::Pass pass();
 
   /// Non-batched scoring of one graph's quota through the shared model —
   /// delegates to LatencyModel::predict (the division-form feature path),
@@ -67,8 +66,6 @@ class BatchedLatencyModel {
   LatencyModel* model_;
   std::size_t rows_per_graph_;
   std::vector<std::vector<double>> workloads_;  ///< one vector per graph
-  nn::Tensor workload_rows_;  ///< rows() x n, rebuilt lazily after add_graph
-  bool rows_dirty_ = false;
 };
 
 }  // namespace graf::gnn

@@ -131,7 +131,6 @@ Var Tape::leaf(Tensor value, bool requires_grad) {
 }
 
 Var Tape::param(Param& p) {
-  if (freeze_params_) return constant_ref(p.value);
   // The leaf's backward flushes the tape-local gradient into the Param
   // (unless the tape defers; then flush_param_grads() does it serially).
   Node& n = acquire();
@@ -149,8 +148,7 @@ Var Tape::param(Param& p) {
 std::span<const Var> Tape::param_blocks(Param& p, std::size_t blocks) {
   if (blocks == 0) throw std::invalid_argument{"param_blocks: need >= 1 block"};
   block_leaves_.clear();  // keeps capacity
-  const std::size_t leaves = freeze_params_ ? 1 : blocks;
-  for (std::size_t j = 0; j < leaves; ++j) block_leaves_.push_back(param(p));
+  for (std::size_t j = 0; j < blocks; ++j) block_leaves_.push_back(param(p));
   return block_leaves_;
 }
 

@@ -5,17 +5,18 @@
 // differentiable leaves exist:
 //   * Param leaves — model weights; their gradients accumulate into the
 //     Param object so an optimizer (src/nn/optim.h) can step them, and
-//   * plain leaves with requires_grad — used by GRAF's configuration
-//     solver (§3.5 of the paper), which differentiates the trained latency
-//     model with respect to its *inputs* (the CPU-quota vector).
+//   * plain leaves with requires_grad — gradients with respect to a
+//     model's *inputs*. GRAF's configuration solver (§3.5 of the paper)
+//     descends such a gradient through a compiled frozen pass
+//     (gnn::QuotaPass), which is pinned bit for bit against the tape.
 //
 // The tape is rebuilt every forward pass (define-by-run), exactly like the
 // PyTorch programs the paper uses — but the node storage is an arena:
 // reset() rewinds a cursor instead of destroying nodes, and every node's
 // value/gradient/aux tensors keep their heap buffers for the next pass.
-// Iterative workloads (the solver descends thousands of iterations with an
-// identical graph shape) therefore run with zero steady-state tape
-// allocation (DESIGN.md §3.9). Op backwards are plain function pointers
+// Iterative workloads (training steps, the forecaster's refits, repeated
+// predictions) therefore run with zero steady-state tape allocation
+// (DESIGN.md §3.9). Op backwards are plain function pointers
 // reading their arguments from per-node slots — no std::function captures,
 // no per-node heap.
 #pragma once
@@ -73,9 +74,8 @@ class Tape {
   /// Weight leaves for a row-block op (matmul, add_row_broadcast,
   /// bias_relu) over `blocks` stacked row blocks: one param leaf per block,
   /// so each block's gradient is reduced on its own and reaches `p.grad` in
-  /// the order `blocks` separate forwards would deliver it — or, on a
-  /// frozen tape, one constant shared by every block. The span is valid
-  /// until the next call.
+  /// the order `blocks` separate forwards would deliver it. The span is
+  /// valid until the next call.
   std::span<const Var> param_blocks(Param& p, std::size_t blocks);
 
   // ---- Op-authoring API (staged nodes) ------------------------------------
@@ -114,9 +114,9 @@ class Tape {
 
   std::size_t node_count() const { return live_; }
 
-  // ---- Parallel-execution modes (DESIGN.md §3.7) --------------------------
+  // ---- Parallel execution (DESIGN.md §3.7) --------------------------------
   //
-  // Both modes make a tape safe to run forward/backward on a worker thread
+  // Deferral makes a tape safe to run forward/backward on a worker thread
   // while other tapes share the same Param objects: param *values* are only
   // read, and nothing writes into the shared Param::grad until the caller
   // says so.
@@ -130,12 +130,6 @@ class Tape {
   /// Accumulate every param leaf's tape gradient into its Param::grad, in
   /// tape (recording) order. No-op for leaves backward() never reached.
   void flush_param_grads();
-
-  /// When frozen, param() records the parameter's value as a constant: no
-  /// gradient flows to the Param at all. The configuration solver freezes
-  /// its tapes — it differentiates w.r.t. inputs only, and K concurrent
-  /// descents must not race on the shared model's Param::grad buffers.
-  void set_freeze_params(bool freeze) { freeze_params_ = freeze; }
 
  private:
   friend struct OpAccess;  // op backward internals (autodiff.cpp)
@@ -173,7 +167,6 @@ class Tape {
   Tensor scratch_;  // shared temp for backward hooks (serial, recycled)
   std::vector<Var> block_leaves_;  // param_blocks() result (recycled)
   bool defer_param_grads_ = false;
-  bool freeze_params_ = false;
 };
 
 // ---- Operations -----------------------------------------------------------

@@ -167,26 +167,24 @@ TEST_F(TrainedModelFixture, PredictionIncreasesWithWorkload) {
   EXPECT_LT(m.predict(w_lo, q), m.predict(w_hi, q));
 }
 
+// The solver's frozen pass (multiplicative features) against predict()
+// (division-form features): equal up to rounding.
 TEST_F(TrainedModelFixture, PredictVarMatchesPredict) {
   auto& m = model();
   std::vector<double> w{50.0, 70.0};
-  nn::Tensor q0{{700.0, 900.0}};
-  nn::Tape tape;
-  nn::Var qv = tape.leaf(q0, false);
-  nn::Var out = m.predict_var_rows(tape, nn::Tensor{{50.0, 70.0}}, qv);
+  LatencyModel::Pass pass{m, nn::Tensor{{50.0, 70.0}}};
+  const double got = pass.forward(nn::Tensor{{700.0, 900.0}})(0, 0);
   std::vector<double> q{700.0, 900.0};
-  EXPECT_NEAR(tape.value(out).item(), m.predict(w, q), 1e-9);
+  EXPECT_NEAR(got, m.predict(w, q), 1e-9);
 }
 
 TEST_F(TrainedModelFixture, QuotaGradientIsNegativeOnAverage) {
   // d latency / d quota should be negative (more CPU -> less latency) at
   // interior points of the trained region.
   auto& m = model();
-  nn::Tape tape;
-  nn::Var qv = tape.leaf(nn::Tensor{{600.0, 600.0}});
-  nn::Var out = m.predict_var_rows(tape, nn::Tensor{{70.0, 70.0}}, qv);
-  tape.backward(out);
-  const nn::Tensor& g = tape.grad(qv);
+  LatencyModel::Pass pass{m, nn::Tensor{{70.0, 70.0}}};
+  pass.forward(nn::Tensor{{600.0, 600.0}});
+  const nn::Tensor& g = pass.backward(nn::Tensor{{1.0}});
   EXPECT_LT(g(0, 0) + g(0, 1), 0.0);
 }
 

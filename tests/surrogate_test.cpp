@@ -160,11 +160,8 @@ TEST(SurrogateModel, ScalarPredictMatchesRowBatchedForwardBitwise) {
       wrows(r, i) = ws[r][i];
       qrows(r, i) = qs[r][i];
     }
-  nn::Tape tape;
-  tape.set_freeze_params(true);
-  nn::Var pred = model.predict_var_rows(tape, wrows, tape.constant(std::move(qrows)));
-  const nn::Tensor& vals = tape.value(pred);
-  tape.set_freeze_params(false);
+  gnn::SurrogateModel::Pass pass{model, wrows};
+  const nn::Tensor& vals = pass.forward(qrows);
   for (std::size_t r = 0; r < 3; ++r)
     EXPECT_EQ(vals(r, 0), model.predict(ws[r], qs[r]))
         << "row " << r << ": stacked rows must equal the scalar path bitwise";
