@@ -404,6 +404,65 @@ TEST(FleetServer, SignalLossHoldsPlanAndFlagsDegraded) {
   EXPECT_FALSE(fleet.tenant(id)->degraded());
 }
 
+// The control loop's rules at their edges.
+
+TEST(FleetServer, ChangeExactlyAtTheThresholdResolves) {
+  FleetServer fleet;
+  const TenantId id = fleet.add_tenant(make_spec("checkout", 200.0));
+  fleet.push(qps_update(id, 1.0, {60.0}));
+  ASSERT_EQ(fleet.step().planned, 1u);
+  // 60 -> 66 qps is exactly the 0.10 band in doubles; only a change
+  // strictly inside the band coasts.
+  ASSERT_EQ((66.0 - 60.0) / 60.0, 0.10);
+  fleet.push(qps_update(id, 2.0, {66.0}));
+  EXPECT_EQ(fleet.step().planned, 1u);
+}
+
+TEST(FleetServer, ZeroChangeThresholdResolvesEveryPush) {
+  FleetServer fleet;
+  TenantSpec spec = make_spec("checkout", 200.0);
+  spec.change_threshold = 0.0;
+  const TenantId id = fleet.add_tenant(spec);
+  fleet.push(qps_update(id, 1.0, {60.0}));
+  ASSERT_EQ(fleet.step().planned, 1u);
+  fleet.push(qps_update(id, 2.0, {60.0}));
+  EXPECT_EQ(fleet.step().planned, 1u);
+}
+
+TEST(FleetServer, UnchangedPushAfterSignalLossResolves) {
+  FleetServer fleet;
+  const TenantId id = fleet.add_tenant(make_spec("checkout", 200.0));
+  fleet.push(qps_update(id, 1.0, {60.0}));
+  ASSERT_EQ(fleet.step().planned, 1u);
+  fleet.push(qps_update(id, 2.0, {0.0}));
+  fleet.step();
+  ASSERT_TRUE(fleet.tenant(id)->degraded());
+  // The signal returns at its old level: a degraded tenant re-plans instead
+  // of coasting on the held plan.
+  fleet.push(qps_update(id, 3.0, {60.0}));
+  const auto stats = fleet.step();
+  EXPECT_EQ(stats.planned, 1u);
+  EXPECT_EQ(stats.coasted, 0u);
+  EXPECT_FALSE(fleet.tenant(id)->degraded());
+}
+
+TEST(FleetServer, AllZeroFirstPushCountsSignalLossOnly) {
+  FleetServer fleet;
+  const TenantId id = fleet.add_tenant(make_spec("checkout", 200.0));
+  std::vector<PlanUpdate> updates;
+  auto token =
+      fleet.subscribe([&](const PlanUpdate& u) { updates.push_back(u); });
+  fleet.push(qps_update(id, 1.0, {0.0}));
+  const auto stats = fleet.step();
+  EXPECT_EQ(stats.planned, 0u);
+  EXPECT_EQ(stats.notified, 0u);
+  EXPECT_TRUE(updates.empty());
+  const Tenant& t = *fleet.tenant(id);
+  EXPECT_EQ(t.signal_losses(), 1u);
+  EXPECT_FALSE(t.has_plan());
+  EXPECT_FALSE(t.degraded());
+}
+
 TEST(FleetServer, TenantFailureNeverStallsSiblings) {
   FleetServer fleet;
   const TenantId good = fleet.add_tenant(make_spec("healthy", 200.0));
