@@ -329,20 +329,20 @@ Var bias_relu(Var a, std::span<const Var> b) {
     const Tensor& g = n.grad;
     const Tensor& y = n.value;
     Tensor& s = OpAccess::scratch(t);
-    s.resize_zero(g.rows(), g.cols());
-    for (std::size_t i = 0; i < g.size(); ++i)
-      s.data()[i] = y.data()[i] > 0.0 ? g.data()[i] : 0.0;
+    s.copy_from(g);
+    relu_mask(s, y);
     t.accumulate(n.deps.front(), s);
     const std::span<const int> leaves = weight_leaves(n.deps);
     const std::size_t rows = g.rows() / leaves.size();
     for (std::size_t blk = 0; blk < leaves.size(); ++blk) {
       if (!t.requires_grad(leaves[blk])) continue;
       // Column sums of the block's masked gradient; scratch is free again
-      // because accumulate() copied it.
+      // because accumulate() copied it. A sum that starts at +0 never
+      // becomes -0, so adding the masked +0s keeps its bits.
       s.resize_zero(1, g.cols());
       for (std::size_t i = blk * rows; i < (blk + 1) * rows; ++i)
         for (std::size_t j = 0; j < g.cols(); ++j)
-          if (y(i, j) > 0.0) s(0, j) += g(i, j);
+          s(0, j) += y(i, j) > 0.0 ? g(i, j) : 0.0;
       t.accumulate(leaves[blk], s);
     }
   });
@@ -445,12 +445,9 @@ Var relu(Var a) {
   }
   return t.commit1(a.id, [](Tape& t, int id) {
     auto& n = OpAccess::node(t, id);
-    const Tensor& g = n.grad;
-    const Tensor& in = OpAccess::val(t, n.a);
     Tensor& s = OpAccess::scratch(t);
-    s.resize_zero(g.rows(), g.cols());
-    for (std::size_t i = 0; i < g.size(); ++i)
-      s.data()[i] = in.data()[i] > 0.0 ? g.data()[i] : 0.0;
+    s.copy_from(n.grad);
+    relu_mask(s, n.value);
     t.accumulate(n.a, s);
   });
 }
