@@ -11,6 +11,7 @@
 #include "autoscalers/miras_like.h"
 #include "bench_common.h"
 #include "common/table.h"
+#include "fleet/graf_controller.h"
 #include "workload/closed_loop.h"
 
 namespace {
@@ -63,8 +64,8 @@ int main() {
 
   {
     sim::Cluster cluster = apps::make_cluster(stack.topo, {.seed = 139});
-    auto rt = bench::make_graf_runtime(stack, slo);
-    rt.autoscaler->attach(cluster, 1e9);
+    fleet::GrafController graf{bench::graf_spec(stack, slo)};
+    graf.attach(cluster, 1e9);
     const auto r = run(cluster, stack, users);
     table.row({"GRAF", Table::num(r.steady.p99_ms, 0),
                Table::num(r.steady.mean_total_instances, 1),

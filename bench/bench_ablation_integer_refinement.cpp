@@ -9,11 +9,12 @@
 #include "common/table.h"
 #include "core/integer_refiner.h"
 #include "core/sample_collector.h"
+#include "fleet/graf_controller.h"
 
 int main() {
   using namespace graf;
   auto stack = bench::build_or_load_stack(bench::online_boutique_stack_config());
-  auto rt = bench::make_graf_runtime(stack, stack.default_slo_ms);
+  fleet::GrafController graf{bench::graf_spec(stack, stack.default_slo_ms)};
   core::IntegerRefiner refiner{stack.predictor->model()};
 
   std::vector<Millicores> units;
@@ -32,8 +33,7 @@ int main() {
 
   for (double f : {1.3, 1.5, 1.8, 2.2}) {
     const double slo = stack.floor_p99 * f;
-    rt.autoscaler->set_slo(slo);
-    const auto plan = rt.controller->plan(stack.base_qps, slo);
+    const auto plan = graf.tenant().controller().plan(stack.base_qps, slo);
     int eq7_total = 0;
     for (int i : plan.instances) eq7_total += i;
 

@@ -15,6 +15,7 @@
 #include "autoscalers/k8s_hpa.h"
 #include "bench_common.h"
 #include "common/table.h"
+#include "fleet/graf_controller.h"
 #include "sim/fault_injector.h"
 #include "workload/closed_loop.h"
 
@@ -102,8 +103,8 @@ int main() {
   std::vector<ArmResult> arms;
   {
     sim::Cluster cluster = apps::make_cluster(stack.topo, {.seed = 83});
-    auto rt = bench::make_graf_runtime(stack, slo);
-    rt.autoscaler->attach(cluster, kEnd);
+    fleet::GrafController graf{bench::graf_spec(stack, slo)};
+    graf.attach(cluster, kEnd);
     arms.push_back(run("GRAF", cluster, users_before, users_after, slo));
   }
   {

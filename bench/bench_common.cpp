@@ -247,31 +247,24 @@ TrainedStack build_or_load_stack(const StackConfig& cfg) {
   return st;
 }
 
-GrafRuntime make_graf_runtime(TrainedStack& stack, double slo_ms,
-                              core::GrafControllerConfig cfg) {
-  GrafRuntime rt;
-  rt.analyzer = std::make_unique<core::WorkloadAnalyzer>(stack.topo.apis.size(),
-                                                         stack.topo.service_count());
-  rt.analyzer->set_fanout(stack.fanout);
-  rt.solver = std::make_unique<core::ConfigurationSolver>(stack.predictor->model());
-  std::vector<Millicores> units;
-  units.reserve(stack.topo.service_count());
-  for (const auto& svc : stack.topo.services) units.push_back(svc.unit_quota);
-  rt.controller = std::make_unique<core::ResourceController>(
-      stack.predictor->model(), *rt.solver, *rt.analyzer, stack.space.lo,
-      stack.space.hi, units);
+fleet::TenantSpec graf_spec(TrainedStack& stack, double slo_ms) {
+  fleet::TenantSpec spec;
+  spec.application = stack.topo.name;
+  spec.slo_ms = slo_ms;
+  spec.model = &stack.predictor->model();
+  spec.lo = stack.space.lo;
+  spec.hi = stack.space.hi;
+  // The planner clamps (and re-predicts) at each service's replica cap
+  // instead of Service::scale_to clamping silently after the fact.
+  for (const auto& svc : stack.topo.services) {
+    spec.unit.push_back(svc.unit_quota);
+    spec.max_instances.push_back(svc.max_instances);
+  }
+  spec.fanout = stack.fanout;
   // The training reference must come from the *training* split, but per-node
   // maxima over the full dataset are equivalent for scaling purposes.
-  rt.controller->set_training_reference(stack.dataset);
-  // Let the planner clamp (and re-predict) at each service's replica cap
-  // instead of Service::scale_to clamping silently after the fact.
-  std::vector<int> max_inst;
-  max_inst.reserve(stack.topo.service_count());
-  for (const auto& svc : stack.topo.services) max_inst.push_back(svc.max_instances);
-  rt.controller->set_max_instances(std::move(max_inst));
-  cfg.slo_ms = slo_ms;
-  rt.autoscaler = std::make_unique<core::GrafController>(*rt.controller, cfg);
-  return rt;
+  spec.training_reference = stack.dataset;
+  return spec;
 }
 
 sim::Cluster::CompletionFn LatencyRecorder::hook() {

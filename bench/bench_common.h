@@ -13,12 +13,9 @@
 #include <vector>
 
 #include "apps/catalog.h"
-#include "core/configuration_solver.h"
-#include "core/graf_controller.h"
 #include "core/latency_predictor.h"
-#include "core/resource_controller.h"
 #include "core/sample_collector.h"
-#include "core/workload_analyzer.h"
+#include "fleet/tenant.h"
 #include "gnn/latency_model.h"
 #include "sim/cluster.h"
 #include "telemetry/exporter.h"
@@ -89,16 +86,10 @@ core::SampleCollectorConfig stack_collector_config();
 /// progress to stderr.
 TrainedStack build_or_load_stack(const StackConfig& cfg);
 
-/// Everything needed to run GRAF as an autoscaler against a cluster.
-struct GrafRuntime {
-  std::unique_ptr<core::WorkloadAnalyzer> analyzer;
-  std::unique_ptr<core::ConfigurationSolver> solver;
-  std::unique_ptr<core::ResourceController> controller;
-  std::unique_ptr<core::GrafController> autoscaler;
-};
-
-GrafRuntime make_graf_runtime(TrainedStack& stack, double slo_ms,
-                              core::GrafControllerConfig cfg = {});
+/// GRAF's tenant for a trained stack, to run as a fleet::GrafController:
+/// the stack's model, Algorithm-1 bounds, instance units and replica caps,
+/// traced fan-out, and its dataset as the §3.6 training reference.
+fleet::TenantSpec graf_spec(TrainedStack& stack, double slo_ms);
 
 /// Collects every successful request's latency via completion callbacks
 /// (latency *windows* prune by horizon; experiments need the full run).

@@ -6,15 +6,16 @@
 
 #include "bench_common.h"
 #include "common/table.h"
+#include "core/configuration_solver.h"
 
 int main() {
   using namespace graf;
   auto stack = bench::build_or_load_stack(bench::online_boutique_stack_config());
-  auto rt = bench::make_graf_runtime(stack, stack.default_slo_ms);
+  core::ConfigurationSolver solver{stack.predictor->model()};
 
   const auto workload = stack.node_workload(stack.base_qps);
-  auto solved = rt.solver->solve(workload, stack.default_slo_ms, stack.space.lo,
-                                 stack.space.hi);
+  auto solved =
+      solver.solve(workload, stack.default_slo_ms, stack.space.lo, stack.space.hi);
 
   // Vary recommendation (idx 4) and cart (idx 2), the two most
   // latency-sensitive services of Online Boutique.
@@ -44,7 +45,7 @@ int main() {
       quota[a] = qa;
       quota[b] = qb;
       const double loss =
-          rt.solver->loss_at(workload, stack.default_slo_ms, quota, stack.space.hi);
+          solver.loss_at(workload, stack.default_slo_ms, quota, stack.space.hi);
       if (loss < min_loss) {
         min_loss = loss;
         argmin = {i, j};

@@ -11,6 +11,7 @@
 #include "autoscalers/k8s_hpa.h"
 #include "bench_common.h"
 #include "common/table.h"
+#include "fleet/graf_controller.h"
 
 namespace {
 
@@ -36,8 +37,8 @@ AppResult evaluate_app(graf::bench::TrainedStack& stack, double users) {
 
   {
     sim::Cluster cluster = apps::make_cluster(stack.topo, {.seed = 31});
-    auto rt = bench::make_graf_runtime(stack, stack.default_slo_ms);
-    rt.autoscaler->attach(cluster, 1e9);
+    fleet::GrafController graf{bench::graf_spec(stack, stack.default_slo_ms)};
+    graf.attach(cluster, 1e9);
     out.graf = bench::measure_steady_state(cluster, users, stack.topo.api_weights,
                                            240.0, 120.0, 33);
   }

@@ -11,12 +11,13 @@
 #include "bench_common.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "core/configuration_solver.h"
 #include "core/sample_collector.h"
 
 int main() {
   using namespace graf;
   auto stack = bench::build_or_load_stack(bench::online_boutique_stack_config());
-  auto rt = bench::make_graf_runtime(stack, stack.default_slo_ms);
+  core::ConfigurationSolver solver{stack.predictor->model()};
 
   Table table{"Figure 17: measured p99 vs target latency SLO (Online Boutique)"};
   table.header({"workload scale", "SLO (ms)", "predicted (ms)", "measured p99 (ms)",
@@ -40,7 +41,7 @@ int main() {
     const auto workload = stack.node_workload(api);
     for (double f : {1.15, 1.3, 1.5, 1.75, 2.0}) {
       const double slo = stack.floor_p99 * f;
-      auto res = rt.solver->solve(workload, slo, stack.space.lo, stack.space.hi);
+      auto res = solver.solve(workload, slo, stack.space.lo, stack.space.hi);
       for (std::size_t s = 0; s < res.quota.size(); ++s)
         cluster.apply_total_quota(static_cast<int>(s), res.quota[s], 1000.0);
       const double measured = measurer.measure_tail(api, 25.0, 99.0);

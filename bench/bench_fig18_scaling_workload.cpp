@@ -9,6 +9,7 @@
 #include "autoscalers/k8s_hpa.h"
 #include "bench_common.h"
 #include "common/table.h"
+#include "fleet/graf_controller.h"
 
 int main() {
   using namespace graf;
@@ -29,8 +30,8 @@ int main() {
     bench::SteadyStateResult graf_res;
     {
       sim::Cluster cluster = apps::make_cluster(stack.topo, {.seed = 51});
-      auto rt = bench::make_graf_runtime(stack, slo);
-      rt.autoscaler->attach(cluster, 1e9);
+      fleet::GrafController graf{bench::graf_spec(stack, slo)};
+      graf.attach(cluster, 1e9);
       graf_res = bench::measure_steady_state(cluster, users, stack.topo.api_weights,
                                              240.0, 120.0, 57);
     }

@@ -9,6 +9,7 @@
 #include "autoscalers/k8s_hpa.h"
 #include "bench_common.h"
 #include "common/table.h"
+#include "fleet/graf_controller.h"
 #include "workload/azure_trace.h"
 #include "workload/closed_loop.h"
 
@@ -61,8 +62,8 @@ int main() {
   ArmResult graf_res;
   {
     sim::Cluster cluster = apps::make_cluster(stack.topo, {.seed = 73});
-    auto rt = bench::make_graf_runtime(stack, slo);
-    rt.autoscaler->attach(cluster, kEnd);
+    fleet::GrafController graf{bench::graf_spec(stack, slo)};
+    graf.attach(cluster, kEnd);
     graf_res = run(cluster, users, stack.topo.api_weights);
   }
   const double thr = bench::tune_hpa_threshold(stack.topo, 900.0, slo, 75);

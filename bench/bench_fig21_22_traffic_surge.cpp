@@ -15,6 +15,7 @@
 #include "bench_common.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "fleet/graf_controller.h"
 #include "workload/closed_loop.h"
 
 namespace {
@@ -97,8 +98,8 @@ int main() {
     std::vector<ArmResult> arms;
     {
       sim::Cluster cluster = apps::make_cluster(stack.topo, {.seed = 83});
-      auto rt = bench::make_graf_runtime(stack, slo);
-      rt.autoscaler->attach(cluster, kEnd);
+      fleet::GrafController graf{bench::graf_spec(stack, slo)};
+      graf.attach(cluster, kEnd);
       arms.push_back(run("GRAF", cluster, users_before, users_after, slo, 85));
     }
     {

@@ -17,6 +17,7 @@
 #include "autoscalers/k8s_hpa.h"
 #include "bench_common.h"
 #include "common/table.h"
+#include "fleet/graf_controller.h"
 #include "forecast/gate.h"
 #include "workload/azure_trace.h"
 #include "workload/closed_loop.h"
@@ -110,13 +111,15 @@ void report(const std::string& title, const std::vector<ArmResult>& arms) {
   table.print(std::cout);
 }
 
-graf::forecast::ForecastSpec forecast_spec() {
-  graf::forecast::ForecastSpec spec;
-  spec.enabled = true;
-  spec.kind = graf::forecast::ForecastKind::kHoltWinters;
+/// GRAF's tenant for `stack` in forecast mode.
+graf::fleet::TenantSpec forecast_spec(graf::bench::TrainedStack& stack,
+                                      double slo_ms) {
+  graf::fleet::TenantSpec spec = graf::bench::graf_spec(stack, slo_ms);
+  spec.forecast.enabled = true;
+  spec.forecast.kind = graf::forecast::ForecastKind::kHoltWinters;
   // Horizon 2 control ticks = 10 s of lookahead: covers the simulator's
   // ~5.5 s instance-creation delay with margin (DESIGN.md §3.11).
-  spec.gate.horizon_steps = 2;
+  spec.forecast.gate.horizon_steps = 2;
   return spec;
 }
 
@@ -134,19 +137,18 @@ int main() {
   std::vector<ArmResult> surge_arms;
   {
     sim::Cluster cluster = apps::make_cluster(stack.topo, {.seed = 83});
-    auto rt = bench::make_graf_runtime(stack, slo);
-    rt.autoscaler->enable_forecast(forecast_spec());
-    rt.autoscaler->attach(cluster, kSurgeEnd);
+    fleet::GrafController graf{forecast_spec(stack, slo)};
+    graf.attach(cluster, kSurgeEnd);
     surge_arms.push_back(run("GRAF forecast+plan", cluster, surge, weights,
                              slo, kSurgeAt, kSurgeEnd));
-    std::cerr << "forecast arm: " << rt.autoscaler->forecast_gate()->prewarms()
-              << " pre-warm ticks, "
-              << rt.autoscaler->forecast_gate()->fallbacks() << " fallbacks\n";
+    const forecast::ForecastGate& gate = *graf.tenant().forecast_gate();
+    std::cerr << "forecast arm: " << gate.prewarms() << " pre-warm ticks, "
+              << gate.fallbacks() << " fallbacks\n";
   }
   {
     sim::Cluster cluster = apps::make_cluster(stack.topo, {.seed = 83});
-    auto rt = bench::make_graf_runtime(stack, slo);
-    rt.autoscaler->attach(cluster, kSurgeEnd);
+    fleet::GrafController graf{bench::graf_spec(stack, slo)};
+    graf.attach(cluster, kSurgeEnd);
     surge_arms.push_back(run("GRAF plan-alone", cluster, surge, weights, slo,
                              kSurgeAt, kSurgeEnd));
   }
@@ -167,16 +169,15 @@ int main() {
   std::vector<ArmResult> azure_arms;
   {
     sim::Cluster cluster = apps::make_cluster(stack.topo, {.seed = 73});
-    auto rt = bench::make_graf_runtime(stack, slo);
-    rt.autoscaler->enable_forecast(forecast_spec());
-    rt.autoscaler->attach(cluster, kAzureEnd);
+    fleet::GrafController graf{forecast_spec(stack, slo)};
+    graf.attach(cluster, kAzureEnd);
     azure_arms.push_back(run("GRAF forecast+plan", cluster, azure, weights,
                              slo, 60.0, kAzureEnd));
   }
   {
     sim::Cluster cluster = apps::make_cluster(stack.topo, {.seed = 73});
-    auto rt = bench::make_graf_runtime(stack, slo);
-    rt.autoscaler->attach(cluster, kAzureEnd);
+    fleet::GrafController graf{bench::graf_spec(stack, slo)};
+    graf.attach(cluster, kAzureEnd);
     azure_arms.push_back(
         run("GRAF plan-alone", cluster, azure, weights, slo, 60.0, kAzureEnd));
   }

@@ -15,10 +15,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
-#include "core/configuration_solver.h"
-#include "core/graf_controller.h"
-#include "core/resource_controller.h"
-#include "core/workload_analyzer.h"
+#include "fleet/graf_controller.h"
 #include "gnn/latency_model.h"
 #include "sim/cluster.h"
 #include "sim/fault_injector.h"
@@ -125,22 +122,22 @@ DrillResult run_graf() {
   cluster.set_metrics(&registry);
 
   gnn::LatencyModel model = train_model();
-  core::ConfigurationSolver solver{model, {}};
-  core::WorkloadAnalyzer analyzer{1, 2};
-  analyzer.set_fanout({{1.0, 1.0}});
+  fleet::TenantSpec spec;
+  spec.application = "chain";
+  spec.slo_ms = kSlo;
+  spec.model = &model;
   // lo bounds > unit_quota keep at least two replicas per service, so a
   // single crash during a creation outage never zeroes a tier.
-  core::ResourceController rc{model,            solver,           analyzer,
-                              {1100.0, 1600.0}, {2000.0, 2000.0}, {1000.0, 1000.0}};
-  gnn::Dataset ref;
+  spec.lo = {1100.0, 1600.0};
+  spec.hi = {2000.0, 2000.0};
+  spec.unit = {1000.0, 1000.0};
+  spec.fanout = {{1.0, 1.0}};
   gnn::Sample s;
   s.workload = {60.0, 60.0};
   s.quota = {1000.0, 1000.0};
   s.latency_ms = 100.0;
-  ref.push_back(s);
-  rc.set_training_reference(ref);
-  core::GrafController graf{
-      rc, {.slo_ms = kSlo, .control_interval = 2.0, .rate_window = 4.0}};
+  spec.training_reference.push_back(s);
+  fleet::GrafController graf{spec, {.control_interval = 2.0, .rate_window = 4.0}};
   graf.set_metrics(&registry);
 
   sim::FaultInjector injector{cluster};
@@ -160,8 +157,9 @@ DrillResult run_graf() {
   workload::OpenLoopGenerator gen{cluster, g};
   gen.start(kEnd);
 
-  // Poll the shared degraded gauge each second to count raise/clear edges.
-  const telemetry::Gauge& degraded = registry.gauge("core.degraded");
+  // Poll the tenant's degraded gauge each second to count raise/clear edges.
+  const telemetry::Gauge& degraded =
+      graf.tenant().metrics().gauge("fleet.tenant.degraded");
   bool was_degraded = false;
   for (double t = 1.0; t <= kEnd; t += 1.0) {
     cluster.run_until(t);
@@ -174,7 +172,7 @@ DrillResult run_graf() {
   out.failed = cluster.failed();
   out.faults_fired = injector.fired();
   out.p99_ms = cluster.e2e_latency_all().percentile(99.0);
-  out.plan_failures = graf.plan_failures();
+  out.plan_failures = graf.tenant().failures();
   return out;
 }
 

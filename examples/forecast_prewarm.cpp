@@ -21,10 +21,8 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
-#include "core/configuration_solver.h"
-#include "core/graf_controller.h"
-#include "core/resource_controller.h"
 #include "core/workload_analyzer.h"
+#include "fleet/graf_controller.h"
 #include "forecast/gate.h"
 #include "gnn/latency_model.h"
 #include "workload/azure_trace.h"
@@ -121,23 +119,20 @@ RunResult run(gnn::LatencyModel& model, bool with_forecast,
   const auto topo = apps::online_boutique();
   sim::Cluster cluster = apps::make_cluster(topo, {.seed = 21});
 
-  core::WorkloadAnalyzer analyzer{topo.apis.size(), topo.service_count()};
-  analyzer.set_fanout(core::expected_fanout(topo));
-  core::ConfigurationSolver solver{model, {.max_iterations = 400}};
-  std::vector<Millicores> lo, hi, unit;
+  fleet::TenantSpec spec;
+  spec.application = topo.name;
+  spec.slo_ms = slo_ms;
+  spec.model = &model;
   for (const sim::ServiceConfig& svc : topo.services) {
-    lo.push_back(1.1 * svc.unit_quota);
-    hi.push_back(6.0 * svc.unit_quota);
-    unit.push_back(svc.unit_quota);
+    spec.lo.push_back(1.1 * svc.unit_quota);
+    spec.hi.push_back(6.0 * svc.unit_quota);
+    spec.unit.push_back(svc.unit_quota);
   }
-  core::ResourceController controller{model, solver, analyzer, lo, hi, unit};
-  core::GrafController autoscaler{controller, {.slo_ms = slo_ms}};
-  if (with_forecast) {
-    forecast::ForecastSpec spec;
-    spec.enabled = true;
-    spec.gate.horizon_steps = 2;  // 10 s lookahead > 5.5 s creation delay
-    autoscaler.enable_forecast(spec);
-  }
+  spec.fanout = core::expected_fanout(topo);
+  spec.solver.max_iterations = 400;
+  spec.forecast.enabled = with_forecast;
+  spec.forecast.gate.horizon_steps = 2;  // 10 s lookahead > 5.5 s creation delay
+  fleet::GrafController autoscaler{spec};
   autoscaler.attach(cluster, kEnd);
 
   RunResult out;
@@ -165,11 +160,11 @@ RunResult run(gnn::LatencyModel& model, bool with_forecast,
     if (t == kSurgeAt + 15.0)
       out.instances_after_surge = cluster.total_target_instances();
     digest << cluster.total_target_instances() << ',';
-    if (const forecast::ForecastGate* gate = autoscaler.forecast_gate())
+    if (const forecast::ForecastGate* gate = autoscaler.tenant().forecast_gate())
       digest << std::bit_cast<std::uint64_t>(gate->last_boost()) << ';';
   }
   out.instances_at_end = cluster.total_target_instances();
-  if (const forecast::ForecastGate* gate = autoscaler.forecast_gate()) {
+  if (const forecast::ForecastGate* gate = autoscaler.tenant().forecast_gate()) {
     out.prewarms = gate->prewarms();
     out.fallbacks = gate->fallbacks();
   }

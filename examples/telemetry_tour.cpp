@@ -1,27 +1,29 @@
 // Telemetry tour: the observability subsystem end to end on Bookinfo.
 //
 // A quickly-trained GRAF stack autoscales a cluster through a traffic step
-// while every layer publishes into one MetricsRegistry:
+// while every layer publishes metrics:
 //
 //   sim.*   per-service gauges (utilization, queue depth, instances),
 //           counters (creations, drops), and the mergeable e2e latency
-//           histogram,
-//   core.*  plan() wall time, solver iterations, predicted vs measured p99,
-//   profile/gnn timings via scoped timers.
+//           histogram, plus the controller's measured interval p99
+//           (core.measured_p99_ms), all in the run's registry;
+//   core.*  the plan path's solver iterations, predicted p99 and scale
+//           factor, and fleet.tenant.* plan counters, in the controller
+//           tenant's own registry, as a daemon tenant's are.
 //
-// A Scraper attached to the simulation clock snapshots the registry every
+// Scrapers attached to the simulation clock snapshot both registries every
 // 15 s (the paper's metric sync period) and the run ends by exporting the
-// scraped series to JSON + CSV — the artifact a Grafana-style frontend (or
-// the plots in bench/) would consume.
+// run registry's scraped series to JSON + CSV — the artifact a
+// Grafana-style frontend (or the plots in bench/) would consume.
 #include <iostream>
 #include <sstream>
 
 #include "apps/catalog.h"
 #include "common/table.h"
-#include "core/graf_controller.h"
 #include "core/latency_predictor.h"
 #include "core/sample_collector.h"
 #include "core/workload_analyzer.h"
+#include "fleet/graf_controller.h"
 #include "telemetry/exporter.h"
 #include "telemetry/scraper.h"
 #include "workload/open_loop.h"
@@ -54,15 +56,18 @@ int main() {
   std::cout << "Training the GNN latency model...\n";
   predictor.train(dataset, tcfg);
 
-  std::vector<Millicores> unit_mc;
-  for (const auto& svc : topo.services) unit_mc.push_back(svc.unit_quota);
-  core::ConfigurationSolver solver{predictor.model()};
-  core::ResourceController controller{predictor.model(), solver, analyzer,
-                                      space.lo, space.hi, unit_mc};
-  controller.set_training_reference(dataset);
-  core::GrafController autoscaler{controller, {.slo_ms = slo_ms}};
+  fleet::TenantSpec spec;
+  spec.application = topo.name;
+  spec.slo_ms = slo_ms;
+  spec.model = &predictor.model();
+  spec.lo = space.lo;
+  spec.hi = space.hi;
+  for (const auto& svc : topo.services) spec.unit.push_back(svc.unit_quota);
+  spec.fanout = analyzer.fanout();
+  spec.training_reference = dataset;
+  fleet::GrafController autoscaler{spec};
 
-  // -- instrumented run: everything publishes into one registry -------------
+  // -- instrumented run: the cluster and the loop share one registry ---------
   telemetry::MetricsRegistry registry;
   sim::Cluster cluster = apps::make_cluster(topo, {.seed = 13});
   cluster.set_metrics(&registry);
@@ -72,8 +77,10 @@ int main() {
   autoscaler.set_metrics(&registry);
 
   telemetry::Scraper scraper{registry, {.period = 15.0}};
+  telemetry::Scraper plan_scraper{autoscaler.tenant().metrics(), {.period = 15.0}};
   const Seconds horizon = 600.0;
   scraper.attach(cluster.events(), horizon);
+  plan_scraper.attach(cluster.events(), horizon);
   autoscaler.attach(cluster, horizon);
 
   // Traffic step halfway through: 45 -> 75 qps.
@@ -92,18 +99,18 @@ int main() {
             << " series collected.\n\n";
 
   Table tail{"e2e p99 per scrape interval (sim.e2e_latency_ms.p99)"};
-  tail.header({"t (s)", "p99 (ms)", "plan() p99 (us)", "frontend util"});
+  tail.header({"t (s)", "p99 (ms)", "predicted p99 (ms)", "frontend util"});
   const auto* p99 = store.find("sim.e2e_latency_ms.p99");
-  const auto* plan_us = store.find("core.plan_us.p99");
+  const auto* predicted = plan_scraper.store().find("core.predicted_p99_ms");
   const auto* util = store.find("sim.utilization{service=\"" +
                                 topo.services[0].name + "\"}");
   for (std::size_t i = 0; p99 != nullptr && i < p99->size(); i += 5) {
     const auto& pt = (*p99)[i];
-    const double pl = plan_us != nullptr && i < plan_us->size()
-                          ? (*plan_us)[i].value : 0.0;
+    const double pr = predicted != nullptr && i < predicted->size()
+                          ? (*predicted)[i].value : 0.0;
     const double ut = util != nullptr && i < util->size() ? (*util)[i].value : 0.0;
     tail.row({Table::num(pt.time, 0), Table::num(pt.value, 1),
-              Table::num(pl, 0), Table::num(ut, 2)});
+              Table::num(pr, 1), Table::num(ut, 2)});
   }
   tail.print(std::cout);
 

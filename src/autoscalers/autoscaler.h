@@ -1,6 +1,6 @@
 // Common interface for resource controllers that run against the cluster:
 // the Kubernetes HPA, the FIRM-like comparator, the §2.1 proactive oracle,
-// and GRAF's own controller (src/core/graf_controller.h).
+// and GRAF's own controller (src/fleet/graf_controller.h).
 #pragma once
 
 #include <string>

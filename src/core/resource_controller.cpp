@@ -51,8 +51,8 @@ void ResourceController::set_metrics(telemetry::MetricsRegistry* registry) {
     predicted_p99_ = &registry->gauge("core.predicted_p99_ms");
     scale_factor_ = &registry->gauge("core.scale_factor");
     planned_quota_ = &registry->gauge("core.planned_quota_mc");
-    // Interned by name: GrafController's signal-loss path sets the same
-    // gauge instance, so "the control plane is degraded" is one signal.
+    // The last plan's fallback flag. A fleet tenant's fleet.tenant.degraded
+    // also covers signal loss and plans that threw.
     degraded_gauge_ = &registry->gauge("core.degraded");
     saturated_gauge_ = &registry->gauge("core.plan_saturated");
     fault_model_mismatch_ = &registry->counter("faults.model_shape_mismatch");

@@ -1,8 +1,8 @@
 // Chaos integration: the full GRAF control loop driven through every fault
-// class the injector knows. The contract under test (ISSUE acceptance): the
-// controller never throws, raises `core.degraded` while it is coasting on a
-// fallback plan, and recovers — gauge back to 0 — within a few control
-// ticks of the fault clearing.
+// class the injector knows. The contract under test: the controller never
+// throws, raises its tenant's `fleet.tenant.degraded` while it holds a stale
+// plan, and recovers — gauge back to 0 — within a few control ticks of the
+// fault clearing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,9 +11,9 @@
 
 #include "common/rng.h"
 #include "core/configuration_solver.h"
-#include "core/graf_controller.h"
 #include "core/resource_controller.h"
 #include "core/workload_analyzer.h"
+#include "fleet/graf_controller.h"
 #include "gnn/latency_model.h"
 #include "sim/cluster.h"
 #include "sim/fault_injector.h"
@@ -78,36 +78,43 @@ sim::Cluster chaos_cluster(std::uint64_t seed) {
   return sim::Cluster{svcs, {sim::Api{"chain", root}}, {.seed = seed}};
 }
 
+/// The chaos cluster's tenant on the shared model.
+fleet::TenantSpec chaos_spec(double slo_ms) {
+  fleet::TenantSpec spec;
+  spec.application = "chaos";
+  spec.slo_ms = slo_ms;
+  spec.model = &chaos_model();
+  spec.lo = {800.0, 1500.0};
+  spec.hi = {2000.0, 2000.0};
+  spec.unit = {1000.0, 1000.0};
+  spec.fanout = {{1.0, 1.0}};
+  gnn::Sample s;
+  s.workload = {60.0, 60.0};
+  s.quota = {1000.0, 1000.0};
+  s.latency_ms = 100.0;
+  spec.training_reference.push_back(s);
+  // Wide hysteresis band: the constant-rate drive must not trigger mid-run
+  // re-solves that would race the test's explicit scale_to.
+  spec.change_threshold = 0.5;
+  return spec;
+}
+
 struct ChaosRig {
   sim::Cluster cluster;
-  core::ConfigurationSolver solver;
-  core::WorkloadAnalyzer analyzer{1, 2};
-  core::ResourceController rc;
-  core::GrafController graf;
+  fleet::GrafController graf;
   telemetry::MetricsRegistry registry;
 
   explicit ChaosRig(std::uint64_t seed, double slo_ms = 220.0)
       : cluster{chaos_cluster(seed)},
-        solver{chaos_model(), {}},
-        rc{chaos_model(),   solver,           analyzer,
-           {800.0, 1500.0}, {2000.0, 2000.0}, {1000.0, 1000.0}},
-        // Wide hysteresis band: the constant-rate drive must not trigger
-        // mid-run re-solves that would race the test's explicit scale_to.
-        graf{rc, {.slo_ms = slo_ms, .control_interval = 2.0,
-                  .rate_window = 4.0, .change_threshold = 0.5}} {
-    analyzer.set_fanout({{1.0, 1.0}});
-    gnn::Dataset ref;
-    gnn::Sample s;
-    s.workload = {60.0, 60.0};
-    s.quota = {1000.0, 1000.0};
-    s.latency_ms = 100.0;
-    ref.push_back(s);
-    rc.set_training_reference(ref);
+        graf{chaos_spec(slo_ms), {.control_interval = 2.0, .rate_window = 4.0}} {
     cluster.set_metrics(&registry);
     graf.set_metrics(&registry);
   }
 
-  double degraded_gauge() { return registry.gauge("core.degraded").value(); }
+  fleet::Tenant& tenant() { return graf.tenant(); }
+  double degraded_gauge() {
+    return tenant().metrics().gauge("fleet.tenant.degraded").value();
+  }
 };
 
 TEST(ChaosIntegration, SurvivesEveryFaultClassAndRecovers) {
@@ -134,14 +141,14 @@ TEST(ChaosIntegration, SurvivesEveryFaultClassAndRecovers) {
 
   // Establish steady state: the loop has solved and is not degraded.
   rig.cluster.run_until(20.0);
-  ASSERT_GT(rig.graf.solves(), 0u);
-  ASSERT_FALSE(rig.graf.degraded());
+  ASSERT_GT(rig.tenant().plans(), 0u);
+  ASSERT_FALSE(rig.tenant().degraded());
   ASSERT_EQ(rig.degraded_gauge(), 0.0);
 
   // Throttle, crashes, creation outage: the loop must keep ticking without
   // a single plan failure (nothing in this band may throw).
   rig.cluster.run_until(78.0);
-  EXPECT_EQ(rig.graf.plan_failures(), 0u);
+  EXPECT_EQ(rig.tenant().failures(), 0u);
   EXPECT_EQ(inj.fired(), 4u);
   EXPECT_EQ(rig.cluster.service(0).crashes(), 1u);
   EXPECT_EQ(rig.cluster.service(1).crashes(), 1u);
@@ -151,15 +158,15 @@ TEST(ChaosIntegration, SurvivesEveryFaultClassAndRecovers) {
   // Telemetry blackout: the front-end qps signal vanishes. The controller
   // must hold its last plan and raise the degraded gauge, not act on zeros.
   rig.cluster.run_until(88.0);
-  EXPECT_TRUE(rig.graf.degraded());
+  EXPECT_TRUE(rig.tenant().degraded());
   EXPECT_EQ(rig.degraded_gauge(), 1.0);
   EXPECT_GE(rig.cluster.total_target_instances(), 2);  // fleet held
 
   // Blackout clears at t=90; the loop must recover within 5 control ticks.
   rig.cluster.run_until(100.0);
-  EXPECT_FALSE(rig.graf.degraded());
+  EXPECT_FALSE(rig.tenant().degraded());
   EXPECT_EQ(rig.degraded_gauge(), 0.0);
-  EXPECT_EQ(rig.graf.plan_failures(), 0u);
+  EXPECT_EQ(rig.tenant().failures(), 0u);
 
   rig.cluster.run_until(140.0);
   // The run did real work and the overwhelming majority of it succeeded
@@ -227,7 +234,7 @@ TEST(ChaosIntegration, FaultedControlLoopIsDeterministic) {
     gen.start(100.0);
     rig.cluster.run_until(100.0);
     return std::tuple{rig.cluster.completed(), rig.cluster.failed(),
-                      rig.graf.solves(), inj.fired(),
+                      rig.tenant().plans(), inj.fired(),
                       rig.cluster.e2e_latency_all().percentile(99.0)};
   };
   const auto a = run();

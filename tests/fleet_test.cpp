@@ -4,7 +4,8 @@
 // isolation across tenants, the online-training lifecycle inside a tenant,
 // and the §3.7 determinism contract: a scripted 4-tenant scenario (with one
 // tenant under a telemetry blackout and one under a hard fault) replays
-// bit-identically at GRAF_THREADS=1 and 8.
+// bit-identically at GRAF_THREADS=1 and 8. Also GrafController, the
+// one-tenant fleet the paper benches drive from a simulated cluster.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,11 +22,14 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "fleet/fleet_server.h"
+#include "fleet/graf_controller.h"
 #include "fleet/ingest_queue.h"
 #include "fleet/subscriber.h"
 #include "fleet/tenant.h"
 #include "gnn/latency_model.h"
 #include "serve/online_trainer.h"
+#include "sim/cluster.h"
+#include "workload/open_loop.h"
 
 namespace graf::fleet {
 namespace {
@@ -404,7 +409,8 @@ TEST(FleetServer, SignalLossHoldsPlanAndFlagsDegraded) {
   EXPECT_FALSE(fleet.tenant(id)->degraded());
 }
 
-// The control loop's rules at their edges.
+// The one control loop's rules: fleet::GrafController drives this same
+// tenant path from a simulated cluster.
 
 TEST(FleetServer, ChangeExactlyAtTheThresholdResolves) {
   FleetServer fleet;
@@ -1053,6 +1059,59 @@ TEST(FleetServer, NonFiniteOrNegativeRatesAreRejectedAtDrain) {
     EXPECT_EQ(m.counter("core.solver_iterations_total").value(), iterations);
     EXPECT_FALSE(t->degraded());
   }
+}
+
+// --- GrafController: the fleet driven by a simulated cluster ---------------
+
+/// `services` services with `initial` replicas each; every API calls service
+/// 0, which calls the rest in one parallel stage. make_spec's shape is
+/// (2 services, 1 API).
+sim::Cluster shaped_cluster(int services, int apis, int initial) {
+  std::vector<sim::ServiceConfig> svcs;
+  for (int s = 0; s < services; ++s)
+    svcs.push_back({.name = "svc" + std::to_string(s), .unit_quota = 500.0,
+                    .initial_instances = initial, .demand_mean_ms = 5.0});
+  sim::CallNode root{.service = 0};
+  std::vector<sim::CallNode> stage;
+  for (int s = 1; s < services; ++s) stage.push_back({.service = s});
+  root.stages.push_back(std::move(stage));
+  std::vector<sim::Api> api_list;
+  for (int a = 0; a < apis; ++a)
+    api_list.push_back({"api" + std::to_string(a), root});
+  return sim::Cluster{svcs, api_list, {.seed = 5}};
+}
+
+TEST(GrafController, ReattachAppliesThePlanInForce) {
+  GrafController graf{make_spec("checkout", 200.0),
+                      {.control_interval = 2.0, .rate_window = 4.0}};
+  sim::Cluster first = shaped_cluster(2, 1, 1);
+  graf.attach(first, 30.0);
+  workload::OpenLoopConfig g;
+  g.rate = workload::Schedule::constant(60.0);
+  workload::OpenLoopGenerator gen{first, g};
+  gen.start(30.0);
+  first.run_until(30.0);
+  ASSERT_TRUE(graf.tenant().has_plan());
+  const std::vector<int> in_force = graf.tenant().last_plan().instances;
+
+  // A fresh cluster far from the plan: it carries the plan as soon as it is
+  // attached, although no plan change is left to notify.
+  constexpr int kInitial = 9;
+  sim::Cluster second = shaped_cluster(2, 1, kInitial);
+  ASSERT_NE(in_force, std::vector<int>(2, kInitial));
+  graf.attach(second, 60.0);
+  for (std::size_t s = 0; s < in_force.size(); ++s)
+    EXPECT_EQ(second.service(static_cast<int>(s)).target_count(), in_force[s]);
+}
+
+TEST(GrafController, AttachRejectsAMismatchedCluster) {
+  GrafController graf{make_spec("checkout", 200.0)};
+  sim::Cluster three_services = shaped_cluster(3, 1, 1);
+  EXPECT_THROW(graf.attach(three_services, 10.0), std::invalid_argument);
+  sim::Cluster two_apis = shaped_cluster(2, 2, 1);
+  EXPECT_THROW(graf.attach(two_apis, 10.0), std::invalid_argument);
+  sim::Cluster matching = shaped_cluster(2, 1, 1);
+  EXPECT_NO_THROW(graf.attach(matching, 10.0));
 }
 
 }  // namespace

@@ -23,7 +23,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/configuration_solver.h"
-#include "core/graf_controller.h"
 #include "core/resource_controller.h"
 #include "core/workload_analyzer.h"
 #include "fleet/fleet_server.h"
@@ -715,38 +714,6 @@ TEST(FleetForecast, ForecastTenantPrewarmsAndExportsMetrics) {
   plain.forecast.enabled = false;
   const fleet::TenantId pid = fleet.add_tenant(plain);
   EXPECT_EQ(fleet.tenant(pid)->forecast_gate(), nullptr);
-}
-
-// --- GrafController wiring --------------------------------------------------
-
-TEST(GrafControllerForecast, EnableForecastWiresGateAndMetrics) {
-  core::SolverConfig scfg;
-  scfg.max_iterations = 200;
-  core::WorkloadAnalyzer analyzer{1, 2};
-  analyzer.set_fanout({{1.0, 1.0}});
-  core::ConfigurationSolver solver{trained_model(), scfg};
-  core::ResourceController controller{trained_model(), solver, analyzer,
-                                      {200.0, 200.0}, {2000.0, 2000.0},
-                                      {500.0, 500.0}};
-  core::GrafController graf{controller, {.slo_ms = 200.0}};
-  EXPECT_EQ(graf.forecast_gate(), nullptr);
-
-  telemetry::MetricsRegistry metrics;
-  graf.set_metrics(&metrics);
-
-  ForecastSpec spec;
-  spec.kind = ForecastKind::kHoltWinters;
-  graf.enable_forecast(spec);
-  ASSERT_NE(graf.forecast_gate(), nullptr);
-
-  // The gate inherited the controller's registry: its instruments are live.
-  for (int t = 0; t < 12; ++t)
-    graf.forecast_gate()->plan_qps({50.0 + 10.0 * t});
-  EXPECT_GT(metrics.counter("forecast.predictions_total").value(), 0.0);
-
-  serve::ForecastHandle handle;
-  graf.set_forecast_handle(&handle);  // must not crash with an empty handle
-  graf.forecast_gate()->plan_qps({200.0});
 }
 
 }  // namespace

@@ -7,11 +7,10 @@
 
 #include "apps/catalog.h"
 #include "core/configuration_solver.h"
-#include "core/graf_controller.h"
 #include "core/latency_predictor.h"
-#include "core/resource_controller.h"
 #include "core/sample_collector.h"
 #include "core/workload_analyzer.h"
+#include "fleet/graf_controller.h"
 #include "telemetry/metrics.h"
 #include "workload/closed_loop.h"
 #include "workload/open_loop.h"
@@ -57,6 +56,21 @@ MiniStack& mini_stack() {
     return st;
   }();
   return stack;
+}
+
+/// The mini stack as GRAF's tenant (1000-mc instance units).
+fleet::TenantSpec mini_spec() {
+  auto& st = mini_stack();
+  fleet::TenantSpec spec;
+  spec.application = st.topo.name;
+  spec.slo_ms = kSlo;
+  spec.model = &st.predictor->model();
+  spec.lo = st.space.lo;
+  spec.hi = st.space.hi;
+  spec.unit.assign(st.topo.service_count(), 1000.0);
+  spec.fanout = st.fanout;
+  spec.training_reference = st.dataset;
+  return spec;
 }
 
 TEST(Integration, SearchSpaceIsReduced) {
@@ -121,14 +135,7 @@ TEST(Integration, TighterSloDeploysMoreCpu) {
 
 TEST(Integration, GrafControllerReactsToWorkloadChange) {
   auto& st = mini_stack();
-  core::ConfigurationSolver solver{st.predictor->model()};
-  core::WorkloadAnalyzer analyzer{1, st.topo.service_count()};
-  analyzer.set_fanout(st.fanout);
-  std::vector<Millicores> units(st.topo.service_count(), 1000.0);
-  core::ResourceController rc{st.predictor->model(), solver, analyzer,
-                              st.space.lo, st.space.hi, units};
-  rc.set_training_reference(st.dataset);
-  core::GrafController graf{rc, {.slo_ms = kSlo, .control_interval = 5.0}};
+  fleet::GrafController graf{mini_spec()};
 
   sim::Cluster cluster = apps::make_cluster(st.topo, {.seed = 109});
   graf.attach(cluster, 400.0);
@@ -140,7 +147,7 @@ TEST(Integration, GrafControllerReactsToWorkloadChange) {
 
   cluster.run_until(110.0);
   const int before = cluster.total_target_instances();
-  EXPECT_GT(graf.solves(), 0u);
+  EXPECT_GT(graf.tenant().plans(), 0u);
   cluster.run_until(200.0);
   const int after = cluster.total_target_instances();
   // More traffic -> the controller planned (weakly) more instances.
@@ -152,14 +159,7 @@ TEST(Integration, GrafControllerReactsToWorkloadChange) {
 
 TEST(Integration, GrafScalesBackDownAfterLoadDrop) {
   auto& st = mini_stack();
-  core::ConfigurationSolver solver{st.predictor->model()};
-  core::WorkloadAnalyzer analyzer{1, st.topo.service_count()};
-  analyzer.set_fanout(st.fanout);
-  std::vector<Millicores> units(st.topo.service_count(), 1000.0);
-  core::ResourceController rc{st.predictor->model(), solver, analyzer,
-                              st.space.lo, st.space.hi, units};
-  rc.set_training_reference(st.dataset);
-  core::GrafController graf{rc, {.slo_ms = kSlo, .control_interval = 5.0}};
+  fleet::GrafController graf{mini_spec()};
 
   sim::Cluster cluster = apps::make_cluster(st.topo, {.seed = 111});
   graf.attach(cluster, 500.0);
@@ -182,13 +182,7 @@ TEST(Integration, GrafReattachKillsStaleTickChain) {
   // attachment's tick chain alive in the event queue, doubling the control
   // cadence (and double-solving) forever after.
   auto& st = mini_stack();
-  core::ConfigurationSolver solver{st.predictor->model()};
-  core::WorkloadAnalyzer analyzer{1, st.topo.service_count()};
-  analyzer.set_fanout(st.fanout);
-  std::vector<Millicores> units(st.topo.service_count(), 1000.0);
-  core::ResourceController rc{st.predictor->model(), solver, analyzer,
-                              st.space.lo, st.space.hi, units};
-  core::GrafController graf{rc, {.slo_ms = kSlo, .control_interval = 5.0}};
+  fleet::GrafController graf{mini_spec()};
 
   sim::Cluster cluster = apps::make_cluster(st.topo, {.seed = 113});
   graf.attach(cluster, 1000.0);
@@ -204,14 +198,7 @@ TEST(Integration, GrafFirstTickPublishesIntervalP99NotCumulativeHistory) {
   // *cumulative* e2e p99 — history from before the controller existed —
   // instead of the p99 of its own first control interval.
   auto& st = mini_stack();
-  core::ConfigurationSolver solver{st.predictor->model()};
-  core::WorkloadAnalyzer analyzer{1, st.topo.service_count()};
-  analyzer.set_fanout(st.fanout);
-  std::vector<Millicores> units(st.topo.service_count(), 1000.0);
-  core::ResourceController rc{st.predictor->model(), solver, analyzer,
-                              st.space.lo, st.space.hi, units};
-  rc.set_training_reference(st.dataset);
-  core::GrafController graf{rc, {.slo_ms = kSlo, .control_interval = 5.0}};
+  fleet::GrafController graf{mini_spec()};
 
   telemetry::MetricsRegistry registry;
   sim::Cluster cluster = apps::make_cluster(st.topo, {.seed = 115});
