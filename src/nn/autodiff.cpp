@@ -304,9 +304,7 @@ Var add_row_broadcast(Var a, std::span<const Var> b) {
     for (std::size_t blk = 0; blk < leaves.size(); ++blk) {
       if (!t.requires_grad(leaves[blk])) continue;
       Tensor& gb = OpAccess::scratch(t);
-      gb.resize_zero(1, g.cols());
-      for (std::size_t i = blk * rows; i < (blk + 1) * rows; ++i)
-        for (std::size_t j = 0; j < g.cols(); ++j) gb(0, j) += g(i, j);
+      col_sum_into(gb, g, blk * rows, rows, nullptr);
       t.accumulate(leaves[blk], gb);
     }
   });
@@ -339,10 +337,7 @@ Var bias_relu(Var a, std::span<const Var> b) {
       // Column sums of the block's masked gradient; scratch is free again
       // because accumulate() copied it. A sum that starts at +0 never
       // becomes -0, so adding the masked +0s keeps its bits.
-      s.resize_zero(1, g.cols());
-      for (std::size_t i = blk * rows; i < (blk + 1) * rows; ++i)
-        for (std::size_t j = 0; j < g.cols(); ++j)
-          s(0, j) += y(i, j) > 0.0 ? g(i, j) : 0.0;
+      col_sum_into(s, g, blk * rows, rows, &y);
       t.accumulate(leaves[blk], s);
     }
   });

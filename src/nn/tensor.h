@@ -131,6 +131,13 @@ void bias_relu_into(Tensor& out, const Tensor& a, const Tensor& bias);
 void matmul_bias_into(Tensor& out, const Tensor& a, const Tensor& b,
                       const Tensor& bias, bool relu);
 
+/// Column sums of g's rows [row0, row0+rows) into out (1 x cols(g)): the
+/// bias gradient of one row block. With a ReLU output y (same shape as g),
+/// each term is y > 0 ? g : +0, the gradient through the ReLU; with y null,
+/// plain g. Every column adds its rows in ascending order from +0.
+void col_sum_into(Tensor& out, const Tensor& g, std::size_t row0, std::size_t rows,
+                  const Tensor* y);
+
 /// The ReLU backward, in place: g = y > 0 ? g : +0 elementwise, with y the
 /// ReLU's output (which is > 0 exactly where its input was). Branch-free, so
 /// random signs cost no mispredictions.

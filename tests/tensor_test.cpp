@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "common/rng.h"
@@ -203,9 +205,9 @@ TEST(Tensor, TransposedVariantsMatchNaiveComposition) {
   for (std::size_t i = 0; i < nt.size(); ++i)
     EXPECT_EQ(nt.data()[i], ref_nt.data()[i]);
 
-  // Every path of the a * b^T kernel: packed full 8-wide strips, in-place
-  // 1..7-wide tails (N mod 8 in {0, 1, 4, 7}), partial and full row tiles,
-  // and K across the 512-deep panel boundary.
+  // Every path of the a * b^T kernel: packed full 8-wide strips, packed
+  // 1..7-wide tails on the edge tile (N mod 8 in {0, 1, 4, 7}), partial and
+  // full row tiles, and K across the 512-deep panel boundary.
   for (const std::size_t m : {1, 2, 7, 8, 9, 17})
     for (const std::size_t n : {1, 4, 7, 8, 9, 12, 15, 16, 17, 20, 23})
       for (const std::size_t k : {1, 24, 513}) {
@@ -218,6 +220,99 @@ TEST(Tensor, TransposedVariantsMatchNaiveComposition) {
           EXPECT_EQ(got.data()[i], want.data()[i])
               << m << "x" << k << " * (" << n << "x" << k << ")^T entry " << i;
       }
+}
+
+/// Bit equality, except that any two NaNs match: which NaN payload an fma
+/// or add returns depends on its operand order, which the compiler picks.
+bool same_value(double x, double y) {
+  return (std::isnan(x) && std::isnan(y)) ||
+         std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+/// Rows [row0, row0+rows) of t as a tensor of their own.
+Tensor row_block(const Tensor& t, std::size_t row0, std::size_t rows) {
+  Tensor out{rows, t.cols()};
+  std::copy_n(t.data() + row0 * t.cols(), rows * t.cols(), out.data());
+  return out;
+}
+
+// The row-range weight gradient against the naive product of the explicit
+// transpose, which has the same ascending-k fma chain and the same a == 0
+// skip: every lane width and column-tile remainder, row ranges that start
+// past row 0, exact +0 and -0 activations, and NaN or ±inf gradients in
+// rows where half the activations are zero. Where a zero activation meets
+// a non-finite gradient the term must be skipped, not multiplied in.
+TEST(Tensor, WeightGradientMatchesNaive) {
+  const std::size_t dims[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 24, 80};
+  const double specials[] = {std::nan(""), std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  Rng rng{127};
+  for (const std::size_t m : dims)
+    for (const std::size_t n : dims)
+      for (const std::size_t rows : {1, 7, 32, 513}) {
+        const std::size_t row0 = rows % 5 + 1;
+        const std::size_t total = row0 + rows + 2;
+        Tensor a = random_tensor(total, m, rng);
+        Tensor g = random_tensor(total, n, rng);
+        for (std::size_t k = 0; k < total; ++k) {
+          for (std::size_t i = 0; i < m; ++i)
+            if (rng.uniform(0.0, 1.0) < 0.3) a(k, i) = rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : -0.0;
+          if (k % 4 != 1) continue;
+          for (std::size_t i = 0; i < m; i += 2) a(k, i) = k % 8 == 1 ? 0.0 : -0.0;
+          g(k, k % n) = specials[k % 3];
+        }
+        Tensor got;
+        matmul_tn_into(got, a, g, row0, rows);
+        const Tensor want = matmul_naive(transpose(row_block(a, row0, rows)),
+                                         row_block(g, row0, rows));
+        ASSERT_TRUE(got.same_shape(want));
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_TRUE(same_value(got.data()[i], want.data()[i]))
+              << m << "x" << n << " rows " << row0 << "+" << rows << " entry " << i
+              << ": " << got.data()[i] << " vs " << want.data()[i];
+      }
+}
+
+// The bias-gradient column sums against the loop the tape ran before:
+// unmasked, and through a ReLU output y with negative, zero and NaN entries
+// (y > 0 fails for NaN, so its term is +0), over row ranges past row 0.
+// Gradients opposite a masked y are non-finite and must not leak in.
+TEST(Tensor, ColSumMatchesLoop) {
+  Rng rng{131};
+  for (const std::size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 80})
+    for (const std::size_t rows : {1, 7, 32}) {
+      const std::size_t row0 = rows % 3 + 1;
+      const std::size_t total = row0 + rows + 1;
+      Tensor g = random_tensor(total, n, rng);
+      Tensor y = random_tensor(total, n, rng);
+      for (std::size_t i = 0; i < y.size(); ++i) {
+        if (i % 7 == 3) y.data()[i] = std::nan("");
+        if (i % 5 == 2) y.data()[i] = 0.0;
+        if (!(y.data()[i] > 0.0) && i % 2 == 0)
+          g.data()[i] = i % 4 == 0 ? std::nan("") : std::numeric_limits<double>::infinity();
+      }
+      Tensor masked_want{1, n};
+      for (std::size_t i = row0; i < row0 + rows; ++i)
+        for (std::size_t j = 0; j < n; ++j) masked_want(0, j) += y(i, j) > 0.0 ? g(i, j) : 0.0;
+      Tensor got;
+      col_sum_into(got, g, row0, rows, &y);
+      ASSERT_TRUE(got.same_shape(masked_want));
+      for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_TRUE(std::isfinite(got(0, j))) << n << " cols, rows " << rows << ", col " << j;
+        EXPECT_TRUE(same_value(got(0, j), masked_want(0, j)))
+            << "masked " << n << " cols, rows " << row0 << "+" << rows << ", col " << j;
+      }
+
+      g = random_tensor(total, n, rng);
+      g(row0, 0) = std::nan("");
+      Tensor plain_want{1, n};
+      for (std::size_t i = row0; i < row0 + rows; ++i)
+        for (std::size_t j = 0; j < n; ++j) plain_want(0, j) += g(i, j);
+      col_sum_into(got, g, row0, rows, nullptr);
+      for (std::size_t j = 0; j < n; ++j)
+        EXPECT_TRUE(same_value(got(0, j), plain_want(0, j)))
+            << "plain " << n << " cols, rows " << row0 << "+" << rows << ", col " << j;
+    }
 }
 
 TEST(Tensor, BiasReluFusionMatchesComposition) {
