@@ -271,21 +271,37 @@ double SurrogateModel::evaluate_loss(const Dataset& data, double theta_under,
 AccuracyReport SurrogateModel::evaluate_accuracy(const Dataset& data,
                                                  double region_lo_ms,
                                                  double region_hi_ms) {
-  AccuracyReport rep;
-  double abs_sum = 0.0;
-  double signed_sum = 0.0;
+  std::vector<const Sample*> kept;
   for (const Sample& s : data) {
     if (s.latency_ms < region_lo_ms || s.latency_ms >= region_hi_ms) continue;
-    const double pred = predict(s.workload, s.quota);
-    const double pct = (pred - s.latency_ms) / std::max(s.latency_ms, 1e-9) * 100.0;
+    if (s.workload.size() != node_count_ || s.quota.size() != node_count_)
+      throw std::invalid_argument{"SurrogateModel::evaluate_accuracy: dimension mismatch"};
+    kept.push_back(&s);
+  }
+  AccuracyReport rep;
+  if (kept.empty()) return rep;
+  // One pass over every kept sample: rows never mix, so row r carries the
+  // bits predict() returns for sample r, and the sums run in sample order.
+  nn::Tensor workload{kept.size(), node_count_};
+  nn::Tensor quota{kept.size(), node_count_};
+  for (std::size_t r = 0; r < kept.size(); ++r)
+    for (std::size_t n = 0; n < node_count_; ++n) {
+      workload(r, n) = kept[r]->workload[n];
+      quota(r, n) = kept[r]->quota[n];
+    }
+  Pass pass{*this, workload};
+  const nn::Tensor& pred = pass.forward(quota);
+  double abs_sum = 0.0;
+  double signed_sum = 0.0;
+  for (std::size_t r = 0; r < kept.size(); ++r) {
+    const double actual = kept[r]->latency_ms;
+    const double pct = (pred(r, 0) - actual) / std::max(actual, 1e-9) * 100.0;
     abs_sum += std::abs(pct);
     signed_sum += pct;
-    ++rep.count;
   }
-  if (rep.count > 0) {
-    rep.mean_abs_pct_error = abs_sum / static_cast<double>(rep.count);
-    rep.mean_pct_error = signed_sum / static_cast<double>(rep.count);
-  }
+  rep.count = kept.size();
+  rep.mean_abs_pct_error = abs_sum / static_cast<double>(rep.count);
+  rep.mean_pct_error = signed_sum / static_cast<double>(rep.count);
   return rep;
 }
 

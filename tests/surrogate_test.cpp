@@ -9,6 +9,7 @@
 // surrogate groups match the per-tenant path bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/catalog.h"
@@ -165,6 +167,36 @@ TEST(SurrogateModel, ScalarPredictMatchesRowBatchedForwardBitwise) {
   for (std::size_t r = 0; r < 3; ++r)
     EXPECT_EQ(vals(r, 0), model.predict(ws[r], qs[r]))
         << "row " << r << ": stacked rows must equal the scalar path bitwise";
+}
+
+// evaluate_accuracy scores every kept sample in one stacked pass; its report
+// must equal the per-sample predict() loop it replaced, bit for bit, with
+// and without a latency region that drops samples.
+TEST(SurrogateModel, AccuracyReportMatchesPerSamplePredictLoop) {
+  gnn::SurrogateModel& model = distilled().model;
+  const gnn::Dataset data = demand_dataset(300, 77);
+  for (const auto& [lo, hi] : {std::pair{0.0, 1e18}, std::pair{60.0, 150.0}}) {
+    double abs_sum = 0.0;
+    double signed_sum = 0.0;
+    std::size_t count = 0;
+    for (const gnn::Sample& s : data) {
+      if (s.latency_ms < lo || s.latency_ms >= hi) continue;
+      const double pct =
+          (model.predict(s.workload, s.quota) - s.latency_ms) / std::max(s.latency_ms, 1e-9) *
+          100.0;
+      abs_sum += std::abs(pct);
+      signed_sum += pct;
+      ++count;
+    }
+    ASSERT_GT(count, 0u);
+    const gnn::AccuracyReport rep = model.evaluate_accuracy(data, lo, hi);
+    EXPECT_EQ(rep.count, count);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rep.mean_abs_pct_error),
+              std::bit_cast<std::uint64_t>(abs_sum / static_cast<double>(count)));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rep.mean_pct_error),
+              std::bit_cast<std::uint64_t>(signed_sum / static_cast<double>(count)));
+  }
+  EXPECT_EQ(model.evaluate_accuracy(data, 1e9, 1e18).count, 0u);
 }
 
 // --- checkpoints + registry -------------------------------------------------
