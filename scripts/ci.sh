@@ -42,10 +42,11 @@ done
 
 # Portable build (plain leg only): the tensor kernels compiled without the
 # host ISA must reproduce the native build's bits, so the golden solver
-# digests and the kernel/serve cases that compare exact values run again in
-# a second build directory at GRAF_NATIVE=OFF. The full suite is not rerun
-# there: without hardware FMA every std::fma is a library call, and the
-# training-heavy suites take tens of minutes.
+# digests, the kernel/serve cases that compare exact values and the training
+# pins (short fits at dropout 0.25; the solver label's teachers train at
+# dropout 0 only) run again in a second build directory at GRAF_NATIVE=OFF.
+# The full suite is not rerun there: without hardware FMA every std::fma is
+# a library call, and the training-heavy suites take tens of minutes.
 if [ "$SANITIZE_FLAG" = OFF ]; then
   PORTABLE_DIR="$BUILD_DIR-portable"
   cmake -B "$PORTABLE_DIR" -S . \
@@ -53,7 +54,7 @@ if [ "$SANITIZE_FLAG" = OFF ]; then
     -DGRAF_NATIVE=OFF
   cmake --build "$PORTABLE_DIR" -j "$(nproc)" --target graf_tests graf_solver_golden_tests
   ctest --test-dir "$PORTABLE_DIR" --output-on-failure -L solver
-  ctest --test-dir "$PORTABLE_DIR" --output-on-failure -R '^(Tensor|ServeFixture)\.'
+  ctest --test-dir "$PORTABLE_DIR" --output-on-failure -R '^(Tensor|ServeFixture|TrainPin)\.'
 fi
 
 # Perf smoke gate (plain leg only: sanitizer overhead would trip any time

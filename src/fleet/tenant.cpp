@@ -139,9 +139,9 @@ void Tenant::prepare() {
     double total = 0.0;
     for (Qps q : pending_qps_) total += q;
     if (!(total > 0.0)) {
-      // Workload signal vanished (telemetry blackout / all-zero push).
-      // Mirror GrafController: hold the last plan instead of solving for a
-      // phantom zero workload that would scale everything to the floor.
+      // Workload signal vanished (telemetry blackout / all-zero push): hold
+      // the last plan instead of solving for a phantom zero workload that
+      // would scale everything to the floor.
       outcome_ = Outcome::kSignalLost;
       return;
     }

@@ -79,7 +79,8 @@ struct TenantSpec {
   /// Optional training-region reference for §3.6 workload rescaling.
   gnn::Dataset training_reference;
   /// Relative per-API workload change that triggers a re-solve; smaller
-  /// deltas coast on the current plan (GrafController's hysteresis band).
+  /// deltas coast on the current plan (the hysteresis band; 0 re-plans
+  /// every tick).
   double change_threshold = 0.10;
   /// Per-tenant plan-cache capacity (LRU entries; 0 disables caching) —
   /// small tenants can run lean while hot tenants keep a deep cache.
@@ -249,7 +250,7 @@ class Tenant {
   std::uint64_t surrogate_fp_generation_ = 0;
   bool surrogate_fp_valid_ = false;
 
-  // Hysteresis / signal-loss state (per-tenant GrafController semantics).
+  // Hysteresis / signal-loss state (prepare()'s coast and hold rules).
   std::vector<Qps> last_solved_qps_;
   bool slo_dirty_ = true;
   bool signal_lost_ = false;
