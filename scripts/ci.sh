@@ -29,7 +29,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # of the three checkpoint decoders), the surrogate group (distilled
 # fast-path planning, §3.14 — solver-in-the-loop distillation and tiered
 # solves carry the same bit-identity contract), and the solver group
-# (golden descent digests on the four paper topologies) again at pinned
+# (golden descent digests on the four paper topologies, and the descent's
+# dead-backward skip against a descent that runs every backward) again at pinned
 # thread counts: these runs must replay bit-identically whether the pool
 # has 1 worker or 8 (DESIGN.md §3.7/§3.8/§3.10/§3.11/§3.13/§3.14
 # determinism contract). Under the sanitizer legs this doubles as the

@@ -36,7 +36,7 @@ std::size_t ConfigurationSolver::pick_winner(std::span<const SolverResult> runs,
 
 ConfigurationSolver::ConfigurationSolver(gnn::LatencyModel& model, SolverConfig cfg)
     : model_{&model}, cfg_{cfg} {
-  if (cfg_.rho <= 0.0) throw std::invalid_argument{"SolverConfig: rho must be > 0"};
+  if (!(cfg_.rho > 0.0)) throw std::invalid_argument{"SolverConfig: rho must be > 0"};
 }
 
 void ConfigurationSolver::set_metrics(telemetry::MetricsRegistry* registry) {
@@ -90,7 +90,7 @@ std::vector<BatchItemResult> ConfigurationSolver::solve_batch(
 std::vector<BatchItemResult> ConfigurationSolver::descend_rows(
     const SolverConfig& cfg, std::span<const BatchItem> items, gnn::QuotaPass& pass,
     const RowScore& score, telemetry::LogHistogram* iter_timer) {
-  if (cfg.rho <= 0.0) throw std::invalid_argument{"SolverConfig: rho must be > 0"};
+  if (!(cfg.rho > 0.0)) throw std::invalid_argument{"SolverConfig: rho must be > 0"};
   const std::size_t n = pass.node_count();
   for (const BatchItem& item : items) {
     if (item.workload.size() != n || item.lo.size() != n || item.hi.size() != n)
@@ -162,6 +162,7 @@ std::vector<BatchItemResult> ConfigurationSolver::descend_rows(
     // the model's gradient second. (qnorm > 0, so that sum is never -0 and
     // equals its accumulation into the zeroed Param::grad.)
     const nn::Tensor& pred = pass.forward(r.value);
+    bool penalty_idle = true;  // every live row under target, its prediction finite
     for (std::size_t row = 0; row < rows; ++row) {
       double sum_q = 0.0;
       for (std::size_t i = 0; i < n; ++i) sum_q += r.value(row, i);
@@ -169,10 +170,22 @@ std::vector<BatchItemResult> ConfigurationSolver::descend_rows(
       const double violation = v > 0.0 ? v : 0.0;
       loss_vals[row] = sum_q * qnorm[row] + violation * cfg.rho;
       dpred(row, 0) = 0.0 + (v > 0.0 ? cfg.rho : 0.0) * inv_target[row];
+      penalty_idle = penalty_idle && (done[row] != 0 || (dpred(row, 0) == 0.0 &&
+                                                         std::isfinite(pred(row, 0))));
     }
-    const nn::Tensor& model_grad = pass.backward(dpred);
-    for (std::size_t row = 0; row < rows; ++row)
-      for (std::size_t i = 0; i < n; ++i) r.grad(row, i) = qnorm[row] + model_grad(row, i);
+    // Then each live row's model gradient is exactly +0 whenever the pass
+    // keeps zero rows zero, and qnorm + (+0) is qnorm: the backward would
+    // change no bit a live row reads. Converged rows' gradients feed only
+    // their own ADAM moments, and their values are re-pinned below.
+    if (penalty_idle && pass.zero_rows_stay_zero()) {
+      for (std::size_t row = 0; row < rows; ++row)
+        for (std::size_t i = 0; i < n; ++i) r.grad(row, i) = qnorm[row];
+    } else {
+      const nn::Tensor& model_grad = pass.backward(dpred);
+      for (std::size_t row = 0; row < rows; ++row)
+        for (std::size_t i = 0; i < n; ++i)
+          r.grad(row, i) = qnorm[row] + model_grad(row, i);
+    }
     adam.step();
     if (cfg.lr_decay_every > 0 && it % cfg.lr_decay_every == 0)
       adam.set_learning_rate(adam.learning_rate() * cfg.lr_decay_factor);

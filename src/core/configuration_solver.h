@@ -115,8 +115,11 @@ class ConfigurationSolver {
   /// from the item's hi bounds, starts k >= 1 from the
   /// derive_seed(multi_start_seed, k) uniform draws in [lo, hi]. All rows
   /// descend through `pass`, which must carry item t's workload on rows
-  /// t*K..t*K+K-1. Each iteration runs one forward and one backward of the
-  /// pass; the loss, its prediction gradient and the quota term's gradient
+  /// t*K..t*K+K-1. Each iteration runs one forward of the pass, and its
+  /// backward unless no live (unconverged) row is over its target and the
+  /// pass keeps zero rows zero (QuotaPass::zero_rows_stay_zero): then every
+  /// live row's quota gradient is qnorm, the bits the backward would give.
+  /// The loss, its prediction gradient and the quota term's gradient
   /// are computed here per row, in the order the autodiff tape used, so the
   /// bits are the tape's. Each row is projected into its item's bounds and
   /// frozen at its final value once converged. Rows are scored by one

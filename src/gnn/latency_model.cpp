@@ -1,6 +1,7 @@
 #include "gnn/latency_model.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <istream>
 #include <limits>
@@ -17,6 +18,11 @@
 namespace graf::gnn {
 
 namespace {
+
+bool all_finite(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v); });
+}
 
 std::vector<std::string> snapshot_names(const Dag& graph) {
   std::vector<std::string> names;
@@ -263,6 +269,10 @@ QuotaPass::QuotaPass(const nn::Tensor& workload_qps, const ScalerState& scalers,
     w_feat_[k] = workload_qps.data()[k] * scalers_.w_scale;
     ratio_[k] = workload_qps.data()[k] / scalers_.ratio_max;
   }
+  const ScalerState& s = scalers_;
+  constants_finite_ = all_finite(std::array{s.w_scale, s.q_scale, s.q_min_mc, s.ratio_max,
+                                            s.label_ref}) &&
+                      all_finite(ratio_);
 }
 
 QuotaPass::~QuotaPass() = default;
@@ -270,6 +280,10 @@ QuotaPass::~QuotaPass() = default;
 std::size_t QuotaPass::rows() const { return rows_; }
 
 std::size_t QuotaPass::node_count() const { return node_count_; }
+
+bool QuotaPass::zero_rows_stay_zero() const {
+  return constants_finite_ && all_finite(q_inv_);
+}
 
 std::size_t QuotaPass::feature_offset(std::size_t r, std::size_t i) const {
   constexpr std::size_t F = LatencyModel::kNodeFeatures;
@@ -318,6 +332,7 @@ LatencyModel::Pass::Pass(LatencyModel& model, const nn::Tensor& workload_qps)
       mpnn_{model.model_} {
   if (workload_qps.cols() != model.node_count())
     throw std::invalid_argument{"LatencyModel::Pass: workload must be R x node_count"};
+  constants_finite_ = constants_finite_ && mpnn_.finite();
 }
 
 const nn::Tensor& LatencyModel::Pass::forward(const nn::Tensor& quota) {

@@ -103,6 +103,18 @@ class QuotaPass {
   /// valid until the next backward().
   virtual const nn::Tensor& backward(const nn::Tensor& dpred) = 0;
 
+  /// Whether backward() returns exactly +0 on every row whose prediction
+  /// gradient is zero and whose last prediction is finite. True when the
+  /// weights, the scalers and the workload's ratio column are finite
+  /// (checked once, when the pass is built) and so is every 1/q of the last
+  /// forward. A zero row then meets only finite factors — label_ref, the
+  /// weights, q_scale, q_min_mc, the ratio column, 1/q and, in
+  /// SurrogateModel::Pass, the row's exp(y), finite with its prediction —
+  /// ReLU masks select, and each quota gradient's last sum adds a zero to
+  /// +0. The descent skips a backward that could only add +0 (DESIGN.md
+  /// §3.9). Virtual so that a pass wrapping another can report the inner's.
+  virtual bool zero_rows_stay_zero() const;
+
  protected:
   /// `workload_qps` is R x n (row r's per-node workload). The four features
   /// of (row r, node i) are written contiguously: at row i·R + r of an
@@ -119,6 +131,9 @@ class QuotaPass {
   const nn::Tensor& quota_grad(const nn::Tensor& gx);
 
   ScalerState scalers_;
+  /// The scalers and the ratio column finite; a derived constructor ANDs in
+  /// its frozen weights (zero_rows_stay_zero()).
+  bool constants_finite_ = false;
 
  private:
   std::size_t feature_offset(std::size_t r, std::size_t i) const;

@@ -175,6 +175,12 @@ MpnnModel::Frozen::Frozen(MpnnModel& model)
   for (nn::Mlp& m : model.gamma_) gamma_.emplace_back(m);
 }
 
+bool MpnnModel::Frozen::finite() const {
+  const auto finite = [](const nn::FrozenMlp& m) { return m.finite(); };
+  return readout_.finite() && std::all_of(phi_.begin(), phi_.end(), finite) &&
+         std::all_of(gamma_.begin(), gamma_.end(), finite);
+}
+
 const nn::Tensor& MpnnModel::Frozen::forward(const nn::Tensor& nodes) {
   const std::size_t n = parents_.size();
   if (nodes.cols() != node_features_ || nodes.rows() % n != 0)

@@ -100,6 +100,11 @@ class MpnnModel::Frozen {
  public:
   explicit Frozen(MpnnModel& model);
 
+  /// Every phi_k, gamma_k and readout weight finite (nn::FrozenMlp::finite):
+  /// then backward() maps a zero row of dy to zero rows of every node's
+  /// features, as the layout steps only copy and add.
+  bool finite() const;
+
   /// (n·R) x node_features node-stacked features -> R x 1 (normalized
   /// latency), valid until the next forward().
   const nn::Tensor& forward(const nn::Tensor& nodes);

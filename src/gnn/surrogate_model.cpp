@@ -223,6 +223,7 @@ SurrogateModel::Pass::Pass(SurrogateModel& model, const nn::Tensor& workload_qps
     : QuotaPass{workload_qps, model.s_, /*node_stacked=*/false}, mlp_{model.mlp_} {
   if (workload_qps.cols() != model.node_count_)
     throw std::invalid_argument{"SurrogateModel::Pass: workload must be R x node_count"};
+  constants_finite_ = constants_finite_ && mlp_.finite();
 }
 
 const nn::Tensor& SurrogateModel::Pass::forward(const nn::Tensor& quota) {

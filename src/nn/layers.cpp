@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -104,6 +105,15 @@ FrozenMlp::FrozenMlp(Mlp& mlp) {
 }
 
 std::size_t FrozenMlp::in_features() const { return layers_.front().w.rows(); }
+
+bool FrozenMlp::finite() const {
+  const auto finite = [](const Tensor& t) {
+    return std::all_of(t.data(), t.data() + t.size(),
+                       [](double v) { return std::isfinite(v); });
+  };
+  return std::all_of(layers_.begin(), layers_.end(),
+                     [&](const Layer& l) { return finite(l.w) && finite(l.b); });
+}
 
 const Tensor& FrozenMlp::forward(const Tensor& x) {
   const Tensor* h = &x;

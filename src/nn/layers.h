@@ -131,6 +131,10 @@ class FrozenMlp {
   explicit FrozenMlp(Mlp& mlp);
 
   std::size_t in_features() const;
+  /// Every W and b finite. Then backward() maps a zero row of dy to a zero
+  /// row (of either sign): each chain multiplies it only by W and the ReLU
+  /// masks select.
+  bool finite() const;
 
   /// x (rows x in) -> rows x out, valid until the next forward().
   const Tensor& forward(const Tensor& x);

@@ -18,16 +18,23 @@
 // surrogates' fingerprints are pinned too, since the distillation rollouts
 // run the same descent.
 //
+// The BackwardSkip cases at the end check the descent's dead-backward skip
+// (DESIGN.md §3.9) against a descent that runs every backward, on the same
+// trained teachers and surrogates.
+//
 // Everything here is a pure function of the seeds, so the digests hold at
 // any GRAF_THREADS and under the sanitizer builds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +46,7 @@
 #include "gnn/batched_latency_model.h"
 #include "gnn/latency_model.h"
 #include "gnn/surrogate_model.h"
+#include "nn/tensor.h"
 #include "telemetry/metrics.h"
 
 namespace graf {
@@ -343,6 +351,317 @@ TEST(SolverGolden, SoloAndFleetGroupSolvesMatchPinnedDigests) {
       }
     }
   }
+}
+
+// ---- The dead-backward skip ------------------------------------------------
+//
+// descend_rows skips the pass's backward on iterations where no live row is
+// over its target and the pass keeps zero rows zero. ProbePass wraps a real
+// pass, records every forward's predictions and the iterations whose
+// backward ran, and reports the inner pass's property, false (the descent
+// then runs every backward, as it did before the skip) or true (the skip
+// without its finiteness guard).
+
+enum class Report { kInner, kNonFinite, kFinite };
+
+class ProbePass final : public gnn::QuotaPass {
+ public:
+  ProbePass(gnn::QuotaPass& inner, const nn::Tensor& workload_rows, Report report)
+      : QuotaPass{workload_rows, {}, /*node_stacked=*/false}, inner_{inner},
+        report_{report} {}
+
+  const nn::Tensor& forward(const nn::Tensor& quota) override {
+    const nn::Tensor& pred = inner_.forward(quota);
+    preds.emplace_back(pred.data(), pred.data() + pred.size());
+    return pred;
+  }
+  const nn::Tensor& backward(const nn::Tensor& dpred) override {
+    backward_at.push_back(preds.size());
+    return inner_.backward(dpred);
+  }
+  bool zero_rows_stay_zero() const override {
+    return report_ == Report::kInner ? inner_.zero_rows_stay_zero()
+                                     : report_ == Report::kFinite;
+  }
+
+  std::vector<std::vector<double>> preds;  // forward f's predictions at f - 1
+  std::vector<std::size_t> backward_at;    // iterations (from 1) whose backward ran
+
+ private:
+  gnn::QuotaPass& inner_;
+  Report report_;
+};
+
+enum class PassKind { kFull, kSurrogate };
+
+struct Probed {
+  std::vector<core::BatchItemResult> results;
+  std::vector<std::vector<double>> preds;
+  std::vector<std::size_t> backward_at;
+};
+
+nn::Tensor workload_rows(std::span<const core::BatchItem> items, std::size_t starts) {
+  const std::size_t n = items.front().workload.size();
+  nn::Tensor rows{items.size() * starts, n};
+  for (std::size_t t = 0; t < items.size(); ++t)
+    for (std::size_t k = 0; k < starts; ++k)
+      for (std::size_t i = 0; i < n; ++i) rows(t * starts + k, i) = items[t].workload[i];
+  return rows;
+}
+
+/// descend_rows through a fresh pass of `kind`, wrapped in a ProbePass.
+Probed probe_descent(gnn::LatencyModel& teacher, gnn::SurrogateModel& surrogate,
+                     PassKind kind, const core::SolverConfig& cfg,
+                     std::span<const core::BatchItem> items, Report report) {
+  const nn::Tensor rows = workload_rows(items, std::max<std::size_t>(1, cfg.multi_starts));
+  Probed out;
+  const auto descend = [&](gnn::QuotaPass& inner) {
+    ProbePass probe{inner, rows, report};
+    out.results = core::ConfigurationSolver::descend_rows(cfg, items, probe);
+    out.preds = std::move(probe.preds);
+    out.backward_at = std::move(probe.backward_at);
+  };
+  if (kind == PassKind::kFull) {
+    gnn::LatencyModel::Pass inner{teacher, rows};
+    descend(inner);
+  } else {
+    gnn::SurrogateModel::Pass inner{surrogate, rows};
+    descend(inner);
+  }
+  return out;
+}
+
+/// Bit patterns of every recorded prediction, in order (NaN-safe equality).
+std::vector<std::uint64_t> bits(const std::vector<std::vector<double>>& preds) {
+  std::vector<std::uint64_t> out;
+  for (const std::vector<double>& forward : preds)
+    for (double v : forward) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+std::string digest_hex(const std::vector<core::BatchItemResult>& items) {
+  std::vector<core::SolverResult> results;
+  std::vector<double> iterations;
+  for (const core::BatchItemResult& r : items) {
+    results.push_back(r.result);
+    iterations.push_back(static_cast<double>(r.total_iterations));
+  }
+  return hex(digest(results, iterations));
+}
+
+/// The iterations a single-start descent must run the backward on: those
+/// where a live row is over its margined target or its prediction is not
+/// finite. Row t is live through its item's last iteration.
+std::vector<std::size_t> needed_backwards(const Probed& p,
+                                          std::span<const core::BatchItem> items,
+                                          const core::SolverConfig& cfg) {
+  std::vector<std::size_t> out;
+  for (std::size_t it = 1; it < p.preds.size(); ++it) {
+    bool needed = false;
+    for (std::size_t t = 0; t < items.size(); ++t) {
+      if (it > p.results[t].result.iterations) continue;
+      const double pred = p.preds[it - 1][t];
+      const double v = pred * (1.0 / (items[t].slo_ms * cfg.slo_margin)) - 1.0;
+      needed = needed || v > 0.0 || !std::isfinite(pred);
+    }
+    if (needed) out.push_back(it);
+  }
+  return out;
+}
+
+/// Descends `items` skipping and running every backward: both must give the
+/// same bits, and at one start the skipping descent's backwards must run on
+/// exactly the needed iterations. Returns the skipping descent.
+Probed expect_skip_is_exact(const AppCase& c, PassKind kind, const core::SolverConfig& cfg,
+                            std::span<const core::BatchItem> items) {
+  Probed skip = probe_descent(*c.teacher, *c.surrogate, kind, cfg, items, Report::kInner);
+  const Probed every =
+      probe_descent(*c.teacher, *c.surrogate, kind, cfg, items, Report::kNonFinite);
+  EXPECT_EQ(digest_hex(skip.results), digest_hex(every.results));
+  EXPECT_EQ(bits(skip.preds), bits(every.preds)) << "every forward's predictions";
+  EXPECT_EQ(every.backward_at.size(), every.preds.size() - 1) << "one per iteration";
+  if (cfg.multi_starts <= 1) {
+    EXPECT_EQ(skip.backward_at, needed_backwards(skip, items, cfg));
+  }
+  return skip;
+}
+
+TEST(BackwardSkip, SkippingDescentMatchesEveryBackward) {
+  std::size_t iterations = 0, skipped = 0;
+  for (const AppCase& c : cases()) {
+    for (PassKind kind : {PassKind::kFull, PassKind::kSurrogate}) {
+      for (std::size_t starts : {1u, 3u}) {
+        SCOPED_TRACE(c.name + (kind == PassKind::kFull ? "/full/" : "/surrogate/") +
+                     std::to_string(starts));
+        const core::SolverConfig cfg = solver_config(starts);
+        std::vector<core::BatchItem> group;
+        for (const auto& w : c.workloads) {
+          const core::BatchItem item{w, c.slo_ms, c.lo, c.hi};
+          group.push_back(item);
+          const Probed solo = expect_skip_is_exact(c, kind, cfg, {&item, 1});
+          iterations += solo.preds.size() - 1;
+          skipped += solo.preds.size() - 1 - solo.backward_at.size();
+        }
+        expect_skip_is_exact(c, kind, cfg, group);
+      }
+    }
+  }
+  // The golden workloads sit under their SLO for most of each descent.
+  EXPECT_GT(skipped, iterations / 2) << skipped << " of " << iterations << " skipped";
+}
+
+// One item is pinned at its hi bounds (lo == hi) under an SLO it cannot
+// reach there: its rows converge over target after `patience` calm steps and
+// stop counting, while the other item descends on and skips again.
+TEST(BackwardSkip, ConvergedRowsOverTargetDoNotBlockTheSkip) {
+  for (const AppCase& c : cases()) {
+    for (PassKind kind : {PassKind::kFull, PassKind::kSurrogate}) {
+      for (std::size_t starts : {1u, 3u}) {
+        SCOPED_TRACE(c.name + (kind == PassKind::kFull ? "/full/" : "/surrogate/") +
+                     std::to_string(starts));
+        const core::SolverConfig cfg = solver_config(starts);
+        const double at_hi = kind == PassKind::kFull
+                                 ? c.teacher->predict(c.workloads[2], c.hi)
+                                 : c.surrogate->predict(c.workloads[2], c.hi);
+        const double unreachable = 0.5 * at_hi;
+        const core::BatchItem items[] = {{c.workloads[2], unreachable, c.hi, c.hi},
+                                         {c.workloads[0], c.slo_ms, c.lo, c.hi}};
+        const Probed p = expect_skip_is_exact(c, kind, cfg, items);
+        const core::SolverResult& stuck = p.results[0].result;
+        const core::SolverResult& free = p.results[1].result;
+        EXPECT_TRUE(stuck.converged);
+        EXPECT_GT(stuck.predicted_ms, unreachable * cfg.slo_margin);
+        EXPECT_LT(stuck.iterations, free.iterations);
+        // Every backward runs while the stuck rows are live, and some are
+        // skipped once they have converged.
+        ASSERT_GE(p.backward_at.size(), stuck.iterations);
+        for (std::size_t it = 1; it <= stuck.iterations; ++it)
+          EXPECT_EQ(p.backward_at[it - 1], it);
+        EXPECT_LT(p.backward_at.size(), p.preds.size() - 1);
+      }
+    }
+  }
+}
+
+// A NaN weight on the q·q_scale input of the first hidden unit: ReLU zeroes
+// the unit in the forward, so predictions stay finite, but its backward sends
+// 0·NaN into every quota gradient. The pass reports it, and the descent runs
+// every backward and keeps every forward's bits; the skip without that guard
+// would not. (The final results may still agree: once a backward runs, the
+// NaN quotas it leaves absorb both trajectories.)
+TEST(BackwardSkip, NonFiniteWeightRunsEveryBackward) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const AppCase& c : cases()) {
+    SCOPED_TRACE(c.name);
+    gnn::LatencyModel teacher = c.teacher->clone();
+    gnn::SurrogateModel surrogate = c.surrogate->clone();
+    std::vector<nn::Tensor> teacher_state = teacher.state_dict();
+    std::vector<nn::Tensor> surrogate_state = surrogate.state_dict();
+    ASSERT_EQ(teacher_state.front().rows(), gnn::LatencyModel::kNodeFeatures);
+    teacher_state.front()(1, 0) = nan;
+    surrogate_state.front()(1, 0) = nan;
+    teacher.load_state_dict(teacher_state);
+    surrogate.load_state_dict(surrogate_state);
+
+    for (PassKind kind : {PassKind::kFull, PassKind::kSurrogate}) {
+      SCOPED_TRACE(kind == PassKind::kFull ? "full" : "surrogate");
+      const core::SolverConfig cfg = solver_config(1);
+      const core::BatchItem item{c.workloads[0], c.slo_ms, c.lo, c.hi};
+      const auto descend = [&](Report report) {
+        return probe_descent(teacher, surrogate, kind, cfg, {&item, 1}, report);
+      };
+      const Probed skip = descend(Report::kInner);
+      const Probed every = descend(Report::kNonFinite);
+      const Probed unguarded = descend(Report::kFinite);
+      ASSERT_TRUE(std::isfinite(skip.preds.front().front())) << "ReLU must hide the NaN";
+      EXPECT_EQ(skip.backward_at.size(), skip.preds.size() - 1);
+      EXPECT_EQ(digest_hex(skip.results), digest_hex(every.results));
+      EXPECT_EQ(bits(skip.preds), bits(every.preds));
+      EXPECT_NE(bits(unguarded.preds), bits(every.preds));
+    }
+  }
+}
+
+// A surrogate whose readout overflows exp() at label_ref 0 predicts NaN
+// (inf·0) with finite weights and scalers: the penalty's v is NaN, so dpred
+// is +0, but the backward multiplies by that row's exp(y) = inf. The finite
+// prediction rule runs every backward and keeps the bits.
+TEST(BackwardSkip, NonFinitePredictionRunsEveryBackward) {
+  const AppCase& c = cases().front();
+  gnn::SurrogateModel surrogate = c.surrogate->clone();
+  std::vector<nn::Tensor> state = surrogate.state_dict();
+  state.back()(0, 0) = 1000.0;  // output bias: exp(y) overflows
+  surrogate.load_state_dict(state);
+  gnn::ScalerState scalers = surrogate.scalers();
+  scalers.label_ref = 0.0;
+  surrogate.set_scalers(scalers);
+
+  const core::SolverConfig cfg = solver_config(1);
+  const core::BatchItem item{c.workloads[0], c.slo_ms, c.lo, c.hi};
+  const auto descend = [&](Report report) {
+    return probe_descent(*c.teacher, surrogate, PassKind::kSurrogate, cfg, {&item, 1}, report);
+  };
+  const Probed skip = descend(Report::kInner);
+  const Probed every = descend(Report::kNonFinite);
+  ASSERT_TRUE(std::isnan(skip.preds.front().front()));
+  EXPECT_EQ(skip.backward_at.size(), skip.preds.size() - 1);
+  EXPECT_EQ(digest_hex(skip.results), digest_hex(every.results));
+}
+
+// The property itself, on real passes: true for a finite model and quotas,
+// with zero-gradient rows coming back as exactly +0 beside a nonzero row;
+// false once a weight, a workload or a 1/q is not finite.
+TEST(BackwardSkip, PassReportsWhetherZeroRowsStayZero) {
+  const AppCase& c = cases().front();
+  const std::size_t n = c.n;
+  nn::Tensor workload{2, n};
+  nn::Tensor quota{2, n};
+  for (std::size_t i = 0; i < n; ++i) {
+    workload(0, i) = c.workloads[0][i];
+    workload(1, i) = c.workloads[1][i];
+    quota(0, i) = 700.0;
+    quota(1, i) = 1300.0;
+  }
+  const nn::Tensor dpred{{0.0}, {0.25}};
+  const auto check = [&](gnn::QuotaPass& pass) {
+    pass.forward(quota);
+    EXPECT_TRUE(pass.zero_rows_stay_zero());
+    const nn::Tensor& g = pass.backward(dpred);
+    double live = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(g(0, i)), 0u) << "node " << i;
+      live = std::max(live, std::abs(g(1, i)));
+    }
+    EXPECT_GT(live, 0.0) << "the nonzero row's gradient";
+    nn::Tensor tiny = quota;
+    tiny(1, 0) = 1e-310;  // 1/q overflows
+    pass.forward(tiny);
+    EXPECT_FALSE(pass.zero_rows_stay_zero());
+    pass.forward(quota);
+    EXPECT_TRUE(pass.zero_rows_stay_zero());
+  };
+  {
+    gnn::LatencyModel::Pass pass{*c.teacher, workload};
+    check(pass);
+  }
+  {
+    gnn::SurrogateModel::Pass pass{*c.surrogate, workload};
+    check(pass);
+  }
+
+  nn::Tensor unbounded = workload;
+  unbounded(0, 0) = std::numeric_limits<double>::infinity();
+  gnn::LatencyModel::Pass inf_workload{*c.teacher, unbounded};
+  inf_workload.forward(quota);
+  EXPECT_FALSE(inf_workload.zero_rows_stay_zero());
+
+  gnn::SurrogateModel poisoned = c.surrogate->clone();
+  std::vector<nn::Tensor> state = poisoned.state_dict();
+  state[state.size() - 2](0, 0) = std::numeric_limits<double>::quiet_NaN();  // last layer W
+  poisoned.load_state_dict(state);
+  gnn::SurrogateModel::Pass nan_weight{poisoned, workload};
+  nan_weight.forward(quota);
+  EXPECT_FALSE(nan_weight.zero_rows_stay_zero());
 }
 
 }  // namespace
