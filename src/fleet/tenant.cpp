@@ -9,8 +9,8 @@
 namespace graf::fleet {
 
 void Tenant::validate(const TenantSpec& spec) {
-  const auto reject = [](const std::string& what) {
-    throw std::invalid_argument("fleet: TenantSpec." + what);
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string{"fleet: TenantSpec."} + what);
   };
   if (spec.model == nullptr) reject("model is required");
   if (spec.fanout.empty()) reject("fanout is required");
@@ -23,9 +23,9 @@ void Tenant::validate(const TenantSpec& spec) {
   if (!(std::isfinite(spec.slo_ms) && spec.slo_ms > 0.0))
     reject("slo_ms must be finite and positive");
   for (std::size_t i = 0; i < services; ++i) {
-    if (!(std::isfinite(spec.lo[i]) && std::isfinite(spec.hi[i]) &&
+    if (!(std::isfinite(spec.lo[i]) && std::isfinite(spec.hi[i]) && spec.lo[i] > 0.0 &&
           spec.lo[i] <= spec.hi[i]))
-      reject("lo/hi must be finite with lo <= hi");
+      reject("lo/hi must be finite with 0 < lo <= hi");
     if (!(std::isfinite(spec.unit[i]) && spec.unit[i] > 0.0))
       reject("unit must be finite and positive");
   }
@@ -35,6 +35,16 @@ void Tenant::validate(const TenantSpec& spec) {
         reject("fanout must be finite and non-negative");
   if (!(std::isfinite(spec.change_threshold) && spec.change_threshold >= 0.0))
     reject("change_threshold must be finite and non-negative");
+  // The descent's step, penalty and margined target: NaN or zero in any of
+  // them degrades every plan, so each solver the tenant runs is checked.
+  const auto descends = [](const core::SolverConfig& c) {
+    return std::isfinite(c.rho) && c.rho > 0.0 && std::isfinite(c.slo_margin) &&
+           c.slo_margin > 0.0 && std::isfinite(c.lr_mc) && c.lr_mc > 0.0;
+  };
+  if (!descends(spec.solver) ||
+      (spec.surrogate.enabled && !descends(spec.surrogate.planner.solver)))
+    reject("solver (and surrogate.planner.solver): rho, slo_margin and lr_mc must be "
+           "finite and positive");
   // The online trainer's drift baseline: NaN would disable drift detection.
   if (!std::isfinite(spec.meta.val_error_pct))
     reject("meta.val_error_pct must be finite");

@@ -112,8 +112,10 @@ class Tenant {
 
   /// Throws std::invalid_argument unless `spec` is admissible: a model, a
   /// fan-out and per-service bounds of the model's size; a finite positive
-  /// SLO and units; finite bounds with lo <= hi; finite non-negative
-  /// fan-out entries and change threshold; a finite meta.val_error_pct.
+  /// SLO and units; finite bounds with 0 < lo <= hi; finite non-negative
+  /// fan-out entries and change threshold; a finite meta.val_error_pct;
+  /// finite positive rho, slo_margin and lr_mc in solver, and in
+  /// surrogate.planner.solver when the surrogate tier is on.
   static void validate(const TenantSpec& spec);
   ~Tenant();
 

@@ -973,7 +973,8 @@ TEST(FleetServer, RejectedAdmissionLeavesNoHandleOrSlotBehind) {
   // A spec that could never plan is rejected before registry.publish: it
   // publishes no version under its key and claims no slot. Each of these
   // was once admitted and then degraded, or reached undefined behaviour
-  // (a NaN SLO in the model key's integer cast, a zero unit in Eq. 7).
+  // (a NaN SLO in the model key's integer cast, a zero unit in Eq. 7); a
+  // zero rho was rejected only by the solver, after v1 was published.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::pair<const char*, void (*)(TenantSpec&, double)> broken[] = {
       {"NaN slo", [](TenantSpec& s, double n) { s.slo_ms = n; }},
@@ -986,6 +987,15 @@ TEST(FleetServer, RejectedAdmissionLeavesNoHandleOrSlotBehind) {
        [](TenantSpec& s, double) { s.change_threshold = -1.0; }},
       {"NaN validation error",
        [](TenantSpec& s, double n) { s.meta.val_error_pct = n; }},
+      {"zero lo", [](TenantSpec& s, double) { s.lo[0] = 0.0; }},
+      {"zero rho", [](TenantSpec& s, double) { s.solver.rho = 0.0; }},
+      {"NaN margin", [](TenantSpec& s, double n) { s.solver.slo_margin = n; }},
+      {"NaN lr", [](TenantSpec& s, double n) { s.solver.lr_mc = n; }},
+      {"NaN surrogate rho",
+       [](TenantSpec& s, double n) {
+         s.surrogate.enabled = true;
+         s.surrogate.planner.solver.rho = n;
+       }},
   };
   const serve::ModelKey bad_key{"bad-app", 250.0};
   for (const auto& [what, breaks] : broken) {
