@@ -11,6 +11,8 @@
 #include <chrono>
 #include <cstdint>
 
+#include "apps/catalog.h"
+#include "apps/topology.h"
 #include "bench_common.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -91,6 +93,41 @@ void BM_SolverFullRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolverFullRun)->Arg(100)->Arg(500);
+
+// One frozen MPNN forward (gnn::LatencyModel::Pass) over R quota rows, the
+// pass every descent iteration runs, at the end-to-end benchmark's model
+// size (embed 8, hidden 8, readout 24) on Online Boutique.
+void BM_FrozenPassForward(benchmark::State& state) {
+  const apps::Topology topo = apps::online_boutique();
+  static gnn::LatencyModel model = [&] {
+    gnn::MpnnConfig cfg;
+    cfg.embed_dim = 8;
+    cfg.mpnn_hidden = 8;
+    cfg.readout_hidden = 24;
+    cfg.dropout_p = 0.0;
+    gnn::LatencyModel m{apps::make_dag(topo), cfg, 3};
+    gnn::TrainConfig tc;
+    tc.iterations = 50;
+    tc.batch_size = 64;
+    tc.eval_every = 0;
+    m.fit(tiny_dataset(topo.service_count(), 512), {}, tc);
+    return m;
+  }();
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = topo.service_count();
+  nn::Tensor workload{rows, n};
+  nn::Tensor quota{rows, n};
+  Rng rng{5};
+  for (std::size_t e = 0; e < rows * n; ++e) {
+    workload.data()[e] = rng.uniform(10.0, 100.0);
+    quota.data()[e] = rng.uniform(300.0, 2000.0);
+  }
+  gnn::LatencyModel::Pass pass{model, workload};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pass.forward(quota).data());
+  }
+}
+BENCHMARK(BM_FrozenPassForward)->Arg(1)->Arg(2)->Arg(8);
 
 // Throughput benches report events/s against *wall clock* measured around
 // the run itself. benchmark::Counter's kIsRate flags divide by accumulated

@@ -56,6 +56,18 @@ if [ "$SANITIZE_FLAG" = OFF ]; then
   cmake --build "$PORTABLE_DIR" -j "$(nproc)" --target graf_tests graf_solver_golden_tests
   ctest --test-dir "$PORTABLE_DIR" --output-on-failure -L solver
   ctest --test-dir "$PORTABLE_DIR" --output-on-failure -R '^(Tensor|ServeFixture|TrainPin)\.'
+
+  # The same cases on the AVX2 tier (two 4-wide vectors per 8-column strip):
+  # the host has AVX-512, so neither build above compiles it. The explicit
+  # -ffp-contract=off keeps every other file from fusing, as in the tensor
+  # kernels' own options.
+  AVX2_DIR="$BUILD_DIR-avx2"
+  cmake -B "$AVX2_DIR" -S . \
+    -DCMAKE_CXX_FLAGS='-Werror -mavx2 -mfma -ffp-contract=off' \
+    -DGRAF_NATIVE=OFF
+  cmake --build "$AVX2_DIR" -j "$(nproc)" --target graf_tests graf_solver_golden_tests
+  ctest --test-dir "$AVX2_DIR" --output-on-failure -L solver
+  ctest --test-dir "$AVX2_DIR" --output-on-failure -R '^(Tensor|ServeFixture|TrainPin)\.'
 fi
 
 # Perf smoke gate (plain leg only: sanitizer overhead would trip any time

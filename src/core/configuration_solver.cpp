@@ -96,9 +96,12 @@ std::vector<BatchItemResult> ConfigurationSolver::descend_rows(
     if (item.workload.size() != n || item.lo.size() != n || item.hi.size() != n)
       throw std::invalid_argument{"solve: dimension mismatch"};
     if (!(item.slo_ms > 0.0)) throw std::invalid_argument{"solve: slo must be > 0"};
+    // NaN fails every comparison, so the check passes only finite bounds
+    // with 0 < lo <= hi, and a lo whose 1/q feature is finite.
     for (std::size_t i = 0; i < n; ++i)
-      if (!(item.lo[i] > 0.0) || item.lo[i] > item.hi[i])
-        throw std::invalid_argument{"solve: need 0 < lo <= hi"};
+      if (!(item.lo[i] > 0.0 && item.lo[i] <= item.hi[i] && std::isfinite(item.hi[i]) &&
+            std::isfinite(1.0 / item.lo[i])))
+        throw std::invalid_argument{"solve: need finite 0 < lo <= hi with 1/lo finite"};
   }
   if (items.empty()) return {};
 

@@ -24,8 +24,8 @@ void Tenant::validate(const TenantSpec& spec) {
     reject("slo_ms must be finite and positive");
   for (std::size_t i = 0; i < services; ++i) {
     if (!(std::isfinite(spec.lo[i]) && std::isfinite(spec.hi[i]) && spec.lo[i] > 0.0 &&
-          spec.lo[i] <= spec.hi[i]))
-      reject("lo/hi must be finite with 0 < lo <= hi");
+          spec.lo[i] <= spec.hi[i] && std::isfinite(1.0 / spec.lo[i])))
+      reject("lo/hi must be finite with 0 < lo <= hi and 1/lo finite");
     if (!(std::isfinite(spec.unit[i]) && spec.unit[i] > 0.0))
       reject("unit must be finite and positive");
   }

@@ -17,56 +17,60 @@ std::vector<std::vector<int>> snapshot_parents(const Dag& g) {
 }
 
 // ---- Frozen-forward layout helpers: the arithmetic of the tape ops they
-// stand in for (nn::sum_row_blocks, concat_cols, row_blocks_to_cols).
+// stand in for (nn::sum_row_blocks, concat_cols, row_blocks_to_cols). A
+// block is `rows` consecutive rows; `parents` index blocks of the messages.
 
-// Block i of dst is the left-to-right sum of src's blocks parents[i], or a
-// zero block when node i has no parents.
-void sum_parent_blocks(nn::Tensor& dst, const nn::Tensor& src,
-                       const std::vector<std::vector<int>>& parents) {
-  const std::size_t len = src.size() / parents.size();
-  dst.resize_zero(src.rows(), src.cols());
-  for (std::size_t i = 0; i < parents.size(); ++i) {
-    if (parents[i].empty()) continue;
-    double* out = dst.data() + i * len;
-    std::copy_n(src.data() + static_cast<std::size_t>(parents[i].front()) * len, len, out);
-    for (std::size_t p = 1; p < parents[i].size(); ++p) {
-      const double* add = src.data() + static_cast<std::size_t>(parents[i][p]) * len;
-      for (std::size_t e = 0; e < len; ++e) out[e] = out[e] + add[e];
-    }
-  }
-}
-
-// The gradient of sum_parent_blocks: block i's gradient reaches each of its
-// parents' blocks for i descending, the first arrival copied and later ones
-// added — the order the tape's reverse walk delivers it.
-void gather_parent_grads(nn::Tensor& dst, const nn::Tensor& g,
-                         const std::vector<std::vector<int>>& parents,
-                         std::vector<char>& seen) {
-  const std::size_t len = g.size() / parents.size();
-  dst.resize_zero(g.rows(), g.cols());
-  seen.assign(parents.size(), 0);
-  for (std::size_t i = parents.size(); i-- > 0;) {
-    const double* gi = g.data() + i * len;
-    for (int src : parents[i]) {
-      const auto j = static_cast<std::size_t>(src);
-      double* out = dst.data() + j * len;
-      if (seen[j] == 0) {
-        std::copy_n(gi, len, out);
-        seen[j] = 1;
-      } else {
-        for (std::size_t e = 0; e < len; ++e) out[e] += gi[e];
+// dst = [h | agg]: agg's block i is the left-to-right sum of msg's blocks
+// parents[i], or a zero block when node i has no parents.
+void concat_parent_sums(nn::Tensor& dst, const nn::Tensor& h, const nn::Tensor& msg,
+                        const std::vector<std::vector<int>>& parents, std::size_t rows) {
+  const std::size_t f = h.cols();
+  const std::size_t e = msg.cols();
+  dst.resize_for_overwrite(h.rows(), f + e);
+  for (std::size_t i = 0; i < parents.size(); ++i)
+    for (std::size_t r = 0; r < rows; ++r) {
+      double* out = dst.data() + (i * rows + r) * (f + e);
+      std::copy_n(h.data() + (i * rows + r) * f, f, out);
+      double* agg = out + f;
+      const auto msg_row = [&](int b) {
+        return msg.data() + (static_cast<std::size_t>(b) * rows + r) * e;
+      };
+      if (parents[i].empty()) {
+        std::fill_n(agg, e, 0.0);
+        continue;
+      }
+      std::copy_n(msg_row(parents[i].front()), e, agg);
+      for (std::size_t p = 1; p < parents[i].size(); ++p) {
+        const double* add = msg_row(parents[i][p]);
+        for (std::size_t c = 0; c < e; ++c) agg[c] = agg[c] + add[c];
       }
     }
-  }
 }
 
-// dst = [a | b] (equal row counts).
-void concat(nn::Tensor& dst, const nn::Tensor& a, const nn::Tensor& b) {
-  dst.resize_zero(a.rows(), a.cols() + b.cols());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    double* out = dst.data() + r * dst.cols();
-    std::copy_n(a.data() + r * a.cols(), a.cols(), out);
-    std::copy_n(b.data() + r * b.cols(), b.cols(), out + a.cols());
+// The gradient of the parent sums, from the agg columns [f, cols) of g:
+// block i's gradient reaches each of its parents' `blocks` for i
+// descending, the first arrival copied and later ones added — the order the
+// tape's reverse walk delivers it. A block no node lists stays zero.
+void gather_parent_grads(nn::Tensor& dst, const nn::Tensor& g, std::size_t f,
+                         const std::vector<std::vector<int>>& parents, std::size_t blocks,
+                         std::vector<char>& seen) {
+  const std::size_t rows = g.rows() / parents.size();
+  const std::size_t e = g.cols() - f;
+  dst.resize_zero(blocks * rows, e);
+  seen.assign(blocks, 0);
+  for (std::size_t i = parents.size(); i-- > 0;) {
+    for (int src : parents[i]) {
+      const auto j = static_cast<std::size_t>(src);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double* gi = g.data() + (i * rows + r) * g.cols() + f;
+        double* out = dst.data() + (j * rows + r) * e;
+        if (seen[j] == 0)
+          std::copy_n(gi, e, out);
+        else
+          for (std::size_t c = 0; c < e; ++c) out[c] += gi[c];
+      }
+      seen[j] = 1;
+    }
   }
 }
 
@@ -169,10 +173,24 @@ void MpnnModel::collect_params(std::vector<nn::Param*>& out) {
 }
 
 MpnnModel::Frozen::Frozen(MpnnModel& model)
-    : parents_{model.parents_}, node_features_{model.cfg_.node_features},
-      readout_{model.readout_} {
+    : parents_{model.parents_}, slot_(model.parents_.size(), -1),
+      node_features_{model.cfg_.node_features}, readout_{model.readout_} {
   for (nn::Mlp& m : model.phi_) phi_.emplace_back(m);
   for (nn::Mlp& m : model.gamma_) gamma_.emplace_back(m);
+  // A non-finite phi weight can turn the tape's zero gradient rows through
+  // phi_k into NaN, so then every node runs it.
+  const bool every = !std::all_of(phi_.begin(), phi_.end(),
+                                  [](const nn::FrozenMlp& m) { return m.finite(); });
+  // slot_ first marks each sender with 0, then numbers them in node order.
+  for (const auto& ps : parents_)
+    for (int p : ps) slot_[static_cast<std::size_t>(p)] = 0;
+  for (std::size_t j = 0; j < slot_.size(); ++j)
+    if (every || slot_[j] == 0) {
+      slot_[j] = static_cast<int>(senders_.size());
+      senders_.push_back(j);
+    }
+  for (auto& ps : parents_)
+    for (int& p : ps) p = slot_[static_cast<std::size_t>(p)];
 }
 
 bool MpnnModel::Frozen::finite() const {
@@ -185,10 +203,18 @@ const nn::Tensor& MpnnModel::Frozen::forward(const nn::Tensor& nodes) {
   const std::size_t n = parents_.size();
   if (nodes.cols() != node_features_ || nodes.rows() % n != 0)
     throw std::invalid_argument{"MpnnModel::Frozen::forward: expected (n·R) x node_features"};
+  const std::size_t rows = nodes.rows() / n;
   const nn::Tensor* h = &nodes;
   for (std::size_t k = 0; k < phi_.size(); ++k) {
-    sum_parent_blocks(agg_, phi_[k].forward(*h), parents_);
-    concat(both_, *h, agg_);
+    const nn::Tensor* in = h;
+    if (senders_.size() < n) {
+      const std::size_t len = rows * h->cols();
+      sender_in_.resize_for_overwrite(senders_.size() * rows, h->cols());
+      for (std::size_t b = 0; b < senders_.size(); ++b)
+        std::copy_n(h->data() + senders_[b] * len, len, sender_in_.data() + b * len);
+      in = &sender_in_;
+    }
+    concat_parent_sums(both_, *h, phi_[k].forward(*in), parents_, rows);
     h = &gamma_[k].forward(both_);
   }
   rows_to_cols(readout_in_, *h, n);
@@ -198,23 +224,27 @@ const nn::Tensor& MpnnModel::Frozen::forward(const nn::Tensor& nodes) {
 const nn::Tensor& MpnnModel::Frozen::backward(const nn::Tensor& dy) {
   const std::size_t n = parents_.size();
   cols_to_rows(grad_h_, readout_.backward(dy), n);
+  const std::size_t rows = grad_h_.rows() / n;
   for (std::size_t k = phi_.size(); k-- > 0;) {
-    // grad_h_ is d/d(gamma_k's output); split d/d[h | agg] into its halves.
+    // grad_h_ is d/d(gamma_k's output); g_both is d/d[h | agg].
     const nn::Tensor& g_both = gamma_[k].backward(grad_h_);
     const std::size_t f = phi_[k].in_features();
-    const std::size_t e = g_both.cols() - f;
-    grad_in_.resize_zero(g_both.rows(), f);
-    grad_agg_.resize_zero(g_both.rows(), e);
-    for (std::size_t r = 0; r < g_both.rows(); ++r) {
-      const double* row = g_both.data() + r * g_both.cols();
-      std::copy_n(row, f, grad_in_.data() + r * f);
-      std::copy_n(row + f, e, grad_agg_.data() + r * e);
-    }
-    gather_parent_grads(grad_msg_, grad_agg_, parents_, seen_);
-    // h's gradient: the concat slice first, phi_k's input gradient second.
+    gather_parent_grads(grad_msg_, g_both, f, parents_, senders_.size(), seen_);
+    // h's gradient: the concat slice first, phi_k's input gradient second
+    // (+0 for a node that sends no message).
     const nn::Tensor& g_phi = phi_[k].backward(grad_msg_);
-    for (std::size_t i = 0; i < grad_in_.size(); ++i)
-      grad_in_.data()[i] = grad_in_.data()[i] + g_phi.data()[i];
+    grad_in_.resize_for_overwrite(g_both.rows(), f);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double* slice = g_both.data() + (i * rows + r) * g_both.cols();
+        double* out = grad_in_.data() + (i * rows + r) * f;
+        if (slot_[i] < 0) {
+          for (std::size_t c = 0; c < f; ++c) out[c] = slice[c] + 0.0;
+          continue;
+        }
+        const double* msg = g_phi.data() + (static_cast<std::size_t>(slot_[i]) * rows + r) * f;
+        for (std::size_t c = 0; c < f; ++c) out[c] = slice[c] + msg[c];
+      }
     std::swap(grad_h_, grad_in_);
   }
   return grad_h_;

@@ -91,11 +91,20 @@ class MpnnModel : public nn::Module {
 /// The eval-mode forward over node-stacked rows with the weights frozen:
 /// every phi_k, gamma_k and the readout as an nn::FrozenMlp, the parent
 /// sums, concat and readout layout done in place. backward() returns the
-/// node features' gradient. Both are bit-identical to the tape: where an
-/// embedding h feeds both gamma_k (through the concat) and phi_k, its
-/// gradient is the concat slice plus phi_k's input gradient, and the parent
-/// sums' gradient is gathered for node blocks in descending order, as the
-/// tape's reverse walk delivers them.
+/// node features' gradient. Both are bit-identical to the tape (DESIGN.md
+/// §3.2):
+/// - phi_k runs only over the senders' row blocks (the nodes some node
+///   lists as a parent), gathered in node order into one compact block.
+///   Rows never mix, so their messages equal the tape's, and the tape's
+///   messages of the other nodes are never read. The parent sums are
+///   written straight into gamma_k's input [h | agg].
+/// - Where an embedding h feeds both gamma_k (through the concat) and
+///   phi_k, its gradient is the concat slice plus phi_k's input gradient.
+///   The tape sends a non-sender's zero gradient rows through phi_k, which
+///   with finite phi weights come back as +0, so its gradient is the slice
+///   plus 0.0. If a phi weight is not finite, every node counts as a sender.
+/// - The parent sums' gradient is gathered for node blocks in descending
+///   order, as the tape's reverse walk delivers them.
 class MpnnModel::Frozen {
  public:
   explicit Frozen(MpnnModel& model);
@@ -113,13 +122,17 @@ class MpnnModel::Frozen {
   const nn::Tensor& backward(const nn::Tensor& dy);
 
  private:
+  // Node i's parents as sender blocks: block b holds node senders_[b]'s
+  // rows, and slot_[j] is node j's block, or -1 for a node that sends none.
   std::vector<std::vector<int>> parents_;
+  std::vector<int> slot_;
+  std::vector<std::size_t> senders_;
   std::size_t node_features_;
   std::vector<nn::FrozenMlp> phi_;
   std::vector<nn::FrozenMlp> gamma_;
   nn::FrozenMlp readout_;
-  nn::Tensor agg_, both_, readout_in_;  // forward scratch
-  nn::Tensor grad_h_, grad_in_, grad_agg_, grad_msg_;  // backward scratch
+  nn::Tensor sender_in_, both_, readout_in_;  // forward scratch
+  nn::Tensor grad_h_, grad_in_, grad_msg_;  // backward scratch
   std::vector<char> seen_;
 };
 

@@ -337,8 +337,8 @@ Dataset SurrogateDistiller::sample_teacher(LatencyModel& teacher,
   if (workload_hi.size() != n || lo.size() != n || hi.size() != n)
     throw std::invalid_argument{"sample_teacher: dimension mismatch"};
   for (std::size_t i = 0; i < n; ++i) {
-    if (!(lo[i] > 0.0) || hi[i] < lo[i])
-      throw std::invalid_argument{"sample_teacher: need 0 < lo <= hi"};
+    if (!(lo[i] > 0.0 && lo[i] <= hi[i] && std::isfinite(hi[i])))
+      throw std::invalid_argument{"sample_teacher: need finite 0 < lo <= hi"};
     if (workload_hi[i] < 0.0)
       throw std::invalid_argument{"sample_teacher: workload_hi must be >= 0"};
   }

@@ -15,22 +15,38 @@ namespace {
 
 // ---- Blocked GEMM microkernel (DESIGN.md §3.9) ------------------------------
 //
-// Register tile: up to kMR rows of A against a kNR-column strip of B
-// (8 doubles = one AVX-512 / two AVX2 vectors). kKC bounds the k-panel per
-// pass. Each tile *continues* the chain by loading C into its accumulators
-// (C is zeroed before the first panel), so even K > kKC keeps every output
-// element a single ascending-k accumulation chain.
+// Register tile: H rows of A against S column strips of B, each strip kNR
+// columns wide (8 doubles = one AVX-512 / two AVX2 vectors) and the last
+// one w <= kNR wide. kKC bounds the k-panel per pass. A tile's first panel
+// starts its accumulators at +0; a later panel (K > kKC) *continues* the
+// chain by loading C, so every output element is a single ascending-k
+// accumulation chain and `out` needs no zero fill.
 //
-// Determinism: every kernel variant — vectorized full-width tiles, masked
-// or scalar edge tiles, packed or unpacked B — computes the exact same per-element
-// chain acc = fma(a_ik, b_kj, acc) over ascending k (std::fma and the SIMD
-// fmadd lanes are the same correctly-rounded IEEE operation). Nothing in
-// the per-element arithmetic depends on M (row count), so batched K-row
-// forwards are bitwise equal, row for row, to 1-row forwards, and results
-// never depend on the thread count (the kernels are single-threaded).
-constexpr std::size_t kMR = 8;
+// Determinism: every kernel variant — any H x S tile, masked or scalar edge
+// strips, packed or unpacked B — computes the exact same per-element chain
+// acc = fma(a_ik, b_kj, acc) over ascending k from +0 (std::fma and the
+// SIMD fmadd lanes are the same correctly-rounded IEEE operation). Nothing
+// in the per-element arithmetic depends on M (row count) or on the tile
+// shape, so batched K-row forwards are bitwise equal, row for row, to 1-row
+// forwards, and results never depend on the thread count (the kernels are
+// single-threaded).
 constexpr std::size_t kNR = 8;
 constexpr std::size_t kKC = 512;
+// Tile shapes (tile_shape below): a single-strip product runs tiles of up
+// to kMaxRows rows, a wider one up to kMaxAcc accumulators over at most
+// kMaxStrips strips at once. The AVX2 and scalar tiers keep one strip of up
+// to 8 rows.
+#if defined(__AVX512F__)
+constexpr std::size_t kMaxRows = 16;
+constexpr std::size_t kMaxStrips = 4;
+constexpr std::size_t kMaxAcc = 24;
+#else
+constexpr std::size_t kMaxRows = 8;
+constexpr std::size_t kMaxStrips = 1;
+constexpr std::size_t kMaxAcc = 8;
+#endif
+// The most rows a tile of s strips takes.
+constexpr std::size_t max_rows(std::size_t s) { return s == 1 ? kMaxRows : kMaxAcc / s; }
 // Pack B into contiguous kNR-wide panels only when the row count amortizes
 // the copy. Packed and unpacked paths execute the same accumulation chain
 // (only the addressing differs), so the cutoff cannot change results.
@@ -63,122 +79,128 @@ inline double finish(double acc, const Epilogue& ep, std::size_t u) {
   return ep.relu ? (v > 0.0 ? v : 0.0) : v;
 }
 
-// C[0..h)[0..w) += A-rows * B-strip over kb ascending k, with the strip's
-// (k, u) element at b[k * ldb + u]. Generic edge version; trip counts are
-// runtime values. Accumulators seed from C so a later k-panel resumes the
-// exact fma chain of the earlier ones.
-inline void micro_tile(double* c, std::size_t ldc, const double* a,
-                       std::size_t lda, const double* b, std::size_t ldb,
-                       std::size_t kb, std::size_t h, std::size_t w,
-                       const Epilogue& ep) {
-  double acc[kMR][kNR] = {};
-  for (std::size_t r = 0; r < h; ++r)
-    for (std::size_t u = 0; u < w; ++u) acc[r][u] = c[r * ldc + u];
-  for (std::size_t k = 0; k < kb; ++k) {
-    for (std::size_t u = 0; u < w; ++u) {
-      const double bv = b[k * ldb + u];
+// The operands of one tile: C, A and B at the tile's first row and column,
+// B's (k, u) element of strip s at b[s * bs + k * ldb + u], kb ascending k,
+// and the last strip w columns wide. `resume` loads C into the accumulators
+// (a later k-panel); otherwise they start at +0.
+struct TileArgs {
+  double* c;
+  std::size_t ldc;
+  const double* a;
+  std::size_t lda;
+  const double* b;
+  std::size_t ldb, bs, kb, w;
+  bool resume;
+  Epilogue ep;
+};
+
+// Generic scalar tile over runtime h <= kMaxRows rows and w <= kNR columns
+// of one strip: the edge tile of the AVX2 and scalar tiers.
+inline void micro_tile(const TileArgs& t, std::size_t h) {
+  double acc[kMaxRows][kNR] = {};
+  if (t.resume)
+    for (std::size_t r = 0; r < h; ++r)
+      for (std::size_t u = 0; u < t.w; ++u) acc[r][u] = t.c[r * t.ldc + u];
+  for (std::size_t k = 0; k < t.kb; ++k) {
+    for (std::size_t u = 0; u < t.w; ++u) {
+      const double bv = t.b[k * t.ldb + u];
       for (std::size_t r = 0; r < h; ++r)
-        acc[r][u] = std::fma(a[r * lda + k], bv, acc[r][u]);
+        acc[r][u] = std::fma(t.a[r * t.lda + k], bv, acc[r][u]);
     }
   }
   for (std::size_t r = 0; r < h; ++r)
-    for (std::size_t u = 0; u < w; ++u) c[r * ldc + u] = finish(acc[r][u], ep, u);
+    for (std::size_t u = 0; u < t.w; ++u) t.c[r * t.ldc + u] = finish(acc[r][u], t.ep, u);
 }
 
-// Full-width (w == kNR) tile over H <= kMR rows, register-resident
-// accumulators. The ISA variants below are lane-for-lane the same fma chain
-// as the scalar fallback.
 #if defined(__AVX512F__)
 
-// The ReLU epilogue keeps the lanes where v > 0 (an ordered compare, so NaN
-// fails it) and zeroes the rest: v > 0 ? v : +0, lane for lane.
-template <int H>
-inline void micro_tile_w8(double* c, std::size_t ldc, const double* a,
-                          std::size_t lda, const double* b, std::size_t ldb,
-                          std::size_t kb, const Epilogue& ep) {
-  __m512d acc[H];
+// H x S register-resident accumulators, one vector per row and strip. With
+// `Tail` the last strip's loads and stores are masked to its w < kNR lanes,
+// and the lanes past w are never loaded from memory or stored (a full strip
+// keeps plain loads: a masked load in the k loop costs far more than an fma
+// here). The ReLU epilogue keeps the lanes where v > 0 (an ordered compare,
+// so NaN fails it) and zeroes the rest: v > 0 ? v : +0, lane for lane.
+template <int H, int S, bool Tail>
+inline void tile(const TileArgs& t) {
+  const auto tail = static_cast<__mmask8>((1u << t.w) - 1u);
+  const auto load = [&](int s, const double* p) {
+    return Tail && s + 1 == S ? _mm512_maskz_loadu_pd(tail, p) : _mm512_loadu_pd(p);
+  };
+  const auto at = [](std::size_t r, std::size_t ld, int s) {
+    return r * ld + static_cast<std::size_t>(s) * kNR;
+  };
+  __m512d acc[H][S];
   for (int r = 0; r < H; ++r)
-    acc[r] = _mm512_loadu_pd(c + static_cast<std::size_t>(r) * ldc);
-  for (std::size_t k = 0; k < kb; ++k) {
-    const __m512d bv = _mm512_loadu_pd(b + k * ldb);
-    for (int r = 0; r < H; ++r)
-      acc[r] = _mm512_fmadd_pd(_mm512_set1_pd(a[static_cast<std::size_t>(r) * lda + k]),
-                               bv, acc[r]);
-  }
-  if (ep.bias != nullptr) {
-    const __m512d bias = _mm512_loadu_pd(ep.bias);
+    for (int s = 0; s < S; ++s)
+      acc[r][s] = t.resume ? load(s, t.c + at(r, t.ldc, s)) : _mm512_setzero_pd();
+  for (std::size_t k = 0; k < t.kb; ++k) {
+    __m512d bv[S];
+    for (int s = 0; s < S; ++s) bv[s] = load(s, t.b + static_cast<std::size_t>(s) * t.bs + k * t.ldb);
     for (int r = 0; r < H; ++r) {
-      acc[r] = _mm512_add_pd(acc[r], bias);
-      if (ep.relu)
-        acc[r] = _mm512_maskz_mov_pd(
-            _mm512_cmp_pd_mask(acc[r], _mm512_setzero_pd(), _CMP_GT_OQ), acc[r]);
+      const __m512d av = _mm512_set1_pd(t.a[static_cast<std::size_t>(r) * t.lda + k]);
+      for (int s = 0; s < S; ++s) acc[r][s] = _mm512_fmadd_pd(av, bv[s], acc[r][s]);
+    }
+  }
+  if (t.ep.bias != nullptr) {
+    for (int s = 0; s < S; ++s) {
+      const __m512d bias = load(s, t.ep.bias + at(0, 0, s));
+      for (int r = 0; r < H; ++r) {
+        acc[r][s] = _mm512_add_pd(acc[r][s], bias);
+        if (t.ep.relu)
+          acc[r][s] = _mm512_maskz_mov_pd(
+              _mm512_cmp_pd_mask(acc[r][s], _mm512_setzero_pd(), _CMP_GT_OQ), acc[r][s]);
+      }
     }
   }
   for (int r = 0; r < H; ++r)
-    _mm512_storeu_pd(c + static_cast<std::size_t>(r) * ldc, acc[r]);
+    for (int s = 0; s < S; ++s) {
+      double* cp = t.c + at(r, t.ldc, s);
+      if (Tail && s + 1 == S)
+        _mm512_mask_storeu_pd(cp, tail, acc[r][s]);
+      else
+        _mm512_storeu_pd(cp, acc[r][s]);
+    }
 }
 
-// An edge strip of w < kNR columns read out of a row-major B (ldu == 1):
-// the tile above on the low w lanes, with masked loads and stores. Lane u
-// runs the generic edge tile's fma chain for column u; the masked-off
-// lanes are never loaded from memory or stored.
-template <int H>
-inline void micro_tile_masked(double* c, std::size_t ldc, const double* a,
-                              std::size_t lda, const double* b, std::size_t ldb,
-                              std::size_t kb, std::size_t w, const Epilogue& ep) {
-  const auto lanes = static_cast<__mmask8>((1u << w) - 1u);
-  __m512d acc[H];
-  for (int r = 0; r < H; ++r)
-    acc[r] = _mm512_maskz_loadu_pd(lanes, c + static_cast<std::size_t>(r) * ldc);
-  for (std::size_t k = 0; k < kb; ++k) {
-    const __m512d bv = _mm512_maskz_loadu_pd(lanes, b + k * ldb);
-    for (int r = 0; r < H; ++r)
-      acc[r] = _mm512_fmadd_pd(_mm512_set1_pd(a[static_cast<std::size_t>(r) * lda + k]),
-                               bv, acc[r]);
-  }
-  if (ep.bias != nullptr) {
-    const __m512d bias = _mm512_maskz_loadu_pd(lanes, ep.bias);
-    for (int r = 0; r < H; ++r) {
-      acc[r] = _mm512_add_pd(acc[r], bias);
-      if (ep.relu)
-        acc[r] = _mm512_maskz_mov_pd(
-            _mm512_cmp_pd_mask(acc[r], _mm512_setzero_pd(), _CMP_GT_OQ), acc[r]);
-    }
-  }
-  for (int r = 0; r < H; ++r)
-    _mm512_mask_storeu_pd(c + static_cast<std::size_t>(r) * ldc, lanes, acc[r]);
+template <int H, int S>
+inline void tile(const TileArgs& t) {
+  if (t.w < kNR)
+    tile<H, S, true>(t);
+  else
+    tile<H, S, false>(t);
 }
 
 #elif defined(__AVX2__) && defined(__FMA__)
 
-// ReLU epilogue as in the AVX-512 tier: the ordered v > 0 compare's
-// all-ones lanes keep v, the rest become +0.
-template <int H>
-inline void micro_tile_w8(double* c, std::size_t ldc, const double* a,
-                          std::size_t lda, const double* b, std::size_t ldb,
-                          std::size_t kb, const Epilogue& ep) {
+// One full-width strip (w == kNR) over H <= 8 rows; edge strips take the
+// generic tile. ReLU epilogue as in the AVX-512 tier: the ordered v > 0
+// compare's all-ones lanes keep v, the rest become +0.
+template <int H, int S>
+inline void tile(const TileArgs& t) {
+  static_assert(S == 1);
+  if (t.w < kNR) return micro_tile(t, H);
   __m256d acc[H][2];
   for (int r = 0; r < H; ++r) {
-    const double* crow = c + static_cast<std::size_t>(r) * ldc;
-    acc[r][0] = _mm256_loadu_pd(crow);
-    acc[r][1] = _mm256_loadu_pd(crow + 4);
+    const double* crow = t.c + static_cast<std::size_t>(r) * t.ldc;
+    acc[r][0] = t.resume ? _mm256_loadu_pd(crow) : _mm256_setzero_pd();
+    acc[r][1] = t.resume ? _mm256_loadu_pd(crow + 4) : _mm256_setzero_pd();
   }
-  for (std::size_t k = 0; k < kb; ++k) {
-    const __m256d b0 = _mm256_loadu_pd(b + k * ldb);
-    const __m256d b1 = _mm256_loadu_pd(b + k * ldb + 4);
+  for (std::size_t k = 0; k < t.kb; ++k) {
+    const __m256d b0 = _mm256_loadu_pd(t.b + k * t.ldb);
+    const __m256d b1 = _mm256_loadu_pd(t.b + k * t.ldb + 4);
     for (int r = 0; r < H; ++r) {
-      const __m256d av = _mm256_set1_pd(a[static_cast<std::size_t>(r) * lda + k]);
+      const __m256d av = _mm256_set1_pd(t.a[static_cast<std::size_t>(r) * t.lda + k]);
       acc[r][0] = _mm256_fmadd_pd(av, b0, acc[r][0]);
       acc[r][1] = _mm256_fmadd_pd(av, b1, acc[r][1]);
     }
   }
-  if (ep.bias != nullptr) {
-    const __m256d bias0 = _mm256_loadu_pd(ep.bias);
-    const __m256d bias1 = _mm256_loadu_pd(ep.bias + 4);
+  if (t.ep.bias != nullptr) {
+    const __m256d bias0 = _mm256_loadu_pd(t.ep.bias);
+    const __m256d bias1 = _mm256_loadu_pd(t.ep.bias + 4);
     for (int r = 0; r < H; ++r) {
       acc[r][0] = _mm256_add_pd(acc[r][0], bias0);
       acc[r][1] = _mm256_add_pd(acc[r][1], bias1);
-      if (ep.relu) {
+      if (t.ep.relu) {
         const __m256d zero = _mm256_setzero_pd();
         acc[r][0] = _mm256_and_pd(_mm256_cmp_pd(acc[r][0], zero, _CMP_GT_OQ), acc[r][0]);
         acc[r][1] = _mm256_and_pd(_mm256_cmp_pd(acc[r][1], zero, _CMP_GT_OQ), acc[r][1]);
@@ -186,7 +208,7 @@ inline void micro_tile_w8(double* c, std::size_t ldc, const double* a,
     }
   }
   for (int r = 0; r < H; ++r) {
-    double* crow = c + static_cast<std::size_t>(r) * ldc;
+    double* crow = t.c + static_cast<std::size_t>(r) * t.ldc;
     _mm256_storeu_pd(crow, acc[r][0]);
     _mm256_storeu_pd(crow + 4, acc[r][1]);
   }
@@ -194,74 +216,66 @@ inline void micro_tile_w8(double* c, std::size_t ldc, const double* a,
 
 #else
 
-template <int H>
-inline void micro_tile_w8(double* c, std::size_t ldc, const double* a,
-                          std::size_t lda, const double* b, std::size_t ldb,
-                          std::size_t kb, const Epilogue& ep) {
-  double acc[H][kNR];
-  for (int r = 0; r < H; ++r)
-    for (std::size_t u = 0; u < kNR; ++u)
-      acc[r][u] = c[static_cast<std::size_t>(r) * ldc + u];
-  for (std::size_t k = 0; k < kb; ++k) {
-    const double* brow = b + k * ldb;
+template <int H, int S>
+inline void tile(const TileArgs& t) {
+  static_assert(S == 1);
+  if (t.w < kNR) return micro_tile(t, H);
+  double acc[H][kNR] = {};
+  if (t.resume)
+    for (int r = 0; r < H; ++r)
+      for (std::size_t u = 0; u < kNR; ++u)
+        acc[r][u] = t.c[static_cast<std::size_t>(r) * t.ldc + u];
+  for (std::size_t k = 0; k < t.kb; ++k) {
+    const double* brow = t.b + k * t.ldb;
     for (int r = 0; r < H; ++r) {
-      const double av = a[static_cast<std::size_t>(r) * lda + k];
+      const double av = t.a[static_cast<std::size_t>(r) * t.lda + k];
       for (std::size_t u = 0; u < kNR; ++u)
         acc[r][u] = std::fma(av, brow[u], acc[r][u]);
     }
   }
   for (int r = 0; r < H; ++r)
     for (std::size_t u = 0; u < kNR; ++u)
-      c[static_cast<std::size_t>(r) * ldc + u] = finish(acc[r][u], ep, u);
+      t.c[static_cast<std::size_t>(r) * t.ldc + u] = finish(acc[r][u], t.ep, u);
 }
 
 #endif
 
-// Run f with a tile extent n (1..8: a row remainder h <= kMR or a column
-// remainder w <= kNR) as a compile-time constant.
-template <typename F>
+// Run f with n (1..Max) as a compile-time constant.
+template <std::size_t Max, typename F>
 inline void with_count(std::size_t n, F&& f) {
-  switch (n) {
-    case 8: f(std::integral_constant<int, 8>{}); break;
-    case 7: f(std::integral_constant<int, 7>{}); break;
-    case 6: f(std::integral_constant<int, 6>{}); break;
-    case 5: f(std::integral_constant<int, 5>{}); break;
-    case 4: f(std::integral_constant<int, 4>{}); break;
-    case 3: f(std::integral_constant<int, 3>{}); break;
-    case 2: f(std::integral_constant<int, 2>{}); break;
-    default: f(std::integral_constant<int, 1>{}); break;
-  }
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (void)((n == I + 1 && (f(std::integral_constant<int, I + 1>{}), true)) || ...);
+  }(std::make_index_sequence<Max>{});
 }
 
-inline void micro_tile_w8_h(double* c, std::size_t ldc, const double* a,
-                            std::size_t lda, const double* b, std::size_t ldb,
-                            std::size_t kb, std::size_t h, const Epilogue& ep) {
-  with_count(h, [&](auto H) { micro_tile_w8<H>(c, ldc, a, lda, b, ldb, kb, ep); });
+// Rows per tile and strips per tile for an N-column product: a single strip
+// (every MPNN layer of a small model) runs tall tiles, so no short tile is
+// left bound by fma latency; a wider product runs up to kMaxStrips strips
+// per pass over A (all of a few-row readout's columns at once).
+struct TileShape {
+  std::size_t rows, strips;
+};
+
+TileShape tile_shape(std::size_t N) {
+  const std::size_t s = std::min(kMaxStrips, (N + kNR - 1) / kNR);
+  return {max_rows(s), s};
 }
 
-// A w < kNR wide tile of a row-major B strip: masked vector lanes where
-// AVX-512 has them, the generic edge tile otherwise.
-inline void edge_tile(double* c, std::size_t ldc, const double* a, std::size_t lda,
-                      const double* b, std::size_t ldb, std::size_t kb, std::size_t h,
-                      std::size_t w, const Epilogue& ep) {
-#if defined(__AVX512F__)
-  with_count(h, [&](auto H) { micro_tile_masked<H>(c, ldc, a, lda, b, ldb, kb, w, ep); });
-#else
-  micro_tile(c, ldc, a, lda, b, ldb, kb, h, w, ep);
-#endif
-}
-
-// One w < kNR wide tail strip of A * B^T (A is M x K, B's rows K long) over
-// a kb-deep k-panel: its w rows of B transposed into the panel, then every
-// row tile on the edge tile. Out of line, so the full-strip loop of
-// matmul_nt_into keeps its registers.
-[[gnu::noinline]] void nt_tail_strip(double* c, std::size_t ldc, const double* a,
-                                     const double* bstrip, std::size_t M, std::size_t K,
-                                     std::size_t kb, std::size_t w, double* panel) {
-  for (std::size_t k = 0; k < kb; ++k)
-    for (std::size_t u = 0; u < w; ++u) panel[k * kNR + u] = bstrip[u * K + k];
-  for (std::size_t i0 = 0; i0 < M; i0 += kMR)
-    edge_tile(c + i0 * ldc, ldc, a + i0 * K, K, panel, kNR, kb, std::min(kMR, M - i0), w, {});
+// Every tile of one k-panel of a column group of s strips starting at t's
+// first row and column: M rows in `tiles` tiles of near-equal height, the
+// taller ones first.
+void row_tiles(TileArgs t, std::size_t M, std::size_t tiles, std::size_t s) {
+  with_count<kMaxStrips>(s, [&](auto S) {
+    for (std::size_t i = 0, i0 = 0; i < tiles; ++i) {
+      const std::size_t left = tiles - i;
+      const std::size_t h = left == 1 ? M - i0 : (M - i0 + left - 1) / left;
+      TileArgs ti = t;
+      ti.c += i0 * t.ldc;
+      ti.a += i0 * t.lda;
+      with_count<max_rows(S)>(h, [&](auto H) { tile<H, S>(ti); });
+      i0 += h;
+    }
+  });
 }
 
 // ---- Weight-gradient tiles (matmul_tn_into) --------------------------------
@@ -337,11 +351,18 @@ void gemm_into(Tensor& out, const Tensor& a, const Tensor& b, const double* bias
   const std::size_t M = a.rows();
   const std::size_t K = a.cols();
   const std::size_t N = b.cols();
-  out.resize_zero(M, N);
+  if (K == 0) {  // no k-panel: the empty sum
+    out.resize_zero(M, N);
+    return;
+  }
+  out.resize_for_overwrite(M, N);
   const double* A = a.data();
   const double* B = b.data();
   double* C = out.data();
   const bool pack = M >= kPackMinRows && K * N >= 4 * kNR * kNR;
+  const TileShape shape = tile_shape(N);
+  const std::size_t tiles = (M + shape.rows - 1) / shape.rows;
+  const std::size_t strips = (N + kNR - 1) / kNR;
   for (std::size_t k0 = 0; k0 < K; k0 += kKC) {
     const std::size_t kb = std::min(kKC, K - k0);
     const bool last = k0 + kb == K;
@@ -349,7 +370,6 @@ void gemm_into(Tensor& out, const Tensor& a, const Tensor& b, const double* bias
     const double* packed = nullptr;
     if (pack) {
       auto& buf = pack_buffer();
-      const std::size_t strips = (N + kNR - 1) / kNR;
       buf.assign(strips * kb * kNR, 0.0);
       for (std::size_t s = 0; s < strips; ++s) {
         const std::size_t j0 = s * kNR;
@@ -360,20 +380,15 @@ void gemm_into(Tensor& out, const Tensor& a, const Tensor& b, const double* bias
       }
       packed = buf.data();
     }
-    for (std::size_t j0 = 0; j0 < N; j0 += kNR) {
-      const std::size_t w = std::min(kNR, N - j0);
-      const double* bptr = pack ? packed + (j0 / kNR) * kb * kNR : bpanel + j0;
-      const std::size_t ldb = pack ? kNR : N;
+    for (std::size_t s0 = 0; s0 < strips; s0 += shape.strips) {
+      const std::size_t j0 = s0 * kNR;
+      const std::size_t s = std::min(shape.strips, strips - s0);
       const Epilogue ep = last && bias != nullptr ? Epilogue{bias + j0, relu} : Epilogue{};
-      for (std::size_t i0 = 0; i0 < M; i0 += kMR) {
-        const std::size_t h = std::min(kMR, M - i0);
-        double* cptr = C + i0 * N + j0;
-        const double* aptr = A + i0 * K + k0;
-        if (w == kNR)
-          micro_tile_w8_h(cptr, N, aptr, K, bptr, ldb, kb, h, ep);
-        else
-          edge_tile(cptr, N, aptr, K, bptr, ldb, kb, h, w, ep);
-      }
+      const TileArgs t{.c = C + j0, .ldc = N, .a = A + k0, .lda = K,
+                       .b = pack ? packed + s0 * kb * kNR : bpanel + j0,
+                       .ldb = pack ? kNR : N, .bs = pack ? kb * kNR : kNR, .kb = kb,
+                       .w = std::min(kNR, N - j0 - (s - 1) * kNR), .resume = k0 > 0, .ep = ep};
+      row_tiles(t, M, tiles, s);
     }
   }
 }
@@ -419,6 +434,12 @@ void Tensor::resize_zero(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
   data_.assign(rows * cols, 0.0);
+}
+
+void Tensor::resize_for_overwrite(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(rows * cols);
 }
 
 void Tensor::copy_from(const Tensor& o) {
@@ -564,7 +585,7 @@ void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b,
   for (std::size_t i0 = 0; i0 < M; i0 += kTnLanes) {
     const std::size_t h = std::min(kTnLanes, M - i0);
     for (std::size_t j0 = 0; j0 < N; j0 += kNR) {
-      with_count(std::min(kNR, N - j0), [&](auto J) {
+      with_count<kNR>(std::min(kNR, N - j0), [&](auto J) {
         tn_tile<J>(out.data() + i0 * N + j0, N, A + i0, M, B + j0, N, rows, h);
       });
     }
@@ -596,17 +617,22 @@ void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b) {
   const std::size_t M = a.rows();
   const std::size_t K = a.cols();
   const std::size_t N = b.rows();
-  out.resize_zero(M, N);
+  if (K == 0) {
+    out.resize_zero(M, N);
+    return;
+  }
+  out.resize_for_overwrite(M, N);
   const double* A = a.data();
   const double* B = b.data();
   double* C = out.data();
   // Column u of B^T is row u of B, so a kNR-wide strip of B^T is kNR rows
-  // of B. Every strip is transposed into a kb x kNR panel: a full one runs
-  // the vector tile, a w < kNR tail the edge tile (masked lanes under
-  // AVX-512), exactly as gemm_into runs a packed B. Both run each element's
+  // of B. Every strip is transposed into a kb x kNR panel and runs the
+  // single-strip row tiles, a w < kNR tail on masked lanes under AVX-512,
+  // exactly as gemm_into runs a packed B. Both run each element's
   // ascending-k fma chain, so the split cannot change results. The panel's
   // first w columns are overwritten before use and the tiles read no
   // others: no zero fill.
+  const std::size_t tiles = (M + kMaxRows - 1) / kMaxRows;
   auto& panel = nt_panel();
   for (std::size_t k0 = 0; k0 < K; k0 += kKC) {
     const std::size_t kb = std::min(kKC, K - k0);
@@ -614,16 +640,16 @@ void matmul_nt_into(Tensor& out, const Tensor& a, const Tensor& b) {
     for (std::size_t j0 = 0; j0 < N; j0 += kNR) {
       const std::size_t w = std::min(kNR, N - j0);
       const double* bstrip = B + j0 * K + k0;
-      if (w < kNR) {
-        nt_tail_strip(C + j0, N, A + k0, bstrip, M, K, kb, w, panel.data());
-        continue;
+      if (w == kNR) {
+        for (std::size_t k = 0; k < kb; ++k)
+          for (std::size_t u = 0; u < kNR; ++u) panel[k * kNR + u] = bstrip[u * K + k];
+      } else {
+        for (std::size_t k = 0; k < kb; ++k)
+          for (std::size_t u = 0; u < w; ++u) panel[k * kNR + u] = bstrip[u * K + k];
       }
-      for (std::size_t k = 0; k < kb; ++k)
-        for (std::size_t u = 0; u < kNR; ++u) panel[k * kNR + u] = bstrip[u * K + k];
-      for (std::size_t i0 = 0; i0 < M; i0 += kMR) {
-        const std::size_t h = std::min(kMR, M - i0);
-        micro_tile_w8_h(C + i0 * N + j0, N, A + i0 * K + k0, K, panel.data(), kNR, kb, h, {});
-      }
+      row_tiles({.c = C + j0, .ldc = N, .a = A + k0, .lda = K, .b = panel.data(),
+                 .ldb = kNR, .bs = 0, .kb = kb, .w = w, .resume = k0 > 0, .ep = {}},
+                M, tiles, 1);
     }
   }
 }

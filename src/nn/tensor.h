@@ -2,11 +2,12 @@
 //
 // This is the numeric core under the autodiff tape (src/nn/autodiff.h).
 // The GEMM entry points run a cache-blocked, register-tiled microkernel
-// (DESIGN.md §3.9). The blocking is fixed at compile time and every output
-// element is one ascending-k accumulation chain, so results are independent
-// of the thread count *and* of how many rows share a call — a K-row batched
-// product equals K independent 1-row products, bit for bit. `matmul_naive`
-// keeps the original triple loop as the property-test reference.
+// (DESIGN.md §3.9). The register tile is sized to the product, and every
+// output element is one ascending-k accumulation chain from +0 whatever the
+// tile, so results are independent of the thread count *and* of how many
+// rows share a call — a K-row batched product equals K independent 1-row
+// products, bit for bit. `matmul_naive` keeps the original triple loop as
+// the property-test reference.
 #pragma once
 
 #include <cstddef>
@@ -55,6 +56,10 @@ class Tensor {
   /// when capacity suffices — the tape arena calls this every iteration to
   /// recycle node buffers without touching the heap.
   void resize_zero(std::size_t rows, std::size_t cols);
+  /// Reshape to rows x cols for a caller that writes every element: the
+  /// values are unspecified until then, and a buffer of sufficient capacity
+  /// is neither reallocated nor filled.
+  void resize_for_overwrite(std::size_t rows, std::size_t cols);
   /// Become an elementwise copy of `o`, reusing the existing allocation
   /// when capacity suffices.
   void copy_from(const Tensor& o);
@@ -104,9 +109,9 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b);
 /// panel (DESIGN.md §3.9); b itself is never transposed in full.
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
-// Destination-reuse forms of the products above: `out` is reshaped with
-// resize_zero (recycling its buffer) and overwritten with the result. These
-// are what the autodiff ops call so a steady-state tape touches no heap.
+// Destination-reuse forms of the products above: `out` is reshaped
+// (recycling its buffer) and overwritten with the result. These are what
+// the autodiff ops call so a steady-state tape touches no heap.
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b);
 void matmul_tn_into(Tensor& out, const Tensor& a, const Tensor& b);
 /// a[row0, row0+rows)^T * b[row0, row0+rows): the weight gradient of one

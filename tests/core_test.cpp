@@ -193,6 +193,25 @@ TEST(ConfigurationSolver, ValidatesInputs) {
   EXPECT_THROW(solver.solve(w_bad, 100.0, lo, hi_ok), std::invalid_argument);
 }
 
+// A NaN hi fails both halves of a `!(lo > 0) || lo > hi` check and an
+// infinite one passes it; either would descend to a NaN plan. A subnormal
+// lo passes any ordering check, but 1/q overflows at the floor.
+TEST(ConfigurationSolver, RejectsNonFiniteHiAndSubnormalLo) {
+  ConfigurationSolver solver{solver_model(), {}};
+  const std::vector<double> w{50.0, 50.0};
+  const std::vector<double> lo{200.0, 200.0};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> hi{bad, 2000.0};
+    EXPECT_THROW(solver.solve(w, 100.0, lo, hi), std::invalid_argument) << bad;
+  }
+  const std::vector<double> hi{2000.0, 2000.0};
+  const std::vector<double> subnormal{1e-310, 200.0};
+  EXPECT_THROW(solver.solve(w, 100.0, subnormal, hi), std::invalid_argument);
+  const std::vector<double> tiny{1e-300, 200.0};
+  EXPECT_NO_THROW(solver.solve(w, 100.0, tiny, hi));
+}
+
 TEST(ConfigurationSolver, LossAtMatchesStructure) {
   ConfigurationSolver solver{solver_model(), {.rho = 50.0, .slo_margin = 1.0}};
   std::vector<double> w{50.0, 50.0};

@@ -988,6 +988,7 @@ TEST(FleetServer, RejectedAdmissionLeavesNoHandleOrSlotBehind) {
       {"NaN validation error",
        [](TenantSpec& s, double n) { s.meta.val_error_pct = n; }},
       {"zero lo", [](TenantSpec& s, double) { s.lo[0] = 0.0; }},
+      {"subnormal lo", [](TenantSpec& s, double) { s.lo[0] = 1e-310; }},  // 1/lo overflows
       {"zero rho", [](TenantSpec& s, double) { s.solver.rho = 0.0; }},
       {"NaN margin", [](TenantSpec& s, double n) { s.solver.slo_margin = n; }},
       {"NaN lr", [](TenantSpec& s, double n) { s.solver.lr_mc = n; }},

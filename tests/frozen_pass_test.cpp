@@ -5,12 +5,19 @@
 // the latency model with and without message passing, and a surrogate on
 // the teacher's scalers — and compared at R = 1, 2 and 6 quota rows, for
 // prediction gradients with positive, negative and zero entries, reusing
-// one pass across calls as the solver does.
+// one pass across calls as the solver does. The senders-only message step
+// is also checked on graphs the paper topologies lack, and with a phi weight
+// that is not finite.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/catalog.h"
@@ -36,10 +43,8 @@ double truth_ms(const std::vector<double>& w, const std::vector<double>& q,
   return total;
 }
 
-Dataset dataset(const apps::Topology& topo, std::uint64_t seed) {
-  const std::size_t n = topo.service_count();
-  std::vector<double> demand(n);
-  for (std::size_t i = 0; i < n; ++i) demand[i] = topo.services[i].demand_mean_ms;
+Dataset dataset(const std::vector<double>& demand, std::uint64_t seed) {
+  const std::size_t n = demand.size();
   Rng rng{seed};
   Dataset data;
   for (int s = 0; s < 256; ++s) {
@@ -53,18 +58,49 @@ Dataset dataset(const apps::Topology& topo, std::uint64_t seed) {
   return data;
 }
 
+Dataset dataset(const apps::Topology& topo, std::uint64_t seed) {
+  std::vector<double> demand;
+  for (const auto& s : topo.services) demand.push_back(s.demand_mean_ms);
+  return dataset(demand, seed);
+}
+
 const TrainConfig kTrain{.iterations = 150, .batch_size = 32, .lr = 3e-3, .eval_every = 0,
                          .seed = 3};
 
-std::unique_ptr<LatencyModel> trained_latency(const apps::Topology& topo, bool use_mpnn) {
+std::unique_ptr<LatencyModel> trained_latency(const Dag& dag, const Dataset& data,
+                                              bool use_mpnn) {
   auto m = std::make_unique<LatencyModel>(
-      apps::make_dag(topo),
+      dag,
       MpnnConfig{.node_features = 4, .embed_dim = 8, .mpnn_hidden = 8,
                  .readout_hidden = 16, .message_steps = 2, .dropout_p = 0.1,
                  .use_mpnn = use_mpnn},
       7);
-  m->fit(dataset(topo, 41), {}, kTrain);
+  m->fit(data, {}, kTrain);
   return m;
+}
+
+std::unique_ptr<LatencyModel> trained_latency(const apps::Topology& topo, bool use_mpnn) {
+  return trained_latency(apps::make_dag(topo), dataset(topo, 41), use_mpnn);
+}
+
+/// n nodes and the given (parent, child) edges, stages of 2, 3, ... ms.
+std::unique_ptr<LatencyModel> trained_latency(std::size_t n,
+                                              const std::vector<std::pair<int, int>>& edges) {
+  Dag dag;
+  std::vector<double> demand;
+  for (std::size_t i = 0; i < n; ++i) {
+    dag.add_node("s" + std::to_string(i));
+    demand.push_back(2.0 + static_cast<double>(i));
+  }
+  for (const auto& [parent, child] : edges) dag.add_edge(parent, child);
+  return trained_latency(dag, dataset(demand, 41), true);
+}
+
+/// Bit equality, except that any two NaNs match: which NaN payload an fma
+/// or add returns depends on the operand order the compiler picks.
+bool same_bits(double x, double y) {
+  return (std::isnan(x) && std::isnan(y)) ||
+         std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
 }
 
 /// Row r of each input, drawn once per (topology, R).
@@ -188,11 +224,14 @@ void expect_pass_matches_tape(Model& model, std::size_t n, const std::string& wh
       tape_reference(model, in, d, want_pred, want_grad);
       const nn::Tensor& pred = pass.forward(in.quota);
       ASSERT_TRUE(pred.same_shape(want_pred));
-      for (std::size_t r = 0; r < rows; ++r) EXPECT_EQ(pred(r, 0), want_pred(r, 0)) << "row " << r;
+      for (std::size_t r = 0; r < rows; ++r)
+        EXPECT_TRUE(same_bits(pred(r, 0), want_pred(r, 0)))
+            << "row " << r << ": " << pred(r, 0) << " vs " << want_pred(r, 0);
       const nn::Tensor& grad = pass.backward(d);
       ASSERT_TRUE(grad.same_shape(want_grad));
       for (std::size_t e = 0; e < grad.size(); ++e)
-        EXPECT_EQ(grad.data()[e], want_grad.data()[e]) << "entry " << e;
+        EXPECT_TRUE(same_bits(grad.data()[e], want_grad.data()[e]))
+            << "entry " << e << ": " << grad.data()[e] << " vs " << want_grad.data()[e];
     }
   }
 }
@@ -213,6 +252,42 @@ TEST(FrozenPass, SurrogatePassMatchesTapeBitwise) {
     s.set_scalers(teacher->scalers());
     s.fit(dataset(topo, 43), {}, kTrain);
     expect_pass_matches_tape(s, topo.service_count(), topo.name + "/surrogate");
+  }
+}
+
+// The message step runs phi_k only over the senders' row blocks. An
+// edgeless graph has no sender, so phi_k runs on no rows and every node's
+// gradient is the concat slice plus 0.0; in a diamond (0 -> 1, 0 -> 2,
+// 1 -> 3, 2 -> 3) the sink sums two parents' messages and sends none.
+TEST(FrozenPass, SendersOnlyMessagesMatchTapeBitwise) {
+  std::unique_ptr<LatencyModel> edgeless = trained_latency(4, {});
+  expect_pass_matches_tape(*edgeless, 4, "edgeless");
+  std::unique_ptr<LatencyModel> diamond = trained_latency(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
+  ASSERT_EQ(diamond->graph_parents()[3].size(), 2u);
+  expect_pass_matches_tape(*diamond, 4, "diamond");
+}
+
+// A NaN weight on phi_0's q·q_scale input of its first hidden unit: ReLU
+// zeroes the unit in the forward, but the tape's backward sends 0·NaN into
+// the input gradient of every node phi_0 ran on, senders or not. The pass
+// then runs phi_k over every node, so a node that sends nothing gets the
+// tape's NaN too.
+TEST(FrozenPass, NonFinitePhiWeightRunsEveryNode) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::unique_ptr<LatencyModel>> models;
+  models.push_back(trained_latency(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}}));
+  models.push_back(trained_latency(4, {}));
+  for (std::unique_ptr<LatencyModel>& m : models) {
+    std::vector<nn::Tensor> state = m->state_dict();
+    ASSERT_EQ(state.front().rows(), LatencyModel::kNodeFeatures);
+    state.front()(1, 0) = nan;
+    m->load_state_dict(state);
+    const Rows in = draw_rows(2, 4, 7);
+    LatencyModel::Pass pass{*m, in.workload};
+    ASSERT_TRUE(std::isfinite(pass.forward(in.quota)(0, 0))) << "ReLU must hide the NaN";
+    const nn::Tensor& grad = pass.backward(dpred(2, 0));
+    EXPECT_TRUE(std::isnan(grad(0, 3))) << "the sink's gradient, as the tape gives it";
+    expect_pass_matches_tape(*m, 4, m->graph_parents()[3].empty() ? "edgeless" : "diamond");
   }
 }
 

@@ -150,6 +150,19 @@ TEST(SurrogateDistill, DeterministicSamplesAndWeights) {
       << "same teacher + config must distill bit-identical weights";
 }
 
+// Both comparisons of `!(lo > 0) || hi < lo` are false for a NaN hi, and an
+// infinite hi passes them: the sampler must reject either before drawing.
+TEST(SurrogateDistill, SampleTeacherRejectsNonFiniteHi) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<Millicores> hi(kHi.begin(), kHi.end());
+    hi[0] = bad;
+    EXPECT_THROW(gnn::SurrogateDistiller::sample_teacher(trained_model(), kRegion, kLo, hi, 8, 99),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
 TEST(SurrogateModel, ScalarPredictMatchesRowBatchedForwardBitwise) {
   gnn::SurrogateModel& model = distilled().model;
   const std::vector<std::vector<double>> ws{{40.0, 60.0}, {60.0, 60.0}, {85.0, 30.0}};

@@ -273,6 +273,67 @@ TEST(Tensor, WeightGradientMatchesNaive) {
       }
 }
 
+// Every tile shape of matmul_into and matmul_bias_into (ReLU on and off)
+// against the naive product plus the reference epilogue: 1..40 rows (one
+// tile of up to 16 rows, or several of near-equal height), 1..15 column
+// strips with a full or masked last strip, few-row tiles of several strips,
+// and K across the 512-deep panel boundary. ±0, NaN and ±inf sit in A, B
+// and the bias. matmul_naive skips a zero a_ik, which the kernels multiply
+// in, so A's zeros sit only in columns k whose row of B is finite. Each
+// product writes into a larger tensor of NaNs, which it must overwrite —
+// with +0s at K = 0, where no k-panel runs.
+TEST(Tensor, EveryTileShapeMatchesNaive) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {std::nan(""), inf, -inf, -0.0, 0.0};
+  constexpr std::size_t kRows = 40;
+  for (const std::size_t n : {1, 9, 33}) {
+    Tensor empty{7, 0};
+    Tensor got{9, n + 2, std::nan("")};
+    matmul_into(got, empty, Tensor{0, n});
+    ASSERT_TRUE(got.rows() == 7 && got.cols() == n);
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.data()[i]), 0u) << "K = 0, N = " << n;
+  }
+  Rng rng{137};
+  for (const std::size_t k : {1, 4, 8, 48, 512, 513})
+    for (const std::size_t n : {1, 3, 7, 8, 9, 20, 24, 32, 33, 120}) {
+      // B's rows k = 1 (mod 3) and every fifth bias entry hold specials.
+      Tensor b = random_tensor(k, n, rng);
+      for (std::size_t kk = 1; kk < k; kk += 3) b(kk, (kk * 7) % n) = specials[kk % 5];
+      Tensor bias = random_tensor(1, n, rng);
+      for (std::size_t j = 2; j < n; j += 5) bias(0, j) = specials[j % 5];
+      Tensor a = random_tensor(kRows, k, rng);
+      for (std::size_t i = 0; i < kRows; ++i)
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          if (kk % 3 != 1 && (i + kk) % 4 == 0) a(i, kk) = (i + kk) % 8 == 0 ? 0.0 : -0.0;
+          if (i % 9 == 4 && kk == i % k) a(i, kk) = specials[i % 3];
+        }
+      // Rows never mix, so the first m rows of the full product are the
+      // naive product of A's first m rows.
+      const Tensor want = matmul_naive(a, b);
+      for (std::size_t m = 1; m <= kRows; ++m) {
+        const Tensor am = row_block(a, 0, m);
+        for (int mode = 0; mode < 3; ++mode) {
+          Tensor got{m + 3, n + 5, std::nan("")};
+          if (mode == 0)
+            matmul_into(got, am, b);
+          else
+            matmul_bias_into(got, am, b, bias, mode == 2);
+          ASSERT_TRUE(got.rows() == m && got.cols() == n);
+          for (std::size_t i = 0; i < m; ++i)
+            for (std::size_t j = 0; j < n; ++j) {
+              double v = want(i, j);
+              if (mode > 0) v = v + bias(0, j);
+              if (mode == 2) v = v > 0.0 ? v : 0.0;
+              ASSERT_TRUE(same_value(got(i, j), v))
+                  << m << "x" << k << "x" << n << " mode " << mode << " (" << i << ", " << j
+                  << "): " << got(i, j) << " vs " << v;
+            }
+        }
+      }
+    }
+}
+
 // The bias-gradient column sums against the loop the tape ran before:
 // unmasked, and through a ReLU output y with negative, zero and NaN entries
 // (y > 0 fails for NaN, so its term is +0), over row ranges past row 0.
