@@ -30,15 +30,18 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # fast-path planning, §3.14 — solver-in-the-loop distillation and tiered
 # solves carry the same bit-identity contract), and the solver group
 # (golden descent digests on the four paper topologies, and the descent's
-# dead-backward skip against a descent that runs every backward) again at pinned
-# thread counts: these runs must replay bit-identically whether the pool
-# has 1 worker or 8 (DESIGN.md §3.7/§3.8/§3.10/§3.11/§3.13/§3.14
+# dead-backward skip against a descent that runs every backward) and the
+# training pins (the three models' short fits through the one sharded loop)
+# again at pinned thread counts: these runs must replay bit-identically
+# whether the pool has 1 worker or 8 (DESIGN.md §3.7/§3.8/§3.10/§3.11/§3.13/§3.14
 # determinism contract). Under the sanitizer legs this doubles as the
 # ASan/TSan pass over the fleet's ingest ring, subscriber registry,
-# registry hot-swap paths, and the checkpoint decoders.
+# registry hot-swap paths, the checkpoint decoders and the training shards.
 for threads in 1 8; do
   GRAF_THREADS=$threads \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'chaos|fleet|forecast|fuzz|surrogate|solver'
+  GRAF_THREADS=$threads \
+    ctest --test-dir "$BUILD_DIR" --output-on-failure -R '^TrainPin\.'
 done
 
 # Portable build (plain leg only): the tensor kernels compiled without the

@@ -23,12 +23,6 @@ void TieredPlanner::set_handle(serve::SurrogateHandle* handle) {
   active_surrogate();  // pick up whatever the handle already serves
 }
 
-void TieredPlanner::set_registry(serve::SurrogateRegistry* registry,
-                                 serve::ModelKey key) {
-  registry_ = registry;
-  registry_key_ = std::move(key);
-}
-
 gnn::SurrogateModel& TieredPlanner::active_surrogate() {
   if (handle_ != nullptr) {
     serve::SurrogateHandle::Ptr cur = handle_->acquire();
@@ -92,16 +86,7 @@ void TieredPlanner::note_miss_sample(std::span<const double> workload,
   if (distill_samples_counter_ != nullptr) distill_samples_counter_->add();
 }
 
-void TieredPlanner::maybe_auto_refresh() {
-  ++misses_since_refresh_;
-  if (cfg_.refresh_after == 0) return;
-  if (misses_since_refresh_ < cfg_.refresh_after) return;
-  if (window_.size() < cfg_.refresh_min_samples) return;
-  refresh_now();
-}
-
 bool TieredPlanner::refresh_now() {
-  misses_since_refresh_ = 0;
   if (window_.empty()) return false;
   // Fine-tune a clone on the miss window; the incumbent keeps serving
   // until the candidate proves itself on the very samples it missed
@@ -120,33 +105,16 @@ bool TieredPlanner::refresh_now() {
 }
 
 void TieredPlanner::adopt(gnn::SurrogateModel&& candidate) {
-  if (registry_ != nullptr) {
-    serve::SurrogateMeta meta;
-    meta.distill_samples = window_.size();
-    meta.val_error_pct = candidate.evaluate_accuracy(window_).mean_abs_pct_error;
-    const std::uint64_t version = registry_->publish(registry_key_, candidate, meta);
-    registry_->promote(registry_key_, version);
-    if (handle_ != nullptr) {
-      // The promote swapped any attached handle; pick it up (and bump the
-      // generation) through the normal acquire path.
-      active_surrogate();
-      ++refreshes_;
-      if (refreshes_counter_ != nullptr) refreshes_counter_->add();
-      return;
-    }
-    served_ = registry_->active(registry_key_);
-    if (served_ == nullptr)
-      served_ = std::make_shared<gnn::SurrogateModel>(std::move(candidate));
-  } else if (handle_ != nullptr) {
-    handle_->swap(std::make_shared<gnn::SurrogateModel>(std::move(candidate)));
+  auto adopted = std::make_shared<gnn::SurrogateModel>(std::move(candidate));
+  if (handle_ != nullptr) {
+    // The swap reaches served_ (and bumps the generation) through the
+    // normal acquire path.
+    handle_->swap(std::move(adopted));
     active_surrogate();
-    ++refreshes_;
-    if (refreshes_counter_ != nullptr) refreshes_counter_->add();
-    return;
   } else {
-    served_ = std::make_shared<gnn::SurrogateModel>(std::move(candidate));
+    served_ = std::move(adopted);
+    ++generation_;
   }
-  ++generation_;
   ++refreshes_;
   if (refreshes_counter_ != nullptr) refreshes_counter_->add();
 }
@@ -224,23 +192,29 @@ std::vector<SolverResult> TieredPlanner::solve_items(gnn::SurrogateModel& surrog
     SolverResult full =
         item.full_solver->solve(item.workload, item.slo_ms, item.lo, item.hi);
     item.planner->note_miss_sample(item.workload, full.quota, full.predicted_ms);
-    item.planner->maybe_auto_refresh();
     out.push_back(std::move(full));
   }
   return out;
+}
+
+void TieredPlanner::check_distill(const SolverDistillConfig& cfg) {
+  gnn::SurrogateDistiller::check(cfg.base);
+  if (cfg.rounds > 0 && cfg.queries_per_round == 0)
+    throw std::invalid_argument{
+        "distill_for_planner: queries_per_round must be > 0 with rounds > 0"};
+  if (!(cfg.jitter_pct >= 0.0 && cfg.jitter_pct < 1.0))
+    throw std::invalid_argument{"distill_for_planner: jitter_pct must be in [0, 1)"};
+  if (cfg.refine.batch_size == 0)
+    throw std::invalid_argument{"distill_for_planner: refine.batch_size must be > 0"};
 }
 
 gnn::SurrogateDistiller::Result TieredPlanner::distill_for_planner(
     gnn::LatencyModel& teacher, std::span<const double> workload_hi,
     std::span<const Millicores> lo, std::span<const Millicores> hi, double slo_ms,
     const SolverDistillConfig& cfg, const SolverConfig& solver) {
+  check_distill(cfg);
   if (slo_ms <= 0.0)
     throw std::invalid_argument{"distill_for_planner: slo must be > 0"};
-  if (cfg.rounds > 0 && cfg.queries_per_round == 0)
-    throw std::invalid_argument{
-        "distill_for_planner: queries_per_round must be > 0 with rounds > 0"};
-  if (cfg.jitter_pct < 0.0 || cfg.jitter_pct >= 1.0)
-    throw std::invalid_argument{"distill_for_planner: jitter_pct must be in [0, 1)"};
 
   // Phase 1 — the plain operating-region pass (same split rule as
   // SurrogateDistiller::distill, kept here so the rollout rounds can fold

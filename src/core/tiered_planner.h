@@ -7,11 +7,10 @@
 // one full-GNN forward. If the full model's prediction at the candidate
 // disagrees with the surrogate's beyond a trust band (or predicts an SLO
 // breach), the planner escalates to the full-GNN solve and feeds the miss
-// back as a distillation sample; enough accumulated misses trigger an
-// online surrogate refresh that rides the OnlineTrainer/ModelRegistry
-// semantics (fine-tune a clone, adopt only if it beats the incumbent on the
-// miss window, publish/promote through a SurrogateRegistry when one is
-// attached).
+// back as a distillation sample into a bounded window. refresh_now()
+// fine-tunes a clone on that window and adopts it only if it beats the
+// incumbent there (the OnlineTrainer's holdout-gate semantics); nothing
+// refreshes on its own.
 //
 // Accepted fast-path plans report the *full model's* prediction as
 // predicted_ms — truth flows downstream (feasibility checks, telemetry,
@@ -46,13 +45,8 @@ struct TieredPlannerConfig {
   /// stays within this band AND the full model deems the candidate within
   /// SLO; otherwise escalate.
   double trust_band_pct = 10.0;
-  /// Retained escalation-miss samples (teacher-labelled) for refresh.
+  /// Retained escalation-miss samples (teacher-labelled) for refresh_now().
   std::size_t refresh_window = 256;
-  /// Escalations per automatic refresh attempt (0 = manual refresh_now()
-  /// only — the fleet default, where admission distillation is fresh).
-  std::size_t refresh_after = 0;
-  /// Minimum window fill before any refresh attempt.
-  std::size_t refresh_min_samples = 32;
   /// Short fine-tune schedule for the refresh clone. Symmetric thetas for
   /// the same reason as DistillConfig::train: the trust band is symmetric.
   gnn::TrainConfig refresh_train{.iterations = 400,
@@ -121,8 +115,8 @@ struct TieredSpec {
 
 class TieredPlanner {
  public:
-  /// The planner serves `surrogate` until a handle/registry swap or an
-  /// adopted refresh replaces it.
+  /// The planner serves `surrogate` until a handle swap or an adopted
+  /// refresh replaces it.
   TieredPlanner(std::shared_ptr<gnn::SurrogateModel> surrogate,
                 TieredPlannerConfig cfg);
 
@@ -133,10 +127,6 @@ class TieredPlanner {
   /// land between control ticks. A swap to a different instance bumps the
   /// generation — plan-cache entries keyed on it can never go stale.
   void set_handle(serve::SurrogateHandle* handle);
-  /// Adopted refreshes publish+promote through `registry` (checkpointing
-  /// to its store dir); attach the planner's handle to the same key so the
-  /// promoted version comes back through set_handle's path.
-  void set_registry(serve::SurrogateRegistry* registry, serve::ModelKey key);
 
   /// The surrogate a solve would descend right now (refreshes from the
   /// handle first). Single-writer like the rest of the planner.
@@ -178,8 +168,9 @@ class TieredPlanner {
                                                std::span<const Item> items);
 
   /// Fine-tune a clone on the miss window and adopt it if it beats the
-  /// incumbent there (holdout-gate semantics, serve/online_trainer.h).
-  /// Returns true when the refreshed surrogate was adopted.
+  /// incumbent there (holdout-gate semantics, serve/online_trainer.h): it
+  /// swaps into the attached handle, else serves directly. Returns true
+  /// when the refreshed surrogate was adopted.
   bool refresh_now();
 
   /// Solver-in-the-loop distillation (see SolverDistillConfig): plain
@@ -194,6 +185,11 @@ class TieredPlanner {
       gnn::LatencyModel& teacher, std::span<const double> workload_hi,
       std::span<const Millicores> lo, std::span<const Millicores> hi,
       double slo_ms, const SolverDistillConfig& cfg, const SolverConfig& solver);
+  /// Throws std::invalid_argument unless distill_for_planner can run `cfg`:
+  /// gnn::SurrogateDistiller::check(cfg.base), queries_per_round > 0 when
+  /// rounds > 0, jitter_pct in [0, 1) and refine.batch_size > 0. Fleet
+  /// admission runs it before publishing anything (fleet::Tenant::validate).
+  static void check_distill(const SolverDistillConfig& cfg);
 
   /// Intern core.surrogate.* instruments (nullptr detaches):
   /// fast_hits / escalations / distill_samples / refreshes counters,
@@ -217,10 +213,9 @@ class TieredPlanner {
 
   void note_fast_hit(double disagreement_pct);
   void note_escalation(double disagreement_pct);
-  /// Record a teacher-labelled miss sample and maybe auto-refresh.
+  /// Record a teacher-labelled miss sample in the refresh window.
   void note_miss_sample(std::span<const double> workload,
                         std::span<const Millicores> quota, double teacher_ms);
-  void maybe_auto_refresh();
   void adopt(gnn::SurrogateModel&& candidate);
 
   TieredPlannerConfig cfg_;
@@ -228,11 +223,8 @@ class TieredPlanner {
   std::uint64_t generation_ = 1;
 
   serve::SurrogateHandle* handle_ = nullptr;
-  serve::SurrogateRegistry* registry_ = nullptr;
-  serve::ModelKey registry_key_{};
 
   gnn::Dataset window_;  // bounded FIFO of escalation-miss samples
-  std::size_t misses_since_refresh_ = 0;
 
   std::uint64_t fast_hits_ = 0;
   std::uint64_t escalations_ = 0;

@@ -1,27 +1,10 @@
 #include "gnn/batched_latency_model.h"
 
-#include <bit>
 #include <stdexcept>
 
+#include "common/fnv.h"
+
 namespace graf::gnn {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (byte * 8)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-}
-
-void mix_double(std::uint64_t& h, double v) {
-  mix(h, std::bit_cast<std::uint64_t>(v));
-}
-
-}  // namespace
 
 BatchedLatencyModel::BatchedLatencyModel(LatencyModel& model,
                                          std::size_t rows_per_graph)
@@ -55,32 +38,32 @@ double BatchedLatencyModel::predict(std::size_t graph,
 }
 
 std::uint64_t BatchedLatencyModel::fingerprint(LatencyModel& model) {
-  std::uint64_t h = kFnvOffset;
-  mix(h, model.node_count());
+  Fnv1a h;
+  h.mix(model.node_count());
   for (const auto& parents : model.graph_parents()) {
-    mix(h, parents.size());
-    for (int p : parents) mix(h, static_cast<std::uint64_t>(p));
+    h.mix(parents.size());
+    for (int p : parents) h.mix(static_cast<std::uint64_t>(p));
   }
   const MpnnConfig& cfg = model.mpnn_config();
-  mix(h, cfg.node_features);
-  mix(h, cfg.embed_dim);
-  mix(h, cfg.mpnn_hidden);
-  mix(h, cfg.readout_hidden);
-  mix(h, cfg.message_steps);
-  mix_double(h, cfg.dropout_p);
-  mix(h, cfg.use_mpnn ? 1 : 0);
+  h.mix(cfg.node_features);
+  h.mix(cfg.embed_dim);
+  h.mix(cfg.mpnn_hidden);
+  h.mix(cfg.readout_hidden);
+  h.mix(cfg.message_steps);
+  h.mix_double(cfg.dropout_p);
+  h.mix(cfg.use_mpnn ? 1 : 0);
   const ScalerState s = model.scalers();
-  mix_double(h, s.w_scale);
-  mix_double(h, s.q_scale);
-  mix_double(h, s.q_min_mc);
-  mix_double(h, s.ratio_max);
-  mix_double(h, s.label_ref);
+  h.mix_double(s.w_scale);
+  h.mix_double(s.q_scale);
+  h.mix_double(s.q_min_mc);
+  h.mix_double(s.ratio_max);
+  h.mix_double(s.label_ref);
   for (const nn::Tensor& t : model.state_dict()) {
-    mix(h, t.rows());
-    mix(h, t.cols());
-    for (std::size_t i = 0; i < t.size(); ++i) mix_double(h, t.data()[i]);
+    h.mix(t.rows());
+    h.mix(t.cols());
+    for (std::size_t i = 0; i < t.size(); ++i) h.mix_double(t.data()[i]);
   }
-  return h;
+  return h.value();
 }
 
 }  // namespace graf::gnn

@@ -32,7 +32,199 @@ std::vector<std::string> snapshot_names(const Dag& graph) {
   return names;
 }
 
+/// Every sample `node_count` wide with every quota > 0; the negated
+/// comparison rejects a NaN quota too.
+void check_samples(const Dataset& data, std::size_t node_count) {
+  for (const Sample& s : data) {
+    if (s.workload.size() != node_count || s.quota.size() != node_count)
+      throw std::invalid_argument{"latency model: sample dimension mismatch"};
+    for (double q : s.quota)
+      if (!(q > 0.0)) throw std::invalid_argument{"latency model: sample quota must be > 0"};
+  }
+}
+
+ScalerState fit_scalers(const Dataset& train) {
+  double wmax = 1e-9;
+  double qmax = 1e-9;
+  double qmin = std::numeric_limits<double>::infinity();
+  double ratio_max = 1e-9;
+  double lsum = 0.0;
+  for (const Sample& s : train) {
+    for (double w : s.workload) wmax = std::max(wmax, w);
+    for (std::size_t i = 0; i < s.quota.size(); ++i) {
+      const double q = s.quota[i];
+      qmax = std::max(qmax, q);
+      qmin = std::min(qmin, q);
+      ratio_max = std::max(ratio_max, s.workload[i] / q);
+    }
+    lsum += s.latency_ms;
+  }
+  return {.w_scale = 1.0 / wmax,
+          .q_scale = 1.0 / qmax,
+          .q_min_mc = std::min(qmin, 1e12),
+          .ratio_max = ratio_max,
+          .label_ref = std::max(lsum / static_cast<double>(train.size()), 1e-9)};
+}
+
+/// mean_loss without the sample check: fit_sharded checked `val` already.
+double chunked_loss(const BatchLoss& loss, const Dataset& data) {
+  constexpr std::size_t kChunk = 512;
+  double total = 0.0;
+  nn::Tape tape;
+  Rng rng{0};  // eval mode draws no dropout
+  std::vector<std::size_t> idx;
+  for (std::size_t start = 0; start < data.size(); start += kChunk) {
+    const std::size_t len = std::min(kChunk, data.size() - start);
+    idx.resize(len);
+    std::iota(idx.begin(), idx.end(), start);
+    tape.reset();
+    total += tape.value(loss(tape, data, idx, rng, /*training=*/false)).item() *
+             static_cast<double>(len);
+  }
+  return total / static_cast<double>(data.size());
+}
+
 }  // namespace
+
+TrainHistory fit_sharded(std::vector<nn::Param*> params, std::size_t node_count,
+                         const BatchLoss& loss, const Dataset& train,
+                         const Dataset& val, const TrainConfig& cfg,
+                         ScalerState* refit, telemetry::LogHistogram* step_timer) {
+  if (train.empty()) throw std::invalid_argument{"fit: empty training set"};
+  if (cfg.batch_size == 0) throw std::invalid_argument{"fit: batch_size must be > 0"};
+  check_samples(train, node_count);
+  check_samples(val, node_count);
+  if (refit != nullptr) *refit = fit_scalers(train);
+
+  Rng rng{cfg.seed};
+  nn::Adam opt{params, {.lr = cfg.lr}};
+
+  TrainHistory hist;
+  hist.best_val_loss = std::numeric_limits<double>::infinity();
+  std::vector<nn::Tensor> best_weights;
+
+  std::vector<std::size_t> order(train.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::size_t cursor = order.size();  // trigger initial shuffle
+  std::vector<std::size_t> idx(cfg.batch_size);
+
+  // Data-parallel plan: shard count is a pure function of the config, never
+  // of the thread count, so the shard boundaries, the per-shard dropout
+  // streams, and the shard-ordered gradient reduction below are identical
+  // whether the pool runs 1 or 64 threads — training is bit-deterministic.
+  const std::size_t shard_rows =
+      cfg.shard_rows == 0 ? cfg.batch_size : cfg.shard_rows;
+  const std::size_t shards = (cfg.batch_size + shard_rows - 1) / shard_rows;
+  std::vector<std::unique_ptr<nn::Tape>> tapes;
+  for (std::size_t s = 0; s < shards; ++s) {
+    tapes.push_back(std::make_unique<nn::Tape>());
+    tapes.back()->set_defer_param_grads(true);
+  }
+  std::vector<double> shard_loss(shards, 0.0);
+  ThreadPool& pool = global_pool();
+
+  double running_loss = 0.0;
+  std::size_t running_count = 0;
+
+  for (std::size_t it = 1; it <= cfg.iterations; ++it) {
+    // Draw the next mini-batch from a reshuffled epoch ordering.
+    for (std::size_t& slot : idx) {
+      if (cursor >= order.size()) {
+        for (std::size_t i = order.size(); i > 1; --i)
+          std::swap(order[i - 1],
+                    order[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+        cursor = 0;
+      }
+      slot = order[cursor++];
+    }
+
+    for (nn::Param* p : params) p->zero_grad();
+    const std::uint64_t iter_seed = derive_seed(cfg.seed, it);
+    {
+      telemetry::ScopedTimer timer{step_timer};
+      pool.parallel_for(shards, [&](std::size_t s) {
+        const std::size_t begin = s * shard_rows;
+        const std::size_t len = std::min(shard_rows, cfg.batch_size - begin);
+        nn::Tape& tape = *tapes[s];
+        tape.reset();
+        // Dropout stream derived from (seed, iteration, shard): independent
+        // of sibling shards and of who executes this one.
+        Rng shard_rng{derive_seed(iter_seed, s)};
+        nn::Var shard = loss(tape, train, {idx.data() + begin, len}, shard_rng,
+                             /*training=*/true);
+        // Weight each shard by its share of the batch so the reduced
+        // gradient equals the full-batch mean-loss gradient.
+        const double weight =
+            static_cast<double>(len) / static_cast<double>(cfg.batch_size);
+        nn::Var contribution = nn::scale(shard, weight);
+        tape.backward(contribution);
+        shard_loss[s] = tape.value(contribution).item();
+      });
+      // Ordered reduction: shard 0's gradients land first, then shard 1's,
+      // ... — floating-point accumulation order is part of the determinism
+      // contract, so it must not follow completion order.
+      for (auto& tape : tapes) tape->flush_param_grads();
+      opt.step();
+    }
+
+    double batch_loss = 0.0;
+    for (double l : shard_loss) batch_loss += l;
+    running_loss += batch_loss;
+    ++running_count;
+
+    if (cfg.lr_decay_every > 0 && it % cfg.lr_decay_every == 0)
+      opt.set_learning_rate(opt.learning_rate() * cfg.lr_decay_factor);
+
+    if ((cfg.eval_every > 0 && it % cfg.eval_every == 0) || it == cfg.iterations) {
+      const double train_loss = running_loss / static_cast<double>(running_count);
+      running_loss = 0.0;
+      running_count = 0;
+      const double val_loss = val.empty() ? train_loss : chunked_loss(loss, val);
+      hist.iteration.push_back(it);
+      hist.train_loss.push_back(train_loss);
+      hist.val_loss.push_back(val_loss);
+      if (cfg.select_best && val_loss < hist.best_val_loss) {
+        hist.best_val_loss = val_loss;
+        best_weights.clear();
+        for (nn::Param* p : params) best_weights.push_back(p->value);
+      }
+    }
+  }
+
+  if (cfg.select_best && !best_weights.empty()) {
+    for (std::size_t i = 0; i < params.size(); ++i) params[i]->value = best_weights[i];
+  } else if (!hist.val_loss.empty()) {
+    hist.best_val_loss = hist.val_loss.back();
+  }
+  return hist;
+}
+
+double mean_loss(const BatchLoss& loss, std::size_t node_count, const Dataset& data) {
+  if (data.empty()) throw std::invalid_argument{"evaluate_loss: empty dataset"};
+  check_samples(data, node_count);
+  return chunked_loss(loss, data);
+}
+
+AccuracyReport accuracy_report(const Dataset& data, double region_lo_ms,
+                               double region_hi_ms,
+                               const std::function<double(const Sample&)>& predict) {
+  AccuracyReport rep;
+  double abs_sum = 0.0;
+  double signed_sum = 0.0;
+  for (const Sample& s : data) {
+    if (s.latency_ms < region_lo_ms || s.latency_ms >= region_hi_ms) continue;
+    const double pred = predict(s);
+    const double pct = (pred - s.latency_ms) / std::max(s.latency_ms, 1e-9) * 100.0;
+    abs_sum += std::abs(pct);
+    signed_sum += pct;
+    ++rep.count;
+  }
+  if (rep.count > 0) {
+    rep.mean_abs_pct_error = abs_sum / static_cast<double>(rep.count);
+    rep.mean_pct_error = signed_sum / static_cast<double>(rep.count);
+  }
+  return rep;
+}
 
 LatencyModel::LatencyModel(const Dag& graph, const MpnnConfig& cfg, std::uint64_t seed)
     : node_count_{graph.node_count()}, node_names_{snapshot_names(graph)},
@@ -59,63 +251,28 @@ void LatencyModel::set_scalers(const ScalerState& s) {
   label_ref_ = s.label_ref;
 }
 
-void LatencyModel::fit_scalers(const Dataset& train) {
-  double wmax = 1e-9;
-  double qmax = 1e-9;
-  double qmin = std::numeric_limits<double>::infinity();
-  double ratio_max = 1e-9;
-  double lsum = 0.0;
-  for (const Sample& s : train) {
-    if (s.workload.size() != node_count_ || s.quota.size() != node_count_)
-      throw std::invalid_argument{"LatencyModel: sample dimension mismatch"};
-    for (double w : s.workload) wmax = std::max(wmax, w);
-    for (std::size_t i = 0; i < node_count_; ++i) {
-      const double q = s.quota[i];
-      if (q <= 0.0) throw std::invalid_argument{"LatencyModel: quota must be > 0"};
-      qmax = std::max(qmax, q);
-      qmin = std::min(qmin, q);
-      ratio_max = std::max(ratio_max, s.workload[i] / q);
+BatchLoss LatencyModel::batch_loss(const ScalerState& s, double theta_under,
+                                   double theta_over) {
+  return [this, &s, theta_under, theta_over](nn::Tape& tape, const Dataset& data,
+                                             std::span<const std::size_t> idx, Rng& rng,
+                                             bool training) {
+    const std::size_t batch = idx.size();
+    nn::Tensor& f = tape.stage(node_count_ * batch, kNodeFeatures);
+    nn::Tensor labels{batch, 1};
+    for (std::size_t r = 0; r < batch; ++r) {
+      const Sample& sample = data[idx[r]];
+      for (std::size_t n = 0; n < node_count_; ++n)
+        write_node_features(s, sample.workload[n], sample.quota[n], &f(n * batch + r, 0));
+      labels(r, 0) = sample.latency_ms / s.label_ref;
     }
-    lsum += s.latency_ms;
-  }
-  w_scale_ = 1.0 / wmax;
-  q_scale_ = 1.0 / qmax;
-  q_min_mc_ = std::min(qmin, 1e12);
-  ratio_max_ = ratio_max;
-  label_ref_ = train.empty() ? 1.0 : std::max(lsum / static_cast<double>(train.size()), 1e-9);
-}
-
-LatencyModel::Batch LatencyModel::assemble(const Dataset& data,
-                                           std::span<const std::size_t> idx) const {
-  Batch b;
-  const std::size_t batch = idx.size();
-  b.features = nn::Tensor{node_count_ * batch, kNodeFeatures};
-  b.labels = nn::Tensor{batch, 1};
-  for (std::size_t r = 0; r < batch; ++r) {
-    const Sample& s = data[idx[r]];
-    for (std::size_t n = 0; n < node_count_; ++n) {
-      const std::size_t row = n * batch + r;
-      b.features(row, 0) = s.workload[n] * w_scale_;
-      b.features(row, 1) = s.quota[n] * q_scale_;
-      b.features(row, 2) = q_min_mc_ / s.quota[n];
-      b.features(row, 3) = s.workload[n] / s.quota[n] / ratio_max_;
+    const nn::Var features = tape.commit_constant();
+    nn::Var pred;
+    {
+      telemetry::ScopedTimer timer{training ? nullptr : forward_timer_};
+      pred = model_.forward(tape, features, rng, training);
     }
-    b.labels(r, 0) = s.latency_ms / label_ref_;
-  }
-  return b;
-}
-
-nn::Var LatencyModel::forward_batch(nn::Tape& tape, const Batch& b, Rng& rng,
-                                    bool training) {
-  telemetry::ScopedTimer timer{forward_timer_};
-  return forward_features(tape, b, rng, training);
-}
-
-nn::Var LatencyModel::forward_features(nn::Tape& tape, const Batch& b, Rng& rng,
-                                       bool training) {
-  // By reference: the Batch outlives every use of the tape (callers build it
-  // before forwarding and read results before rebuilding), so no copies.
-  return model_.forward(tape, tape.constant_ref(b.features), rng, training);
+    return nn::asym_huber_pct_loss(pred, labels, theta_under, theta_over);
+  };
 }
 
 void LatencyModel::set_metrics(telemetry::MetricsRegistry* registry) {
@@ -126,114 +283,11 @@ void LatencyModel::set_metrics(telemetry::MetricsRegistry* registry) {
 
 TrainHistory LatencyModel::fit(const Dataset& train, const Dataset& val,
                                const TrainConfig& cfg) {
-  if (train.empty()) throw std::invalid_argument{"LatencyModel::fit: empty training set"};
-  fit_scalers(train);
-
-  Rng rng{cfg.seed};
-  nn::Adam opt{model_.params(), {.lr = cfg.lr}};
-
-  TrainHistory hist;
-  hist.best_val_loss = std::numeric_limits<double>::infinity();
-  std::vector<nn::Tensor> best_weights;
-
-  std::vector<std::size_t> order(train.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::size_t cursor = order.size();  // trigger initial shuffle
-
-  // Data-parallel plan: shard count is a pure function of the config, never
-  // of the thread count, so the shard boundaries, the per-shard dropout
-  // streams, and the shard-ordered gradient reduction below are identical
-  // whether the pool runs 1 or 64 threads — training is bit-deterministic.
-  const std::size_t shard_rows =
-      cfg.shard_rows == 0 ? cfg.batch_size : cfg.shard_rows;
-  const std::size_t shards = (cfg.batch_size + shard_rows - 1) / shard_rows;
-  std::vector<std::unique_ptr<nn::Tape>> tapes;
-  for (std::size_t s = 0; s < shards; ++s) {
-    tapes.push_back(std::make_unique<nn::Tape>());
-    tapes.back()->set_defer_param_grads(true);
-  }
-  std::vector<double> shard_loss(shards, 0.0);
-  ThreadPool& pool = global_pool();
-
-  double running_loss = 0.0;
-  std::size_t running_count = 0;
-
-  for (std::size_t it = 1; it <= cfg.iterations; ++it) {
-    // Draw the next mini-batch from a reshuffled epoch ordering.
-    std::vector<std::size_t> idx;
-    idx.reserve(cfg.batch_size);
-    while (idx.size() < cfg.batch_size) {
-      if (cursor >= order.size()) {
-        for (std::size_t i = order.size(); i > 1; --i)
-          std::swap(order[i - 1],
-                    order[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
-        cursor = 0;
-      }
-      idx.push_back(order[cursor++]);
-    }
-
-    model_.zero_grad();
-    const std::uint64_t iter_seed = derive_seed(cfg.seed, it);
-    {
-      telemetry::ScopedTimer step_timer{train_step_timer_};
-      pool.parallel_for(shards, [&](std::size_t s) {
-        const std::size_t begin = s * shard_rows;
-        const std::size_t len = std::min(shard_rows, cfg.batch_size - begin);
-        Batch b = assemble(train, {idx.data() + begin, len});
-        nn::Tape& tape = *tapes[s];
-        tape.reset();
-        // Dropout stream derived from (seed, iteration, shard): independent
-        // of sibling shards and of who executes this one.
-        Rng shard_rng{derive_seed(iter_seed, s)};
-        nn::Var pred = forward_features(tape, b, shard_rng, /*training=*/true);
-        nn::Var loss =
-            nn::asym_huber_pct_loss(pred, b.labels, cfg.theta_under, cfg.theta_over);
-        // Weight each shard by its share of the batch so the reduced
-        // gradient equals the full-batch mean-loss gradient.
-        const double weight =
-            static_cast<double>(len) / static_cast<double>(cfg.batch_size);
-        nn::Var contribution = nn::scale(loss, weight);
-        tape.backward(contribution);
-        shard_loss[s] = tape.value(contribution).item();
-      });
-      // Ordered reduction: shard 0's gradients land first, then shard 1's,
-      // ... — floating-point accumulation order is part of the determinism
-      // contract, so it must not follow completion order.
-      for (auto& tape : tapes) tape->flush_param_grads();
-      opt.step();
-    }
-
-    double batch_loss = 0.0;
-    for (double l : shard_loss) batch_loss += l;
-    running_loss += batch_loss;
-    ++running_count;
-
-    if (cfg.lr_decay_every > 0 && it % cfg.lr_decay_every == 0)
-      opt.set_learning_rate(opt.learning_rate() * cfg.lr_decay_factor);
-
-    if ((cfg.eval_every > 0 && it % cfg.eval_every == 0) || it == cfg.iterations) {
-      const double train_loss = running_loss / static_cast<double>(running_count);
-      running_loss = 0.0;
-      running_count = 0;
-      const double val_loss =
-          val.empty() ? train_loss : evaluate_loss(val, cfg.theta_under, cfg.theta_over);
-      hist.iteration.push_back(it);
-      hist.train_loss.push_back(train_loss);
-      hist.val_loss.push_back(val_loss);
-      if (cfg.select_best && val_loss < hist.best_val_loss) {
-        hist.best_val_loss = val_loss;
-        best_weights.clear();
-        for (nn::Param* p : model_.params()) best_weights.push_back(p->value);
-      }
-    }
-  }
-
-  if (cfg.select_best && !best_weights.empty()) {
-    auto params = model_.params();
-    for (std::size_t i = 0; i < params.size(); ++i) params[i]->value = best_weights[i];
-  } else if (!hist.val_loss.empty()) {
-    hist.best_val_loss = hist.val_loss.back();
-  }
+  ScalerState fitted;  // refitted by fit_sharded before the first batch reads it
+  TrainHistory hist = fit_sharded(model_.params(), node_count_,
+                                  batch_loss(fitted, cfg.theta_under, cfg.theta_over),
+                                  train, val, cfg, &fitted, train_step_timer_);
+  set_scalers(fitted);
   return hist;
 }
 
@@ -247,13 +301,10 @@ double LatencyModel::predict(std::span<const double> workload_qps,
   // no heap. Nothing on it outlives the call.
   thread_local nn::Tape tape;
   tape.reset();
+  const ScalerState s = scalers();
   nn::Tensor& f = tape.stage(node_count_, kNodeFeatures);  // node-stacked, one row per node
-  for (std::size_t n = 0; n < node_count_; ++n) {
-    f(n, 0) = workload_qps[n] * w_scale_;
-    f(n, 1) = quota_millicores[n] * q_scale_;
-    f(n, 2) = q_min_mc_ / quota_millicores[n];
-    f(n, 3) = workload_qps[n] / quota_millicores[n] / ratio_max_;
-  }
+  for (std::size_t n = 0; n < node_count_; ++n)
+    write_node_features(s, workload_qps[n], quota_millicores[n], &f(n, 0));
   nn::Var out = model_.forward(tape, tape.commit_constant(), rng_, /*training=*/false);
   return tape.value(out).item() * label_ref_;
 }
@@ -355,41 +406,15 @@ const nn::Tensor& LatencyModel::Pass::backward(const nn::Tensor& dpred) {
 
 double LatencyModel::evaluate_loss(const Dataset& data, double theta_under,
                                    double theta_over) {
-  if (data.empty()) throw std::invalid_argument{"evaluate_loss: empty dataset"};
-  constexpr std::size_t kChunk = 512;
-  double total = 0.0;
-  nn::Tape tape;
-  for (std::size_t start = 0; start < data.size(); start += kChunk) {
-    const std::size_t len = std::min(kChunk, data.size() - start);
-    std::vector<std::size_t> idx(len);
-    std::iota(idx.begin(), idx.end(), start);
-    Batch b = assemble(data, idx);
-    tape.reset();
-    nn::Var pred = forward_batch(tape, b, rng_, /*training=*/false);
-    nn::Var loss = nn::asym_huber_pct_loss(pred, b.labels, theta_under, theta_over);
-    total += tape.value(loss).item() * static_cast<double>(len);
-  }
-  return total / static_cast<double>(data.size());
+  const ScalerState s = scalers();
+  return mean_loss(batch_loss(s, theta_under, theta_over), node_count_, data);
 }
 
 AccuracyReport LatencyModel::evaluate_accuracy(const Dataset& data, double region_lo_ms,
                                                double region_hi_ms) {
-  AccuracyReport rep;
-  double abs_sum = 0.0;
-  double signed_sum = 0.0;
-  for (const Sample& s : data) {
-    if (s.latency_ms < region_lo_ms || s.latency_ms >= region_hi_ms) continue;
-    const double pred = predict(s.workload, s.quota);
-    const double pct = (pred - s.latency_ms) / std::max(s.latency_ms, 1e-9) * 100.0;
-    abs_sum += std::abs(pct);
-    signed_sum += pct;
-    ++rep.count;
-  }
-  if (rep.count > 0) {
-    rep.mean_abs_pct_error = abs_sum / static_cast<double>(rep.count);
-    rep.mean_pct_error = signed_sum / static_cast<double>(rep.count);
-  }
-  return rep;
+  return accuracy_report(data, region_lo_ms, region_hi_ms, [this](const Sample& s) {
+    return predict(s.workload, s.quota);
+  });
 }
 
 void LatencyModel::save(std::ostream& os) {

@@ -1,12 +1,15 @@
 // End-to-end tail-latency prediction model (paper §3.4).
 //
 // Wraps the MPNN + readout network with input/output normalization, the
-// asymmetric Hüber percentage-error training loop (Table 1), validation
-// based best-model selection, and a differentiable-inputs entry point used
-// by the configuration solver (§3.5).
+// asymmetric Hüber percentage-error loss (Table 1), and a differentiable-
+// inputs entry point used by the configuration solver (§3.5). Also home of
+// the one training loop (fit_sharded: validation-based best-model
+// selection included) that the surrogate (§3.14) and the partitioned model
+// (§6) run too, and of the feature convention their tape forwards share.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <span>
 #include <vector>
@@ -80,6 +83,53 @@ struct ScalerState {
   double ratio_max = 1.0;
   double label_ref = 1.0;
 };
+
+/// The four division-form features of one node's (workload w, quota q):
+/// w·w_scale, q·q_scale, q_min_mc/q and w/q/ratio_max, into f[0..3]
+/// (DESIGN.md §3.2). Every tape forward reads these bits; QuotaPass writes
+/// the multiplicative form, whose bits differ.
+inline void write_node_features(const ScalerState& s, double w, double q, double* f) {
+  f[0] = w * s.w_scale;
+  f[1] = q * s.q_scale;
+  f[2] = s.q_min_mc / q;
+  f[3] = w / q / s.ratio_max;
+}
+
+/// A model's loss over the samples data[idx], recorded on `tape`: its
+/// forward (dropout drawn from `rng` when `training`) and its loss
+/// expression, a 1 x 1 Var. Everything the Var reads lives on the tape
+/// (Tape::stage + commit_constant): nothing of the call outlives it.
+using BatchLoss = std::function<nn::Var(nn::Tape& tape, const Dataset& data,
+                                        std::span<const std::size_t> idx, Rng& rng,
+                                        bool training)>;
+
+/// The training loop of every latency model (§3.4, Table 1): Adam over
+/// `params` on reshuffled epochs of `train`, the step lr decay, `val` loss
+/// every cfg.eval_every iterations (0: the last only) and the best-validation
+/// restore. Each minibatch splits into ceil(batch_size / shard_rows) shards
+/// on the global pool, each on its own deferred tape with dropout stream
+/// derive_seed(derive_seed(cfg.seed, it), shard) and weight len/batch_size,
+/// their gradients flushed in shard order: the trained bits depend only on
+/// cfg, never on the thread count (DESIGN.md §3.7). Rejects an empty
+/// `train`, a zero batch_size and any sample of `train` or `val` that is not
+/// `node_count` wide or has a quota that is not > 0, before anything moves;
+/// then fits `*refit` from `train` unless it is null. `step_timer` times
+/// each step from the coordinating thread.
+TrainHistory fit_sharded(std::vector<nn::Param*> params, std::size_t node_count,
+                         const BatchLoss& loss, const Dataset& train,
+                         const Dataset& val, const TrainConfig& cfg,
+                         ScalerState* refit,
+                         telemetry::LogHistogram* step_timer = nullptr);
+
+/// Mean eval-mode `loss` over `data` (checked as fit_sharded checks it), in
+/// 512-sample chunks.
+double mean_loss(const BatchLoss& loss, std::size_t node_count, const Dataset& data);
+
+/// Table 2's percentage-error summary of `predict` over the samples whose
+/// latency lies in [region_lo_ms, region_hi_ms).
+AccuracyReport accuracy_report(const Dataset& data, double region_lo_ms,
+                               double region_hi_ms,
+                               const std::function<double(const Sample&)>& predict);
 
 /// A compiled, frozen value-and-input-gradient pass over R quota rows: what
 /// the configuration solver descends through (DESIGN.md §3.9). The model's
@@ -166,8 +216,9 @@ class LatencyModel {
   /// the application size through the readout, §6).
   std::size_t param_count() { return model_.param_count(); }
 
-  /// Train on `train`, monitor `val`. Normalization scalers are (re)fitted
-  /// from `train`. Returns loss history for learning-curve reporting.
+  /// Train on `train`, monitor `val` (fit_sharded). Normalization scalers
+  /// are (re)fitted from `train`. Returns loss history for learning-curve
+  /// reporting.
   TrainHistory fit(const Dataset& train, const Dataset& val, const TrainConfig& cfg);
 
   /// Predict end-to-end tail latency (ms) in eval mode (dropout off).
@@ -185,10 +236,6 @@ class LatencyModel {
 
   void save(std::ostream& os);
   void load(std::istream& is);
-
-  double workload_scale() const { return w_scale_; }
-  double quota_scale() const { return q_scale_; }
-  double label_ref_ms() const { return label_ref_; }
 
   // --- Model-store hooks (src/serve) ---------------------------------------
 
@@ -224,19 +271,11 @@ class LatencyModel {
   void set_metrics(telemetry::MetricsRegistry* registry);
 
  private:
-  struct Batch {
-    nn::Tensor features;  // node-stacked: (n·batch) x F, node i at rows i·batch
-    nn::Tensor labels;    // batch x 1 (normalized)
-  };
-
-  Batch assemble(const Dataset& data, std::span<const std::size_t> idx) const;
-  nn::Var forward_batch(nn::Tape& tape, const Batch& b, Rng& rng, bool training);
-  /// Timer-free forward over an assembled batch — the worker-thread path;
-  /// `model_` parameters are read-only here, so concurrent shard tapes are
-  /// safe as long as each tape defers its param gradients.
-  nn::Var forward_features(nn::Tape& tape, const Batch& b, Rng& rng,
-                           bool training);
-  void fit_scalers(const Dataset& train);
+  /// The asymmetric Hüber percentage loss of the MPNN over node-stacked
+  /// features ((n·B) x F, node i's rows at [i·B, (i+1)·B)) scaled by `s`,
+  /// which must outlive the function. Training shards only read `model_`'s
+  /// weights; an eval-mode forward is timed.
+  BatchLoss batch_loss(const ScalerState& s, double theta_under, double theta_over);
 
   std::size_t node_count_;
   std::vector<std::string> node_names_;

@@ -1,12 +1,9 @@
 #include "gnn/partitioned_model.h"
 
 #include <algorithm>
-#include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "nn/loss.h"
-#include "nn/optim.h"
 
 namespace graf::gnn {
 
@@ -76,138 +73,49 @@ std::size_t PartitionedLatencyModel::param_count() {
   return n;
 }
 
-void PartitionedLatencyModel::fit_scalers(const Dataset& train) {
-  double wmax = 1e-9;
-  double qmax = 1e-9;
-  double qmin = std::numeric_limits<double>::infinity();
-  double ratio_max = 1e-9;
-  double lsum = 0.0;
-  for (const Sample& s : train) {
-    if (s.workload.size() != node_count_ || s.quota.size() != node_count_)
-      throw std::invalid_argument{"PartitionedLatencyModel: sample dimension"};
-    for (double w : s.workload) wmax = std::max(wmax, w);
-    for (std::size_t i = 0; i < node_count_; ++i) {
-      qmax = std::max(qmax, s.quota[i]);
-      qmin = std::min(qmin, s.quota[i]);
-      ratio_max = std::max(ratio_max, s.workload[i] / s.quota[i]);
-    }
-    lsum += s.latency_ms;
-  }
-  w_scale_ = 1.0 / wmax;
-  q_scale_ = 1.0 / qmax;
-  q_min_mc_ = qmin;
-  ratio_max_ = ratio_max;
-  label_ref_ = std::max(lsum / static_cast<double>(train.size()), 1e-9);
-}
-
-nn::Tensor PartitionedLatencyModel::features_for(const Dataset& data,
-                                                 std::span<const std::size_t> idx,
-                                                 int node) const {
-  nn::Tensor f{idx.size(), LatencyModel::kNodeFeatures};
-  for (std::size_t r = 0; r < idx.size(); ++r) {
-    const Sample& s = data[idx[r]];
-    const auto n = static_cast<std::size_t>(node);
-    f(r, 0) = s.workload[n] * w_scale_;
-    f(r, 1) = s.quota[n] * q_scale_;
-    f(r, 2) = q_min_mc_ / s.quota[n];
-    f(r, 3) = s.workload[n] / s.quota[n] / ratio_max_;
-  }
-  return f;
-}
-
 nn::Var PartitionedLatencyModel::forward(nn::Tape& tape, const Dataset& data,
                                          std::span<const std::size_t> idx, Rng& rng,
                                          bool training) {
+  const std::size_t batch = idx.size();
   nn::Var total;
   for (auto& part : parts_) {
-    std::vector<nn::Var> feats;
-    feats.reserve(part.nodes.size());
-    for (int node : part.nodes)
-      feats.push_back(tape.constant(features_for(data, idx, node)));
-    nn::Var out = part.model.forward(tape, feats, rng, training);
+    // The partition's nodes stacked in partition-local order, as its
+    // induced subgraph numbers them.
+    nn::Tensor& f = tape.stage(part.nodes.size() * batch, LatencyModel::kNodeFeatures);
+    for (std::size_t j = 0; j < part.nodes.size(); ++j) {
+      const auto n = static_cast<std::size_t>(part.nodes[j]);
+      for (std::size_t r = 0; r < batch; ++r) {
+        const Sample& s = data[idx[r]];
+        write_node_features(s_, s.workload[n], s.quota[n], &f(j * batch + r, 0));
+      }
+    }
+    nn::Var out = part.model.forward(tape, tape.commit_constant(), rng, training);
     total = total.valid() ? nn::add(total, out) : out;
   }
   return total;
 }
 
-TrainHistory PartitionedLatencyModel::fit(const Dataset& train, const Dataset& val,
-                                          const TrainConfig& cfg) {
-  if (train.empty())
-    throw std::invalid_argument{"PartitionedLatencyModel::fit: empty training set"};
-  fit_scalers(train);
-
-  Rng rng{cfg.seed};
-  nn::Adam opt{all_params(), {.lr = cfg.lr}};
-  TrainHistory hist;
-  hist.best_val_loss = std::numeric_limits<double>::infinity();
-
-  std::vector<std::size_t> order(train.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::size_t cursor = order.size();
-
-  auto eval_loss = [&](const Dataset& data) {
-    constexpr std::size_t kChunk = 512;
-    double total = 0.0;
-    nn::Tape tape;
-    for (std::size_t start = 0; start < data.size(); start += kChunk) {
-      const std::size_t len = std::min(kChunk, data.size() - start);
-      std::vector<std::size_t> idx(len);
-      std::iota(idx.begin(), idx.end(), start);
-      nn::Tensor labels{len, 1};
-      for (std::size_t r = 0; r < len; ++r)
-        labels(r, 0) = data[idx[r]].latency_ms / label_ref_;
-      tape.reset();
-      nn::Var pred = forward(tape, data, idx, rng_, false);
-      nn::Var loss =
-          nn::asym_huber_pct_loss(pred, labels, cfg.theta_under, cfg.theta_over);
-      total += tape.value(loss).item() * static_cast<double>(len);
-    }
-    return total / static_cast<double>(data.size());
-  };
-
-  nn::Tape tape;
-  double running = 0.0;
-  std::size_t running_n = 0;
-  for (std::size_t it = 1; it <= cfg.iterations; ++it) {
-    std::vector<std::size_t> idx;
-    idx.reserve(cfg.batch_size);
-    while (idx.size() < cfg.batch_size) {
-      if (cursor >= order.size()) {
-        for (std::size_t i = order.size(); i > 1; --i)
-          std::swap(order[i - 1], order[static_cast<std::size_t>(rng.uniform_int(
-                                      0, static_cast<std::int64_t>(i) - 1))]);
-        cursor = 0;
-      }
-      idx.push_back(order[cursor++]);
-    }
+BatchLoss PartitionedLatencyModel::batch_loss(double theta_under, double theta_over) {
+  return [this, theta_under, theta_over](nn::Tape& tape, const Dataset& data,
+                                         std::span<const std::size_t> idx, Rng& rng,
+                                         bool training) {
     nn::Tensor labels{idx.size(), 1};
     for (std::size_t r = 0; r < idx.size(); ++r)
-      labels(r, 0) = train[idx[r]].latency_ms / label_ref_;
+      labels(r, 0) = data[idx[r]].latency_ms / s_.label_ref;
+    return nn::asym_huber_pct_loss(forward(tape, data, idx, rng, training), labels,
+                                   theta_under, theta_over);
+  };
+}
 
-    tape.reset();
-    nn::Var pred = forward(tape, train, idx, rng, true);
-    nn::Var loss =
-        nn::asym_huber_pct_loss(pred, labels, cfg.theta_under, cfg.theta_over);
-    for (nn::Param* p : all_params()) p->zero_grad();
-    tape.backward(loss);
-    opt.step();
-    if (cfg.lr_decay_every > 0 && it % cfg.lr_decay_every == 0)
-      opt.set_learning_rate(opt.learning_rate() * cfg.lr_decay_factor);
+TrainHistory PartitionedLatencyModel::fit(const Dataset& train, const Dataset& val,
+                                          const TrainConfig& cfg) {
+  return fit_sharded(all_params(), node_count_,
+                     batch_loss(cfg.theta_under, cfg.theta_over), train, val, cfg, &s_);
+}
 
-    running += tape.value(loss).item();
-    ++running_n;
-    if (it % cfg.eval_every == 0 || it == cfg.iterations) {
-      const double train_loss = running / static_cast<double>(running_n);
-      running = 0.0;
-      running_n = 0;
-      const double val_loss = val.empty() ? train_loss : eval_loss(val);
-      hist.iteration.push_back(it);
-      hist.train_loss.push_back(train_loss);
-      hist.val_loss.push_back(val_loss);
-      hist.best_val_loss = std::min(hist.best_val_loss, val_loss);
-    }
-  }
-  return hist;
+double PartitionedLatencyModel::evaluate_loss(const Dataset& data, double theta_under,
+                                              double theta_over) {
+  return mean_loss(batch_loss(theta_under, theta_over), node_count_, data);
 }
 
 double PartitionedLatencyModel::predict(std::span<const double> workload_qps,
@@ -217,32 +125,18 @@ double PartitionedLatencyModel::predict(std::span<const double> workload_qps,
   Dataset one(1);
   one[0].workload.assign(workload_qps.begin(), workload_qps.end());
   one[0].quota.assign(quota_millicores.begin(), quota_millicores.end());
-  one[0].latency_ms = 0.0;
   const std::size_t idx[] = {0};
   nn::Tape tape;
   nn::Var out = forward(tape, one, idx, rng_, false);
-  return tape.value(out).item() * label_ref_;
+  return tape.value(out).item() * s_.label_ref;
 }
 
 AccuracyReport PartitionedLatencyModel::evaluate_accuracy(const Dataset& data,
                                                           double region_lo_ms,
                                                           double region_hi_ms) {
-  AccuracyReport rep;
-  double abs_sum = 0.0;
-  double signed_sum = 0.0;
-  for (const Sample& s : data) {
-    if (s.latency_ms < region_lo_ms || s.latency_ms >= region_hi_ms) continue;
-    const double pred = predict(s.workload, s.quota);
-    const double pct = (pred - s.latency_ms) / std::max(s.latency_ms, 1e-9) * 100.0;
-    abs_sum += std::abs(pct);
-    signed_sum += pct;
-    ++rep.count;
-  }
-  if (rep.count > 0) {
-    rep.mean_abs_pct_error = abs_sum / static_cast<double>(rep.count);
-    rep.mean_pct_error = signed_sum / static_cast<double>(rep.count);
-  }
-  return rep;
+  return accuracy_report(data, region_lo_ms, region_hi_ms, [this](const Sample& s) {
+    return predict(s.workload, s.quota);
+  });
 }
 
 }  // namespace graf::gnn

@@ -41,10 +41,16 @@ class PartitionedLatencyModel {
   /// Trainable parameter count (the scalability metric).
   std::size_t param_count();
 
+  /// Train every partition's networks jointly through fit_sharded, the
+  /// loop LatencyModel::fit runs; the scalers are refitted from `train`.
   TrainHistory fit(const Dataset& train, const Dataset& val, const TrainConfig& cfg);
 
   double predict(std::span<const double> workload_qps,
                  std::span<const double> quota_millicores);
+
+  /// Mean training-loss value of the current weights over a dataset (eval
+  /// mode).
+  double evaluate_loss(const Dataset& data, double theta_under, double theta_over);
 
   AccuracyReport evaluate_accuracy(const Dataset& data, double region_lo_ms = 0.0,
                                    double region_hi_ms = 1e18);
@@ -55,23 +61,18 @@ class PartitionedLatencyModel {
     MpnnModel model;
   };
 
-  void fit_scalers(const Dataset& train);
   /// Forward over a batch of samples; returns the summed (batch x 1) output.
   nn::Var forward(nn::Tape& tape, const Dataset& data,
                   std::span<const std::size_t> idx, Rng& rng, bool training);
-  nn::Tensor features_for(const Dataset& data, std::span<const std::size_t> idx,
-                          int node) const;
+  /// The asymmetric Hüber percentage loss of the summed contributions.
+  BatchLoss batch_loss(double theta_under, double theta_over);
   std::vector<nn::Param*> all_params();
 
   std::size_t node_count_;
   Rng rng_;
   std::vector<Part> parts_;
   std::vector<std::vector<int>> node_of_part_;
-  double w_scale_ = 1.0;
-  double q_scale_ = 1.0;
-  double q_min_mc_ = 1.0;
-  double ratio_max_ = 1.0;
-  double label_ref_ = 1.0;
+  ScalerState s_{};
 };
 
 }  // namespace graf::gnn

@@ -1,16 +1,11 @@
 #include "gnn/surrogate_model.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <limits>
-#include <memory>
-#include <numeric>
 #include <stdexcept>
 
+#include "common/fnv.h"
 #include "common/thread_pool.h"
-#include "nn/loss.h"
-#include "nn/optim.h"
 
 namespace graf::gnn {
 
@@ -28,20 +23,10 @@ std::vector<std::size_t> mlp_dims(std::size_t node_count, const SurrogateConfig&
   return dims;
 }
 
-// FNV-1a 64 — same constants and mixing as gnn::BatchedLatencyModel's
-// teacher fingerprint, so equal-fingerprint ⇒ bit-identical forwards holds
-// with the same strength for the surrogate.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
+/// Throws `message` unless v lies in [0, 1]; the negated test rejects NaN too.
+void check_unit_interval(double v, const char* message) {
+  if (!(v >= 0.0 && v <= 1.0)) throw std::invalid_argument{message};
 }
-
-void mix_double(std::uint64_t& h, double v) { mix(h, std::bit_cast<std::uint64_t>(v)); }
 
 }  // namespace
 
@@ -62,147 +47,38 @@ std::uint64_t SurrogateModel::param_count(std::uint64_t node_count,
                      Mlp::param_count({h, 1}));
 }
 
-SurrogateModel::Batch SurrogateModel::assemble(const Dataset& data,
-                                               std::span<const std::size_t> idx) const {
-  const std::size_t batch = idx.size();
-  Batch b{nn::Tensor{batch, node_count_ * kNodeFeatures}, nn::Tensor{batch, 1}};
-  for (std::size_t r = 0; r < batch; ++r) {
-    const Sample& s = data[idx[r]];
-    if (s.workload.size() != node_count_ || s.quota.size() != node_count_)
-      throw std::invalid_argument{"SurrogateModel: sample dimension mismatch"};
-    for (std::size_t n = 0; n < node_count_; ++n) {
-      if (s.quota[n] <= 0.0)
-        throw std::invalid_argument{"SurrogateModel: quota must be > 0"};
-      const std::size_t c = n * kNodeFeatures;
-      b.features(r, c + 0) = s.workload[n] * s_.w_scale;
-      b.features(r, c + 1) = s.quota[n] * s_.q_scale;
-      b.features(r, c + 2) = s_.q_min_mc / s.quota[n];
-      b.features(r, c + 3) = s.workload[n] / s.quota[n] / s_.ratio_max;
+BatchLoss SurrogateModel::batch_loss(double theta_under, double theta_over) {
+  return [this, theta_under, theta_over](nn::Tape& tape, const Dataset& data,
+                                         std::span<const std::size_t> idx, Rng& rng,
+                                         bool training) {
+    const std::size_t batch = idx.size();
+    nn::Tensor& f = tape.stage(batch, node_count_ * kNodeFeatures);
+    for (std::size_t r = 0; r < batch; ++r) {
+      const Sample& s = data[idx[r]];
+      for (std::size_t n = 0; n < node_count_; ++n)
+        write_node_features(s_, s.workload[n], s.quota[n], &f(r, n * kNodeFeatures));
     }
+    nn::Var pred = mlp_.forward(tape, tape.commit_constant(), rng, training);
     // Log-space labels: latency spans a hyperbolic dynamic range near
     // saturation that a small ReLU MLP underfits in linear space; log
     // compresses it, and a log-difference is a relative error, so the
-    // huber thetas keep their percentage meaning (see fit()).
-    b.labels(r, 0) = std::log(std::max(s.latency_ms / s_.label_ref, 1e-9));
-  }
-  return b;
-}
-
-nn::Var SurrogateModel::forward_features(nn::Tape& tape, const Batch& b, Rng& rng,
-                                         bool training) {
-  // By reference: the Batch outlives every use of the tape, same contract
-  // as LatencyModel::forward_features.
-  return mlp_.forward(tape, tape.constant_ref(b.features), rng, training);
+    // huber thetas keep their percentage meaning: (pred < label) is
+    // under-estimation, as in the teacher's pct loss.
+    nn::Tensor& y = tape.stage(batch, 1);
+    for (std::size_t r = 0; r < batch; ++r)
+      y(r, 0) = std::log(std::max(data[idx[r]].latency_ms / s_.label_ref, 1e-9));
+    nn::Var d = nn::sub(pred, tape.commit_constant());
+    return nn::mean_all(nn::asym_huber(d, theta_under, theta_over));
+  };
 }
 
 TrainHistory SurrogateModel::fit(const Dataset& train, const Dataset& val,
                                  const TrainConfig& cfg) {
-  if (train.empty())
-    throw std::invalid_argument{"SurrogateModel::fit: empty training set"};
   // Scalers are deliberately not refitted: the distiller pins the teacher's
   // so both models read identical feature bits (see header).
-
-  Rng rng{cfg.seed};
-  nn::Adam opt{mlp_.params(), {.lr = cfg.lr}};
-
-  TrainHistory hist;
-  hist.best_val_loss = std::numeric_limits<double>::infinity();
-  std::vector<nn::Tensor> best_weights;
-
-  std::vector<std::size_t> order(train.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::size_t cursor = order.size();  // trigger initial shuffle
-
-  // Data-parallel plan mirrors LatencyModel::fit: shard boundaries, dropout
-  // streams, and the shard-ordered gradient reduction depend only on the
-  // config — bit-identical at any GRAF_THREADS (DESIGN.md §3.7).
-  const std::size_t shard_rows =
-      cfg.shard_rows == 0 ? cfg.batch_size : cfg.shard_rows;
-  const std::size_t shards = (cfg.batch_size + shard_rows - 1) / shard_rows;
-  std::vector<std::unique_ptr<nn::Tape>> tapes;
-  for (std::size_t s = 0; s < shards; ++s) {
-    tapes.push_back(std::make_unique<nn::Tape>());
-    tapes.back()->set_defer_param_grads(true);
-  }
-  std::vector<double> shard_loss(shards, 0.0);
-  ThreadPool& pool = global_pool();
-
-  double running_loss = 0.0;
-  std::size_t running_count = 0;
-
-  for (std::size_t it = 1; it <= cfg.iterations; ++it) {
-    std::vector<std::size_t> idx;
-    idx.reserve(cfg.batch_size);
-    while (idx.size() < cfg.batch_size) {
-      if (cursor >= order.size()) {
-        for (std::size_t i = order.size(); i > 1; --i)
-          std::swap(order[i - 1],
-                    order[static_cast<std::size_t>(
-                        rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
-        cursor = 0;
-      }
-      idx.push_back(order[cursor++]);
-    }
-
-    mlp_.zero_grad();
-    const std::uint64_t iter_seed = derive_seed(cfg.seed, it);
-    pool.parallel_for(shards, [&](std::size_t s) {
-      const std::size_t begin = s * shard_rows;
-      const std::size_t len = std::min(shard_rows, cfg.batch_size - begin);
-      Batch b = assemble(train, {idx.data() + begin, len});
-      nn::Tape& tape = *tapes[s];
-      tape.reset();
-      Rng shard_rng{derive_seed(iter_seed, s)};
-      nn::Var pred = forward_features(tape, b, shard_rng, /*training=*/true);
-      // pred and labels are log-latencies; their difference approximates the
-      // relative error ((pred < label) == under-estimation), so the same
-      // asymmetric huber thetas apply as in the teacher's pct loss.
-      nn::Var d = nn::sub(pred, tape.constant_ref(b.labels));
-      nn::Var loss = nn::mean_all(nn::asym_huber(d, cfg.theta_under, cfg.theta_over));
-      const double weight =
-          static_cast<double>(len) / static_cast<double>(cfg.batch_size);
-      nn::Var contribution = nn::scale(loss, weight);
-      tape.backward(contribution);
-      shard_loss[s] = tape.value(contribution).item();
-    });
-    // Ordered reduction — accumulation order is part of the determinism
-    // contract, so it must not follow completion order.
-    for (auto& tape : tapes) tape->flush_param_grads();
-    opt.step();
-
-    double batch_loss = 0.0;
-    for (double l : shard_loss) batch_loss += l;
-    running_loss += batch_loss;
-    ++running_count;
-
-    if (cfg.lr_decay_every > 0 && it % cfg.lr_decay_every == 0)
-      opt.set_learning_rate(opt.learning_rate() * cfg.lr_decay_factor);
-
-    if ((cfg.eval_every > 0 && it % cfg.eval_every == 0) || it == cfg.iterations) {
-      const double train_loss = running_loss / static_cast<double>(running_count);
-      running_loss = 0.0;
-      running_count = 0;
-      const double val_loss =
-          val.empty() ? train_loss
-                      : evaluate_loss(val, cfg.theta_under, cfg.theta_over);
-      hist.iteration.push_back(it);
-      hist.train_loss.push_back(train_loss);
-      hist.val_loss.push_back(val_loss);
-      if (cfg.select_best && val_loss < hist.best_val_loss) {
-        hist.best_val_loss = val_loss;
-        best_weights.clear();
-        for (nn::Param* p : mlp_.params()) best_weights.push_back(p->value);
-      }
-    }
-  }
-
-  if (cfg.select_best && !best_weights.empty()) {
-    auto params = mlp_.params();
-    for (std::size_t i = 0; i < params.size(); ++i) params[i]->value = best_weights[i];
-  } else if (!hist.val_loss.empty()) {
-    hist.best_val_loss = hist.val_loss.back();
-  }
-  return hist;
+  return fit_sharded(mlp_.params(), node_count_,
+                     batch_loss(cfg.theta_under, cfg.theta_over), train, val, cfg,
+                     /*refit=*/nullptr);
 }
 
 double SurrogateModel::predict(std::span<const double> workload_qps,
@@ -250,23 +126,7 @@ const nn::Tensor& SurrogateModel::Pass::backward(const nn::Tensor& dpred) {
 
 double SurrogateModel::evaluate_loss(const Dataset& data, double theta_under,
                                      double theta_over) {
-  if (data.empty())
-    throw std::invalid_argument{"SurrogateModel::evaluate_loss: empty dataset"};
-  constexpr std::size_t kChunk = 512;
-  double total = 0.0;
-  nn::Tape tape;
-  for (std::size_t start = 0; start < data.size(); start += kChunk) {
-    const std::size_t len = std::min(kChunk, data.size() - start);
-    std::vector<std::size_t> idx(len);
-    std::iota(idx.begin(), idx.end(), start);
-    Batch b = assemble(data, idx);
-    tape.reset();
-    nn::Var pred = forward_features(tape, b, rng_, /*training=*/false);
-    nn::Var d = nn::sub(pred, tape.constant_ref(b.labels));
-    nn::Var loss = nn::mean_all(nn::asym_huber(d, theta_under, theta_over));
-    total += tape.value(loss).item() * static_cast<double>(len);
-  }
-  return total / static_cast<double>(data.size());
+  return mean_loss(batch_loss(theta_under, theta_over), node_count_, data);
 }
 
 AccuracyReport SurrogateModel::evaluate_accuracy(const Dataset& data,
@@ -307,22 +167,22 @@ AccuracyReport SurrogateModel::evaluate_accuracy(const Dataset& data,
 }
 
 std::uint64_t SurrogateModel::fingerprint(SurrogateModel& model) {
-  std::uint64_t h = kFnvOffset;
-  mix(h, model.node_count_);
-  mix(h, model.cfg_.hidden);
-  mix(h, model.cfg_.hidden_layers);
-  mix_double(h, model.cfg_.dropout_p);
-  mix_double(h, model.s_.w_scale);
-  mix_double(h, model.s_.q_scale);
-  mix_double(h, model.s_.q_min_mc);
-  mix_double(h, model.s_.ratio_max);
-  mix_double(h, model.s_.label_ref);
+  Fnv1a h;
+  h.mix(model.node_count_);
+  h.mix(model.cfg_.hidden);
+  h.mix(model.cfg_.hidden_layers);
+  h.mix_double(model.cfg_.dropout_p);
+  h.mix_double(model.s_.w_scale);
+  h.mix_double(model.s_.q_scale);
+  h.mix_double(model.s_.q_min_mc);
+  h.mix_double(model.s_.ratio_max);
+  h.mix_double(model.s_.label_ref);
   for (const nn::Tensor& t : model.state_dict()) {
-    mix(h, t.rows());
-    mix(h, t.cols());
-    for (std::size_t i = 0; i < t.size(); ++i) mix_double(h, t.data()[i]);
+    h.mix(t.rows());
+    h.mix(t.cols());
+    for (std::size_t i = 0; i < t.size(); ++i) h.mix_double(t.data()[i]);
   }
-  return h;
+  return h.value();
 }
 
 Dataset SurrogateDistiller::sample_teacher(LatencyModel& teacher,
@@ -342,13 +202,9 @@ Dataset SurrogateDistiller::sample_teacher(LatencyModel& teacher,
     if (workload_hi[i] < 0.0)
       throw std::invalid_argument{"sample_teacher: workload_hi must be >= 0"};
   }
-  if (workload_floor < 0.0 || workload_floor > 1.0)
-    throw std::invalid_argument{"sample_teacher: workload_floor must be in [0, 1]"};
-  if (correlated_fraction < 0.0 || correlated_fraction > 1.0)
-    throw std::invalid_argument{
-        "sample_teacher: correlated_fraction must be in [0, 1]"};
-  if (low_quota_bias < 0.0 || low_quota_bias > 1.0)
-    throw std::invalid_argument{"sample_teacher: low_quota_bias must be in [0, 1]"};
+  check_unit_interval(workload_floor, "sample_teacher: workload_floor must be in [0, 1]");
+  check_unit_interval(correlated_fraction, "sample_teacher: correlated_fraction must be in [0, 1]");
+  check_unit_interval(low_quota_bias, "sample_teacher: low_quota_bias must be in [0, 1]");
 
   // Inputs first: sample i's draws come from its own derived stream, so the
   // set is a pure function of (seed, count) — chunking below never shifts it.
@@ -400,14 +256,22 @@ Dataset SurrogateDistiller::sample_teacher(LatencyModel& teacher,
   return data;
 }
 
+void SurrogateDistiller::check(const DistillConfig& cfg) {
+  if (cfg.samples < 16) throw std::invalid_argument{"distill: need at least 16 samples"};
+  if (!(cfg.val_fraction >= 0.0 && cfg.val_fraction < 1.0))
+    throw std::invalid_argument{"distill: val_fraction must be in [0, 1)"};
+  check_unit_interval(cfg.workload_floor, "distill: workload_floor must be in [0, 1]");
+  check_unit_interval(cfg.correlated_fraction, "distill: correlated_fraction must be in [0, 1]");
+  check_unit_interval(cfg.low_quota_bias, "distill: low_quota_bias must be in [0, 1]");
+  if (cfg.train.batch_size == 0)
+    throw std::invalid_argument{"distill: train.batch_size must be > 0"};
+}
+
 SurrogateDistiller::Result SurrogateDistiller::distill(
     LatencyModel& teacher, std::span<const double> workload_hi,
     std::span<const Millicores> lo, std::span<const Millicores> hi,
     const DistillConfig& cfg) {
-  if (cfg.samples < 16)
-    throw std::invalid_argument{"distill: need at least 16 samples"};
-  if (cfg.val_fraction < 0.0 || cfg.val_fraction >= 1.0)
-    throw std::invalid_argument{"distill: val_fraction must be in [0, 1)"};
+  check(cfg);
 
   Dataset all = sample_teacher(teacher, workload_hi, lo, hi, cfg.samples, cfg.seed,
                                cfg.workload_floor, cfg.correlated_fraction,

@@ -12,9 +12,9 @@
 //
 // The surrogate reuses the LatencyModel contract wholesale: the scalers are
 // *copied from the teacher* (never refitted) so feature bits match the
-// teacher's exactly, fit() runs the same shard-deterministic data-parallel
-// loop (deferred param grads, shard-ordered reduction — bit-identical at
-// any GRAF_THREADS), and SurrogateModel::Pass is the same row-batched
+// teacher's exactly, fit() runs the teacher's own shard-deterministic loop
+// (fit_sharded: deferred param grads, shard-ordered reduction — bit-identical
+// at any GRAF_THREADS), and SurrogateModel::Pass is the same row-batched
 // QuotaPass the solver descends through (rows never mix, DESIGN.md
 // §3.9/§3.13).
 #pragma once
@@ -58,12 +58,10 @@ class SurrogateModel {
   const SurrogateConfig& config() const { return cfg_; }
   std::size_t param_count() { return mlp_.param_count(); }
 
-  /// Train on teacher-labelled samples. Scalers are NOT refitted here — the
-  /// distiller injects the teacher's via set_scalers() so the surrogate and
-  /// the teacher read bit-identical features at every query point. Same
-  /// deterministic data-parallel machinery as LatencyModel::fit (shard
-  /// count a pure function of cfg, derive_seed(seed, iter, shard) dropout
-  /// streams, shard-ordered gradient reduction).
+  /// Train on teacher-labelled samples through fit_sharded, the loop
+  /// LatencyModel::fit runs. Scalers are NOT refitted here — the distiller
+  /// injects the teacher's via set_scalers() so the surrogate and the
+  /// teacher read bit-identical features at every query point.
   TrainHistory fit(const Dataset& train, const Dataset& val, const TrainConfig& cfg);
 
   /// Eval-mode prediction (ms): a one-row Pass, so the scalar path reports
@@ -98,13 +96,9 @@ class SurrogateModel {
   static std::uint64_t fingerprint(SurrogateModel& model);
 
  private:
-  struct Batch {
-    nn::Tensor features;  // batch x 4n (flattened per-node features)
-    nn::Tensor labels;    // batch x 1: log(latency / label_ref)
-  };
-
-  Batch assemble(const Dataset& data, std::span<const std::size_t> idx) const;
-  nn::Var forward_features(nn::Tape& tape, const Batch& b, Rng& rng, bool training);
+  /// The log-space asymmetric Hüber loss of the MLP over flat features
+  /// (B x 4n) against log(latency / label_ref).
+  BatchLoss batch_loss(double theta_under, double theta_over);
 
   std::size_t node_count_;
   SurrogateConfig cfg_;
@@ -200,6 +194,11 @@ class SurrogateDistiller {
     SurrogateModel model;
     DistillReport report;
   };
+
+  /// Throws std::invalid_argument unless distill() can run `cfg`: at least
+  /// 16 samples, val_fraction in [0, 1), workload_floor, correlated_fraction
+  /// and low_quota_bias in [0, 1] (NaN fails each) and train.batch_size > 0.
+  static void check(const DistillConfig& cfg);
 
   /// The full offline pass: sample the teacher, copy its scalers into a
   /// fresh surrogate, fit, and report held-out fidelity.

@@ -666,27 +666,6 @@ Var sum_all(Var a) {
   });
 }
 
-Var sum_rows(Var a) {
-  Tape& t = *a.tape;
-  const Tensor& in = t.value(a);
-  Tensor& out = t.stage(in.rows(), 1);
-  for (std::size_t i = 0; i < in.rows(); ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < in.cols(); ++j) acc += in(i, j);
-    out(i, 0) = acc;
-  }
-  return t.commit1(a.id, [](Tape& t, int id) {
-    auto& n = OpAccess::node(t, id);
-    const Tensor& g = n.grad;
-    const Tensor& in = OpAccess::val(t, n.a);
-    Tensor& s = OpAccess::scratch(t);
-    s.resize_zero(in.rows(), in.cols());
-    for (std::size_t i = 0; i < in.rows(); ++i)
-      for (std::size_t j = 0; j < in.cols(); ++j) s(i, j) = g(i, 0);
-    t.accumulate(n.a, s);
-  });
-}
-
 Var mean_all(Var a) {
   Tape& t = *a.tape;
   const auto n = static_cast<double>(t.value(a).size());

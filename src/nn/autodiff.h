@@ -232,9 +232,6 @@ Var row_blocks_to_cols(Var a, std::size_t blocks);
 Var sum_row_blocks(Var a, std::span<const std::vector<int>> sources);
 /// Sum of all entries -> 1x1.
 Var sum_all(Var a);
-/// Per-row sum: (B x C) -> (B x 1). Batched solves use this for the
-/// per-start quota term (each row is an independent descent).
-Var sum_rows(Var a);
 /// Mean of all entries -> 1x1.
 Var mean_all(Var a);
 /// Elementwise asymmetric Hüber (paper Eq. 4, continuity-corrected):

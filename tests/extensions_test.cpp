@@ -172,6 +172,35 @@ TEST(PartitionedModel, TrainsOnSyntheticChain) {
   EXPECT_LT(acc.mean_abs_pct_error, 25.0);
 }
 
+// The partitioned model trains through the loop the other models run: the
+// final-only history at eval_every = 0, and the best-validation restore.
+TEST(PartitionedModel, FitFollowsTrainConfig) {
+  gnn::MpnnConfig cfg;
+  cfg.embed_dim = 8;
+  cfg.mpnn_hidden = 8;
+  cfg.readout_hidden = 16;
+  cfg.dropout_p = 0.25;  // noisy steps: the validation loss does not fall monotonically
+  const gnn::Dataset train = hyperbola_dataset(400, 51);
+  const gnn::Dataset val = hyperbola_dataset(100, 52);
+  gnn::TrainConfig tc;
+  tc.iterations = 300;
+  tc.batch_size = 64;
+  tc.lr = 1e-2;
+  tc.eval_every = 0;
+
+  gnn::PartitionedLatencyModel last{chain2(), cfg, 1, 7};
+  const gnn::TrainHistory final_only = last.fit(train, val, tc);
+  ASSERT_EQ(final_only.iteration.size(), 1u);
+  EXPECT_EQ(final_only.iteration[0], tc.iterations);
+
+  tc.eval_every = 20;
+  gnn::PartitionedLatencyModel best{chain2(), cfg, 1, 7};
+  const gnn::TrainHistory hist = best.fit(train, val, tc);
+  ASSERT_NE(hist.val_loss.back(), hist.best_val_loss)
+      << "the best point must not be the last one, or the restore goes unchecked";
+  EXPECT_EQ(best.evaluate_loss(val, tc.theta_under, tc.theta_over), hist.best_val_loss);
+}
+
 TEST(PartitionedModel, PredictionMonotoneInQuota) {
   gnn::MpnnConfig cfg;
   cfg.embed_dim = 8;

@@ -973,8 +973,10 @@ TEST(FleetServer, RejectedAdmissionLeavesNoHandleOrSlotBehind) {
   // A spec that could never plan is rejected before registry.publish: it
   // publishes no version under its key and claims no slot. Each of these
   // was once admitted and then degraded, or reached undefined behaviour
-  // (a NaN SLO in the model key's integer cast, a zero unit in Eq. 7); a
-  // zero rho was rejected only by the solver, after v1 was published.
+  // (a NaN SLO in the model key's integer cast, a zero unit in Eq. 7, a
+  // zero distillation batch in the shard plan's division); a zero rho was
+  // rejected only by the solver, and zero distillation samples only by the
+  // surrogate's fit, after v1 was published.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::pair<const char*, void (*)(TenantSpec&, double)> broken[] = {
       {"NaN slo", [](TenantSpec& s, double n) { s.slo_ms = n; }},
@@ -996,6 +998,16 @@ TEST(FleetServer, RejectedAdmissionLeavesNoHandleOrSlotBehind) {
        [](TenantSpec& s, double n) {
          s.surrogate.enabled = true;
          s.surrogate.planner.solver.rho = n;
+       }},
+      {"zero distill batch",
+       [](TenantSpec& s, double) {
+         s.surrogate.enabled = true;
+         s.surrogate.distill.base.train = {.batch_size = 0, .shard_rows = 0};
+       }},
+      {"zero distill samples",
+       [](TenantSpec& s, double) {
+         s.surrogate.enabled = true;
+         s.surrogate.distill.base.samples = 0;
        }},
   };
   const serve::ModelKey bad_key{"bad-app", 250.0};

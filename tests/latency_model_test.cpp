@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <sstream>
 
 #include "common/rng.h"
+#include "gnn/partitioned_model.h"
+#include "gnn/surrogate_model.h"
 
 namespace graf::gnn {
 namespace {
@@ -80,6 +84,50 @@ struct TrainedModelFixture : ::testing::Test {
 TEST(LatencyModelBasic, FitRejectsEmptyTrainSet) {
   LatencyModel lm{chain2(), tiny_cfg(), 1};
   EXPECT_THROW(lm.fit({}, {}, fast_train(10)), std::invalid_argument);
+}
+
+// Every model's fit checks `train` and `val` once, before it fits a scaler
+// or takes a step: each broken set below was once trained on, or read past
+// its end, by at least one of the three models.
+TEST(FitInputs, EveryModelRejectsMalformedSamples) {
+  const TrainConfig cfg{.iterations = 2, .batch_size = 8, .eval_every = 1};
+  using Fit = std::function<void(const Dataset&, const Dataset&)>;
+  const std::pair<const char*, Fit> models[] = {
+      {"LatencyModel",
+       [&](const Dataset& train, const Dataset& val) {
+         LatencyModel m{chain2(), tiny_cfg(), 1};
+         m.fit(train, val, cfg);
+       }},
+      {"SurrogateModel",
+       [&](const Dataset& train, const Dataset& val) {
+         SurrogateModel m{2, {}, 1};
+         m.fit(train, val, cfg);
+       }},
+      {"PartitionedLatencyModel",
+       [&](const Dataset& train, const Dataset& val) {
+         PartitionedLatencyModel m{chain2(), tiny_cfg(), 1, 1};
+         m.fit(train, val, cfg);
+       }},
+  };
+  const std::pair<const char*, void (*)(Dataset&, Dataset&)> broken[] = {
+      {"short val sample",
+       [](Dataset&, Dataset& val) {
+         val[0].workload.pop_back();
+         val[0].quota.pop_back();
+       }},
+      {"zero val quota", [](Dataset&, Dataset& val) { val[0].quota[1] = 0.0; }},
+      {"NaN train quota",
+       [](Dataset& train, Dataset&) {
+         train[0].quota[0] = std::numeric_limits<double>::quiet_NaN();
+       }},
+  };
+  for (const auto& [model, fit] : models)
+    for (const auto& [what, breaks] : broken) {
+      Dataset train = synth_dataset(32, 1);
+      Dataset val = synth_dataset(8, 2);
+      breaks(train, val);
+      EXPECT_THROW(fit(train, val), std::invalid_argument) << model << ": " << what;
+    }
 }
 
 TEST(LatencyModelBasic, PredictValidatesDimensions) {

@@ -370,10 +370,9 @@ TEST(TieredPlanner, MissWindowRefreshAdoptsOnlyAnImprovedSurrogate) {
   core::SolverConfig scfg;
   scfg.max_iterations = 300;
   core::ConfigurationSolver full{trained_model(), scfg};
-  core::TieredPlannerConfig pcfg = planner_config(1e-9, scfg);
-  pcfg.refresh_min_samples = 1;
   core::TieredPlanner planner{
-      std::make_shared<gnn::SurrogateModel>(distilled().model.clone()), pcfg};
+      std::make_shared<gnn::SurrogateModel>(distilled().model.clone()),
+      planner_config(1e-9, scfg)};
 
   for (double w : {35.0, 50.0, 65.0, 80.0})
     planner.solve(trained_model(), full, std::vector<double>{w, w}, 1000.0,

@@ -1,5 +1,8 @@
 // Training pins: the exact bits a short fit leaves in the weights.
 //
+// Each pin covers the weights and the returned TrainHistory (every eval
+// point's iteration, train and validation loss, and best_val_loss), so the
+// loop's bookkeeping and best-validation restore are pinned with its steps.
 // Every fit runs its backward on the autodiff tape, whose weight- and
 // bias-gradient kernels (nn::matmul_tn_into, nn::col_sum_into) skip or mask
 // zero activations. Dropout 0.25 puts dropout zeros and ReLU zeros on those
@@ -17,6 +20,7 @@
 
 #include "common/rng.h"
 #include "gnn/latency_model.h"
+#include "gnn/partitioned_model.h"
 #include "gnn/surrogate_model.h"
 
 namespace graf::gnn {
@@ -86,6 +90,17 @@ std::uint64_t weights_digest(const std::vector<nn::Tensor>& state) {
   return h;
 }
 
+std::uint64_t history_digest(const TrainHistory& hist) {
+  std::uint64_t h = kFnvOffset;
+  for (std::size_t i = 0; i < hist.iteration.size(); ++i) {
+    mix(h, static_cast<std::uint64_t>(hist.iteration[i]));
+    mix(h, hist.train_loss[i]);
+    mix(h, hist.val_loss[i]);
+  }
+  mix(h, hist.best_val_loss);
+  return h;
+}
+
 TEST(TrainPin, LatencyModelFitIsPinned) {
   // Widths 12 and 20 leave 4-wide tails beside the 8-wide tiles.
   LatencyModel lm{fan_out(),
@@ -93,16 +108,38 @@ TEST(TrainPin, LatencyModelFitIsPinned) {
                    .readout_hidden = 20, .message_steps = 2, .dropout_p = 0.25,
                    .use_mpnn = true},
                   17};
-  lm.fit(dataset(160, 1), dataset(32, 2), short_fit());
+  const TrainHistory hist = lm.fit(dataset(160, 1), dataset(32, 2), short_fit());
   EXPECT_EQ(weights_digest(lm.state_dict()), 512724812290142460ULL);
+  ASSERT_EQ(hist.iteration.size(), 2u);
+  EXPECT_EQ(history_digest(hist), 949762828262437300ULL);
 }
 
 TEST(TrainPin, SurrogateFitIsPinned) {
   SurrogateModel sm{3, {.hidden = 20, .hidden_layers = 2, .dropout_p = 0.25}, 19};
   sm.set_scalers({.w_scale = 0.01, .q_scale = 1e-3, .q_min_mc = 300.0,
                   .ratio_max = 0.3, .label_ref = 60.0});
-  sm.fit(dataset(160, 3), dataset(32, 4), short_fit());
+  const TrainHistory hist = sm.fit(dataset(160, 3), dataset(32, 4), short_fit());
   EXPECT_EQ(SurrogateModel::fingerprint(sm), 12075563097694437996ULL);
+  ASSERT_EQ(hist.iteration.size(), 2u);
+  EXPECT_EQ(history_digest(hist), 133983741032975626ULL);
+}
+
+TEST(TrainPin, PartitionedFitIsPinned) {
+  // Partitions {a, b} and {c}: one with a message edge, one without.
+  PartitionedLatencyModel pm{fan_out(),
+                             {.node_features = 4, .embed_dim = 12, .mpnn_hidden = 12,
+                              .readout_hidden = 20, .message_steps = 2,
+                              .dropout_p = 0.25, .use_mpnn = true},
+                             2, 23};
+  const Dataset val = dataset(32, 6);
+  const TrainHistory hist = pm.fit(dataset(160, 5), val, short_fit());
+  ASSERT_EQ(pm.partition_count(), 2u);
+  ASSERT_EQ(hist.iteration.size(), 2u);
+  EXPECT_EQ(history_digest(hist), 3982736493713450134ULL);
+  // The weights are private: their bits reach every prediction.
+  std::uint64_t h = kFnvOffset;
+  for (const Sample& s : val) mix(h, pm.predict(s.workload, s.quota));
+  EXPECT_EQ(h, 17459744301751322064ULL);
 }
 
 }  // namespace
