@@ -144,7 +144,7 @@ std::string dataset_path(const std::string& app) {
   return artifacts_dir() + "/" + app + "_dataset.txt";
 }
 std::string model_path(const std::string& app) {
-  return artifacts_dir() + "/" + app + "_model.txt";
+  return artifacts_dir() + "/" + app + "_model.grafck";
 }
 
 bool load_meta(TrainedStack& st) {

@@ -26,7 +26,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # group (multi-tenant control plane, including the §3.13 batched-vs-
 # per-tenant bitwise-identity tests), the forecast group (workload
 # forecasting + pre-warmed planning), the fuzz group (seeded byte mutation
-# of the three checkpoint decoders), the surrogate group (distilled
+# of the .grafck checkpoint decoder), the surrogate group (distilled
 # fast-path planning, §3.14 — solver-in-the-loop distillation and tiered
 # solves carry the same bit-identity contract), and the solver group
 # (golden descent digests on the four paper topologies, and the descent's
@@ -36,7 +36,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # whether the pool has 1 worker or 8 (DESIGN.md §3.7/§3.8/§3.10/§3.11/§3.13/§3.14
 # determinism contract). Under the sanitizer legs this doubles as the
 # ASan/TSan pass over the fleet's ingest ring, subscriber registry,
-# registry hot-swap paths, the checkpoint decoders and the training shards.
+# registry hot-swap paths, the checkpoint decoder and the training shards.
 for threads in 1 8; do
   GRAF_THREADS=$threads \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -L 'chaos|fleet|forecast|fuzz|surrogate|solver'
@@ -46,9 +46,10 @@ done
 
 # Portable build (plain leg only): the tensor kernels compiled without the
 # host ISA must reproduce the native build's bits, so the golden solver
-# digests, the kernel/serve cases that compare exact values and the training
-# pins (short fits at dropout 0.25; the solver label's teachers train at
-# dropout 0 only) run again in a second build directory at GRAF_NATIVE=OFF.
+# digests, the kernel/serve cases that compare exact values, the frozen
+# pass's bit-for-bit cases against the tape and the training pins (short
+# fits at dropout 0.25; the solver label's teachers train at dropout 0 only)
+# run again in a second build directory at GRAF_NATIVE=OFF.
 # The full suite is not rerun there: without hardware FMA every std::fma is
 # a library call, and the training-heavy suites take tens of minutes.
 if [ "$SANITIZE_FLAG" = OFF ]; then
@@ -58,7 +59,7 @@ if [ "$SANITIZE_FLAG" = OFF ]; then
     -DGRAF_NATIVE=OFF
   cmake --build "$PORTABLE_DIR" -j "$(nproc)" --target graf_tests graf_solver_golden_tests
   ctest --test-dir "$PORTABLE_DIR" --output-on-failure -L solver
-  ctest --test-dir "$PORTABLE_DIR" --output-on-failure -R '^(Tensor|ServeFixture|TrainPin)\.'
+  ctest --test-dir "$PORTABLE_DIR" --output-on-failure -R '^(Tensor|ServeFixture|TrainPin|FrozenPass)\.'
 
   # The same cases on the AVX2 tier (two 4-wide vectors per 8-column strip):
   # the host has AVX-512, so neither build above compiles it. The explicit
@@ -70,7 +71,7 @@ if [ "$SANITIZE_FLAG" = OFF ]; then
     -DGRAF_NATIVE=OFF
   cmake --build "$AVX2_DIR" -j "$(nproc)" --target graf_tests graf_solver_golden_tests
   ctest --test-dir "$AVX2_DIR" --output-on-failure -L solver
-  ctest --test-dir "$AVX2_DIR" --output-on-failure -R '^(Tensor|ServeFixture|TrainPin)\.'
+  ctest --test-dir "$AVX2_DIR" --output-on-failure -R '^(Tensor|ServeFixture|TrainPin|FrozenPass)\.'
 fi
 
 # Perf smoke gate (plain leg only: sanitizer overhead would trip any time

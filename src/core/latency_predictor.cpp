@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/rng.h"
+#include "serve/checkpoint.h"
 
 namespace graf::core {
 
@@ -94,15 +95,16 @@ double LatencyPredictor::validation_error_pct() {
 }
 
 void LatencyPredictor::save_model(const std::string& path) {
-  std::ofstream os{path};
-  if (!os) throw std::runtime_error{"save_model: cannot open " + path};
-  model_.save(os);
+  serve::save_checkpoint_file(path, model_, {});
 }
 
 bool LatencyPredictor::load_model(const std::string& path) {
-  std::ifstream is{path};
-  if (!is) return false;
-  model_.load(is);
+  if (!std::ifstream{path}) return false;
+  // The checkpoint rebuilds a whole model; only its weights and scalers are
+  // kept, and load_state_dict rejects a checkpoint of another shape.
+  serve::LoadedCheckpoint loaded = serve::load_checkpoint_file(path);
+  model_.load_state_dict(loaded.model.state_dict());
+  model_.set_scalers(loaded.model.scalers());
   return true;
 }
 

@@ -58,7 +58,11 @@ class LatencyPredictor {
       const std::vector<std::pair<double, double>>& regions_ms);
   double overall_signed_error();
 
-  /// Model persistence (weights + scalers; construct identically first).
+  /// Model persistence as a .grafck checkpoint (serve/checkpoint.h):
+  /// load_model keeps the checkpoint's weights and scalers, so construct
+  /// identically first. Returns false when `path` cannot be opened; throws
+  /// serve::CheckpointError on a corrupt file and std::runtime_error on
+  /// one whose weight shapes differ from this model's.
   void save_model(const std::string& path);
   bool load_model(const std::string& path);
 

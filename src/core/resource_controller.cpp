@@ -72,11 +72,8 @@ void ResourceController::set_metrics(telemetry::MetricsRegistry* registry) {
 
 void ResourceController::set_tiered_planner(TieredPlanner* planner) {
   tiered_ = planner;
-  planner_mode_ = planner != nullptr ? PlannerMode::kSurrogateVerified
-                                     : PlannerMode::kFull;
   if (tiered_ != nullptr) tiered_->set_metrics(metrics_registry_);
-  // No cache clear needed: planner_bits diverge, so entries written by the
-  // other mode simply stop matching (and become valid again if it returns).
+  invalidate_plan_cache();  // cached plans came from the previous planner
 }
 
 void ResourceController::set_serving_handle(serve::ServingHandle* handle) {
@@ -232,10 +229,8 @@ PlanPrep ResourceController::begin_plan(std::span<const Qps> api_qps, double slo
   prep.key.resize(n);
   for (std::size_t i = 0; i < n; ++i) prep.key[i] = workload_bucket(node_workload[i]);
   prep.slo_bits = std::bit_cast<std::uint64_t>(slo_ms);
-  prep.planner_bits = planner_bits();
   for (CachedPlan& entry : plan_cache_) {
     if (entry.generation != model_generation_ || entry.slo_bits != prep.slo_bits ||
-        entry.planner_bits != prep.planner_bits ||
         entry.workload_buckets != prep.key)
       continue;
     entry.last_used = ++cache_tick_;
@@ -263,17 +258,8 @@ PlanPrep ResourceController::begin_plan(std::span<const Qps> api_qps, double slo
   return prep;
 }
 
-std::uint64_t ResourceController::planner_bits() {
-  if (planner_mode_ != PlannerMode::kSurrogateVerified || tiered_ == nullptr)
-    return 0;
-  // surrogate_generation() re-acquires the serving handle, so a registry
-  // promote/rollback lands here — before the cache is consulted.
-  return (std::uint64_t{1} << 63) |
-         (tiered_->surrogate_generation() & ~(std::uint64_t{1} << 63));
-}
-
 SolverResult ResourceController::solve_prepared(const PlanPrep& prep) {
-  if (planner_mode_ == PlannerMode::kSurrogateVerified && tiered_ != nullptr)
+  if (tiered_ != nullptr)
     return tiered_->solve(*model_, solver_, prep.scaled, prep.slo_ms, lo_, hi_);
   return solver_.solve(prep.scaled, prep.slo_ms, lo_, hi_);
 }
@@ -341,7 +327,6 @@ AllocationPlan ResourceController::finish_plan(PlanPrep prep, SolverResult solve
       entry.workload_buckets = std::move(prep.key);
       entry.slo_bits = prep.slo_bits;
       entry.generation = model_generation_;
-      entry.planner_bits = prep.planner_bits;
       entry.plan = plan;
       entry.solve_seconds = plan.solver.solve_seconds;
       entry.last_used = ++cache_tick_;

@@ -26,12 +26,6 @@ namespace graf::core {
 
 class TieredPlanner;
 
-/// How solve_prepared reaches a plan (DESIGN.md §3.14).
-enum class PlannerMode {
-  kFull = 0,               ///< every solve runs the full-GNN descent
-  kSurrogateVerified = 1,  ///< surrogate fast path + one full-GNN verify
-};
-
 struct AllocationPlan {
   std::vector<Millicores> quota;   ///< per-service CPU quota (post-rescale)
   std::vector<int> instances;      ///< Eq. 7 replica counts
@@ -64,11 +58,6 @@ struct PlanPrep {
   std::vector<double> scaled;      ///< node workload / k — the solver input
   std::vector<std::int32_t> key;   ///< plan-cache key (quantized workload)
   std::uint64_t slo_bits = 0;
-  /// Planner mode + surrogate generation folded into the cache key — a
-  /// mode switch or surrogate promote/rollback/refresh can never serve a
-  /// plan the other planner produced (high bit = surrogate-verified mode,
-  /// low bits = the tiered planner's surrogate generation; 0 = full mode).
-  std::uint64_t planner_bits = 0;
 };
 
 class ResourceController {
@@ -112,8 +101,8 @@ class ResourceController {
   AllocationPlan finish_plan(PlanPrep prep, SolverResult solved);
 
   /// Bumped whenever cached plans stop describing what the solver would
-  /// produce (hot-swap, reference/caps/capacity changes, degraded entry).
-  /// The fleet keys per-tenant model fingerprints on it.
+  /// produce (hot-swap, reference/caps/capacity/planner changes, degraded
+  /// entry). The fleet keys per-tenant model fingerprints on it.
   std::uint64_t model_generation() const { return model_generation_; }
   /// The model plan() last refreshed to — no handle refresh, unlike
   /// active_model(). Valid only after a begin_plan/plan on this tick.
@@ -134,13 +123,11 @@ class ResourceController {
   /// The model the next plan() will solve through.
   gnn::LatencyModel& active_model();
 
-  /// Attach the two-tier surrogate planner (DESIGN.md §3.14) and switch to
-  /// surrogate-verified mode; nullptr detaches and reverts to full mode.
-  /// The planner's generation joins the plan-cache key (planner_bits), so
-  /// no invalidation race exists around attach/detach or surrogate swaps.
-  /// Forwards the current metrics registry to the planner.
+  /// Route every solve through the two-tier surrogate planner (DESIGN.md
+  /// §3.14); nullptr detaches and reverts to the full-GNN descent. Clears
+  /// the plan cache: cached plans came from the previous planner. Forwards
+  /// the current metrics registry to the planner.
   void set_tiered_planner(TieredPlanner* planner);
-  PlannerMode planner_mode() const { return planner_mode_; }
   TieredPlanner* tiered_planner() { return tiered_; }
 
   /// Publish planning telemetry: `core.plan_us` (wall time per plan()),
@@ -167,9 +154,10 @@ class ResourceController {
   // skips the solve entirely — the expected steady state, where the
   // controller re-plans every sync period but traffic only drifts. The
   // generation counter bumps (and the cache clears) on model hot-swap,
-  // set_training_reference, set_max_instances, and every degraded-plan
-  // transition except an invalid-workload rejection (the pipeline is still
-  // sound), so a stale model or topology can never serve a cached plan.
+  // set_training_reference, set_max_instances, set_tiered_planner, and
+  // every degraded-plan transition except an invalid-workload rejection
+  // (the pipeline is still sound), so a stale model, topology or planner
+  // can never serve a cached plan.
 
   /// Max cached plans, LRU-evicted (0 disables caching; clears the cache).
   void set_plan_cache_capacity(std::size_t capacity);
@@ -182,7 +170,6 @@ class ResourceController {
     std::vector<std::int32_t> workload_buckets;
     std::uint64_t slo_bits = 0;
     std::uint64_t generation = 0;
-    std::uint64_t planner_bits = 0;  ///< see PlanPrep::planner_bits
     AllocationPlan plan;
     double solve_seconds = 0.0;  ///< what a hit saves (telemetry)
     std::uint64_t last_used = 0;
@@ -190,9 +177,6 @@ class ResourceController {
 
   void refresh_model();
   void invalidate_plan_cache();
-  /// The PlanPrep/CachedPlan planner_bits for the next solve (refreshes
-  /// the tiered planner's served surrogate first in surrogate mode).
-  std::uint64_t planner_bits();
   /// Fallback: last feasible plan if one exists, else the hi-bound default
   /// (quota = hi — the most conservative allocation inside the trained
   /// region, approximating what a best-effort solve would reach). Clears
@@ -211,7 +195,6 @@ class ResourceController {
   std::vector<Millicores> unit_;
   std::vector<int> max_instances_;  // empty = uncapped
   TieredPlanner* tiered_ = nullptr;
-  PlannerMode planner_mode_ = PlannerMode::kFull;
   /// Remembered so a planner attached after set_metrics still gets wired.
   telemetry::MetricsRegistry* metrics_registry_ = nullptr;
   std::vector<double> train_max_workload_;

@@ -18,40 +18,11 @@ TieredPlanner::TieredPlanner(std::shared_ptr<gnn::SurrogateModel> surrogate,
     throw std::invalid_argument{"SolverConfig: rho must be > 0"};
 }
 
-void TieredPlanner::set_handle(serve::SurrogateHandle* handle) {
-  handle_ = handle;
-  active_surrogate();  // pick up whatever the handle already serves
-}
-
-gnn::SurrogateModel& TieredPlanner::active_surrogate() {
-  if (handle_ != nullptr) {
-    serve::SurrogateHandle::Ptr cur = handle_->acquire();
-    // An empty handle or a topology mismatch keeps the last good surrogate
-    // serving (never-throw degradation, same stance as refresh_model()).
-    if (cur != nullptr && cur.get() != served_.get() &&
-        cur->node_count() == served_->node_count()) {
-      served_ = std::move(cur);
-      ++generation_;
-    }
-  }
-  return *served_;
-}
-
-std::uint64_t TieredPlanner::surrogate_generation() {
-  active_surrogate();
-  return generation_;
-}
-
 void TieredPlanner::set_metrics(telemetry::MetricsRegistry* registry) {
   fast_hits_counter_ =
       registry != nullptr ? &registry->counter("core.surrogate.fast_hits") : nullptr;
   escalations_counter_ =
       registry != nullptr ? &registry->counter("core.surrogate.escalations") : nullptr;
-  distill_samples_counter_ =
-      registry != nullptr ? &registry->counter("core.surrogate.distill_samples")
-                          : nullptr;
-  refreshes_counter_ =
-      registry != nullptr ? &registry->counter("core.surrogate.refreshes") : nullptr;
   trust_band_gauge_ =
       registry != nullptr ? &registry->gauge("core.surrogate.trust_band_pct") : nullptr;
   disagreement_gauge_ =
@@ -70,53 +41,6 @@ void TieredPlanner::note_escalation(double disagreement_pct) {
   ++escalations_;
   if (escalations_counter_ != nullptr) escalations_counter_->add();
   if (disagreement_gauge_ != nullptr) disagreement_gauge_->set(disagreement_pct);
-}
-
-void TieredPlanner::note_miss_sample(std::span<const double> workload,
-                                     std::span<const Millicores> quota,
-                                     double teacher_ms) {
-  gnn::Sample s;
-  s.workload.assign(workload.begin(), workload.end());
-  s.quota.assign(quota.begin(), quota.end());
-  s.latency_ms = teacher_ms;
-  window_.push_back(std::move(s));
-  while (window_.size() > cfg_.refresh_window)
-    window_.erase(window_.begin());
-  ++distill_samples_;
-  if (distill_samples_counter_ != nullptr) distill_samples_counter_->add();
-}
-
-bool TieredPlanner::refresh_now() {
-  if (window_.empty()) return false;
-  // Fine-tune a clone on the miss window; the incumbent keeps serving
-  // until the candidate proves itself on the very samples it missed
-  // (holdout-gate semantics, serve/online_trainer.h).
-  gnn::SurrogateModel candidate = active_surrogate().clone();
-  gnn::TrainConfig train = cfg_.refresh_train;
-  train.batch_size = std::min(train.batch_size, window_.size());
-  if (train.batch_size == 0) return false;
-  candidate.fit(window_, window_, train);
-  const double incumbent_err =
-      active_surrogate().evaluate_accuracy(window_).mean_abs_pct_error;
-  const double candidate_err = candidate.evaluate_accuracy(window_).mean_abs_pct_error;
-  if (candidate_err > incumbent_err) return false;
-  adopt(std::move(candidate));
-  return true;
-}
-
-void TieredPlanner::adopt(gnn::SurrogateModel&& candidate) {
-  auto adopted = std::make_shared<gnn::SurrogateModel>(std::move(candidate));
-  if (handle_ != nullptr) {
-    // The swap reaches served_ (and bumps the generation) through the
-    // normal acquire path.
-    handle_->swap(std::move(adopted));
-    active_surrogate();
-  } else {
-    served_ = std::move(adopted);
-    ++generation_;
-  }
-  ++refreshes_;
-  if (refreshes_counter_ != nullptr) refreshes_counter_->add();
 }
 
 SolverResult TieredPlanner::solve(gnn::LatencyModel& verifier,
@@ -185,13 +109,10 @@ std::vector<SolverResult> TieredPlanner::solve_items(gnn::SurrogateModel& surrog
       continue;
     }
 
-    // Trust-band miss: the candidate (with its teacher label) feeds the
-    // refresh window, then the full solver takes over.
+    // Trust-band miss: the full solver takes over.
     item.planner->note_escalation(disagreement_pct);
-    item.planner->note_miss_sample(item.workload, winner.quota, full_ms);
     SolverResult full =
         item.full_solver->solve(item.workload, item.slo_ms, item.lo, item.hi);
-    item.planner->note_miss_sample(item.workload, full.quota, full.predicted_ms);
     out.push_back(std::move(full));
   }
   return out;

@@ -6,11 +6,9 @@
 // of magnitude smaller — then *verifies* the winning candidate with exactly
 // one full-GNN forward. If the full model's prediction at the candidate
 // disagrees with the surrogate's beyond a trust band (or predicts an SLO
-// breach), the planner escalates to the full-GNN solve and feeds the miss
-// back as a distillation sample into a bounded window. refresh_now()
-// fine-tunes a clone on that window and adopts it only if it beats the
-// incumbent there (the OnlineTrainer's holdout-gate semantics); nothing
-// refreshes on its own.
+// breach), the planner escalates to the full-GNN solve. A planner serves
+// the surrogate it is built with (fleet tenants distill it at admission,
+// distill_for_planner) for its whole lifetime.
 //
 // Accepted fast-path plans report the *full model's* prediction as
 // predicted_ms — truth flows downstream (feasibility checks, telemetry,
@@ -32,7 +30,6 @@
 #include "core/configuration_solver.h"
 #include "gnn/latency_model.h"
 #include "gnn/surrogate_model.h"
-#include "serve/surrogate_store.h"
 #include "telemetry/metrics.h"
 
 namespace graf::core {
@@ -45,21 +42,6 @@ struct TieredPlannerConfig {
   /// stays within this band AND the full model deems the candidate within
   /// SLO; otherwise escalate.
   double trust_band_pct = 10.0;
-  /// Retained escalation-miss samples (teacher-labelled) for refresh_now().
-  std::size_t refresh_window = 256;
-  /// Short fine-tune schedule for the refresh clone. Symmetric thetas for
-  /// the same reason as DistillConfig::train: the trust band is symmetric.
-  gnn::TrainConfig refresh_train{.iterations = 400,
-                                 .batch_size = 64,
-                                 .lr = 1e-3,
-                                 .lr_decay_every = 150,
-                                 .lr_decay_factor = 0.5,
-                                 .theta_under = 0.1,
-                                 .theta_over = 0.1,
-                                 .eval_every = 100,
-                                 .seed = 29,
-                                 .select_best = true,
-                                 .shard_rows = 32};
 };
 
 /// Solver-in-the-loop distillation (TieredPlanner::distill_for_planner).
@@ -115,26 +97,15 @@ struct TieredSpec {
 
 class TieredPlanner {
  public:
-  /// The planner serves `surrogate` until a handle swap or an adopted
-  /// refresh replaces it.
+  /// The planner serves `surrogate` for its whole lifetime.
   TieredPlanner(std::shared_ptr<gnn::SurrogateModel> surrogate,
                 TieredPlannerConfig cfg);
 
   const TieredPlannerConfig& config() const { return cfg_; }
 
-  /// Serve the surrogate through a hot-swappable handle: every solve (and
-  /// surrogate_generation()) re-acquires, so registry promotes/rollbacks
-  /// land between control ticks. A swap to a different instance bumps the
-  /// generation — plan-cache entries keyed on it can never go stale.
-  void set_handle(serve::SurrogateHandle* handle);
-
-  /// The surrogate a solve would descend right now (refreshes from the
-  /// handle first). Single-writer like the rest of the planner.
-  gnn::SurrogateModel& active_surrogate();
-  /// Monotone counter bumped whenever the served surrogate instance
-  /// changes (handle swap or adopted refresh) — the plan-cache key
-  /// component (ResourceController planner_bits).
-  std::uint64_t surrogate_generation();
+  /// The surrogate every solve descends. Single-writer like the rest of
+  /// the planner.
+  gnn::SurrogateModel& active_surrogate() { return *served_; }
 
   /// Two-tier solve: surrogate multi-start descent, one full-GNN verify,
   /// escalate to full_solver.solve() on a trust-band miss. Bit-identical
@@ -145,8 +116,8 @@ class TieredPlanner {
 
   /// One tenant's request inside a stacked surrogate batch. Spans alias
   /// caller storage for the duration of solve_items; planner/verifier/
-  /// full_solver are the *tenant's own* (counters, escalated solves, and
-  /// miss windows stay per-tenant).
+  /// full_solver are the *tenant's own* (counters and escalated solves stay
+  /// per-tenant).
   struct Item {
     TieredPlanner* planner = nullptr;
     gnn::LatencyModel* verifier = nullptr;
@@ -167,12 +138,6 @@ class TieredPlanner {
                                                const SolverConfig& cfg,
                                                std::span<const Item> items);
 
-  /// Fine-tune a clone on the miss window and adopt it if it beats the
-  /// incumbent there (holdout-gate semantics, serve/online_trainer.h): it
-  /// swaps into the attached handle, else serves directly. Returns true
-  /// when the refreshed surrogate was adopted.
-  bool refresh_now();
-
   /// Solver-in-the-loop distillation (see SolverDistillConfig): plain
   /// distill, then `rounds` x { batched surrogate-descent rollout over
   /// region workloads at `slo_ms`, teacher-label the winners, fold in,
@@ -192,15 +157,12 @@ class TieredPlanner {
   static void check_distill(const SolverDistillConfig& cfg);
 
   /// Intern core.surrogate.* instruments (nullptr detaches):
-  /// fast_hits / escalations / distill_samples / refreshes counters,
-  /// trust_band_pct and last disagreement gauges.
+  /// fast_hits / escalations counters, trust_band_pct and last disagreement
+  /// gauges.
   void set_metrics(telemetry::MetricsRegistry* registry);
 
   std::uint64_t fast_hits() const { return fast_hits_; }
   std::uint64_t escalations() const { return escalations_; }
-  std::uint64_t distill_samples() const { return distill_samples_; }
-  std::uint64_t refreshes() const { return refreshes_; }
-  std::size_t miss_window_size() const { return window_.size(); }
 
  private:
   /// The pure surrogate tier: every item's multi-starts descend as rows of
@@ -213,28 +175,15 @@ class TieredPlanner {
 
   void note_fast_hit(double disagreement_pct);
   void note_escalation(double disagreement_pct);
-  /// Record a teacher-labelled miss sample in the refresh window.
-  void note_miss_sample(std::span<const double> workload,
-                        std::span<const Millicores> quota, double teacher_ms);
-  void adopt(gnn::SurrogateModel&& candidate);
 
   TieredPlannerConfig cfg_;
   std::shared_ptr<gnn::SurrogateModel> served_;
-  std::uint64_t generation_ = 1;
-
-  serve::SurrogateHandle* handle_ = nullptr;
-
-  gnn::Dataset window_;  // bounded FIFO of escalation-miss samples
 
   std::uint64_t fast_hits_ = 0;
   std::uint64_t escalations_ = 0;
-  std::uint64_t distill_samples_ = 0;
-  std::uint64_t refreshes_ = 0;
 
   telemetry::Counter* fast_hits_counter_ = nullptr;
   telemetry::Counter* escalations_counter_ = nullptr;
-  telemetry::Counter* distill_samples_counter_ = nullptr;
-  telemetry::Counter* refreshes_counter_ = nullptr;
   telemetry::Gauge* trust_band_gauge_ = nullptr;
   telemetry::Gauge* disagreement_gauge_ = nullptr;
 };

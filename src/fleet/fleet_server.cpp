@@ -200,13 +200,12 @@ FleetServer::StepStats FleetServer::step() {
       // covers config + scalers + every parameter), same descent knobs on
       // the surrogate tier, and the same trust band so accept/escalate
       // decisions match the solo path exactly.
-      const core::PlannerMode mode = t->controller_->planner_mode();
-      if (mode != lead->controller_->planner_mode()) return false;
-      return mode != core::PlannerMode::kSurrogateVerified ||
-             (lead->tiered_->config().solver == t->tiered_->config().solver &&
-              lead->tiered_->config().trust_band_pct ==
-                  t->tiered_->config().trust_band_pct &&
-              lead->surrogate_fingerprint() == t->surrogate_fingerprint());
+      if (t->tiered_ == nullptr || lead->tiered_ == nullptr)
+        return t->tiered_ == nullptr && lead->tiered_ == nullptr;
+      return lead->tiered_->config().solver == t->tiered_->config().solver &&
+             lead->tiered_->config().trust_band_pct ==
+                 t->tiered_->config().trust_band_pct &&
+             lead->surrogate_fingerprint_ == t->surrogate_fingerprint_;
     };
     const auto group = std::find_if(groups.begin(), groups.end(),
                                     [&](const auto& g) { return joins(g.front()); });
@@ -246,8 +245,7 @@ void FleetServer::solve_group(const std::vector<Tenant*>& group) {
     group.front()->solve_and_finish();
     return;
   }
-  if (group.front()->controller_->planner_mode() ==
-      core::PlannerMode::kSurrogateVerified) {
+  if (group.front()->tiered_ != nullptr) {
     solve_group_surrogate(group);
     return;
   }
@@ -288,8 +286,8 @@ void FleetServer::solve_group_surrogate(const std::vector<Tenant*>& group) {
   // multi-start descent rides one stacked tape over the lead's surrogate
   // (fingerprint-equal to each member's own), then each item verifies
   // against its *own* tenant's full model and, on a miss, escalates through
-  // its own instrumented solver — so counters, miss windows, and results
-  // are bit-identical to the one-tenant-at-a-time path.
+  // its own instrumented solver — so counters and results are
+  // bit-identical to the one-tenant-at-a-time path.
   Tenant* lead = group.front();
   std::vector<core::SolverResult> batch;
   bool ok = true;

@@ -86,10 +86,7 @@ Tenant::Tenant(TenantId id, const TenantSpec& spec, serve::ModelRegistry& regist
     // Admission distillation: sample the operating region — the training
     // reference's per-node maxima when given, else the teacher's trained
     // region (w_scale is 1/max trained workload) — and distill the
-    // promoted v1 into this tenant's private surrogate. No serving handle
-    // or registry is attached: refreshes stay local, so worker-thread
-    // solves never race a registry and the coordinator's grouping sees
-    // every generation bump through surrogate_fingerprint().
+    // promoted v1 into this tenant's private surrogate, fixed from here on.
     std::vector<double> region(services, 0.0);
     if (!spec.training_reference.empty()) {
       for (const auto& s : spec.training_reference)
@@ -107,12 +104,12 @@ Tenant::Tenant(TenantId id, const TenantSpec& spec, serve::ModelRegistry& regist
         spec.surrogate.planner);
     tiered_->set_metrics(&metrics_);
     controller_->set_tiered_planner(tiered_.get());
+    surrogate_fingerprint_ = gnn::SurrogateModel::fingerprint(tiered_->active_surrogate());
   }
 
   if (spec.forecast.enabled) {
     gate_ = std::make_unique<forecast::ForecastGate>(spec.forecast);
     gate_->set_metrics(&metrics_);
-    gate_->set_handle(&forecast_handle_);
   }
 
   tel_plans_ = &metrics_.counter("fleet.tenant.plans");
@@ -213,19 +210,6 @@ void Tenant::finish_solve(core::SolverResult solved) {
   } catch (...) {
     outcome_ = Outcome::kFailed;
   }
-}
-
-std::uint64_t Tenant::surrogate_fingerprint() {
-  // Same cache discipline as model_fingerprint(): the tenant's surrogate is
-  // local-only, so its generation counter is the one true change signal.
-  const std::uint64_t generation = tiered_->surrogate_generation();
-  if (!surrogate_fp_valid_ || surrogate_fp_generation_ != generation) {
-    surrogate_fingerprint_ =
-        gnn::SurrogateModel::fingerprint(tiered_->active_surrogate());
-    surrogate_fp_generation_ = generation;
-    surrogate_fp_valid_ = true;
-  }
-  return surrogate_fingerprint_;
 }
 
 std::uint64_t Tenant::model_fingerprint() {

@@ -30,7 +30,6 @@
 #include "core/workload_analyzer.h"
 #include "forecast/gate.h"
 #include "gnn/latency_model.h"
-#include "serve/forecast_store.h"
 #include "serve/model_registry.h"
 #include "serve/online_trainer.h"
 #include "serve/serving_handle.h"
@@ -133,9 +132,8 @@ class Tenant {
   serve::ServingHandle& handle() { return handle_; }
   core::ResourceController& controller() { return *controller_; }
   /// The tenant's two-tier planner (nullptr unless TenantSpec.surrogate
-  /// was enabled at admission). Fleet-local: no serving handle/registry is
-  /// attached, so refreshes stay inside the tenant and the coordinator's
-  /// grouping (surrogate_fingerprint) sees every generation bump.
+  /// was enabled at admission). Fleet-local: its surrogate is distilled at
+  /// admission and never swapped.
   core::TieredPlanner* tiered_planner() { return tiered_.get(); }
 
   /// Per-tenant metrics (plan cache, solver, degraded-mode counters). The
@@ -154,10 +152,6 @@ class Tenant {
   /// The live forecast gate (nullptr unless TenantSpec.forecast.enabled);
   /// tests and the fleet snapshot read its prewarm/fallback counters.
   forecast::ForecastGate* forecast_gate() { return gate_.get(); }
-  /// Hot-swap slot for a ForecastRegistry promote/rollback. A caller that
-  /// attaches this handle to a registry must detach it before the tenant is
-  /// removed (same lifetime rule as the serving handle).
-  serve::ForecastHandle& forecast_handle() { return forecast_handle_; }
 
   // -- plan state (written by the fleet server's step loop) ------------------
   const core::AllocationPlan& last_plan() const { return last_plan_; }
@@ -198,10 +192,6 @@ class Tenant {
   /// (registry deep copies fingerprint equal; pointer identity never
   /// groups). Coordinator-only: call between fan-outs.
   std::uint64_t model_fingerprint();
-  /// Content fingerprint of the active surrogate, cached per surrogate
-  /// generation — the extra grouping key surrogate-mode tenants need
-  /// before sharing a stacked tier-1 descent. Coordinator-only.
-  std::uint64_t surrogate_fingerprint();
 
   TenantId id_;
   serve::ModelKey key_;
@@ -218,7 +208,6 @@ class Tenant {
   std::unique_ptr<core::TieredPlanner> tiered_;
   std::unique_ptr<serve::OnlineTrainer> trainer_;
   std::unique_ptr<forecast::ForecastGate> gate_;
-  serve::ForecastHandle forecast_handle_;
 
   // Pending-telemetry slot: filled by the step loop's drain (coalescing
   // repeated pushes, last-wins for qps, samples appended), consumed by
@@ -246,11 +235,10 @@ class Tenant {
   std::uint64_t fingerprint_generation_ = 0;
   bool fingerprint_valid_ = false;
 
-  // Surrogate-fingerprint cache, keyed on the tiered planner's surrogate
-  // generation (same pattern as the model fingerprint above).
+  // Content fingerprint of the tiered planner's surrogate, taken at
+  // admission (the surrogate never changes): the extra grouping key
+  // surrogate-mode tenants need before sharing a stacked tier-1 descent.
   std::uint64_t surrogate_fingerprint_ = 0;
-  std::uint64_t surrogate_fp_generation_ = 0;
-  bool surrogate_fp_valid_ = false;
 
   // Hysteresis / signal-loss state (prepare()'s coast and hold rules).
   std::vector<Qps> last_solved_qps_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "common/rng.h"
 
@@ -33,20 +32,6 @@ ArForecaster::ArForecaster(ArConfig cfg)
   cfg_.refit_every = std::max<std::size_t>(cfg_.refit_every, 1);
   cfg_.iterations = std::max<std::size_t>(cfg_.iterations, 1);
   cfg_.min_history = std::max(cfg_.min_history, cfg_.order + 4);
-  adam_ = std::make_unique<nn::Adam>(std::vector<nn::Param*>{&w_, &b_},
-                                     nn::Adam::Config{.lr = cfg_.lr});
-}
-
-ArForecaster::ArForecaster(const ArForecaster& o)
-    : cfg_{o.cfg_},
-      w_{o.w_.value},
-      b_{o.b_.value},
-      history_{o.history_},
-      count_{o.count_},
-      scale_{o.scale_},
-      sigma_{o.sigma_},
-      fitted_{o.fitted_},
-      refits_{o.refits_} {
   adam_ = std::make_unique<nn::Adam>(std::vector<nn::Param*>{&w_, &b_},
                                      nn::Adam::Config{.lr = cfg_.lr});
 }
@@ -161,28 +146,6 @@ Forecast ArForecaster::predict(std::size_t steps) const {
   out.hi = std::max(mean + half, 0.0);
   out.valid = std::isfinite(out.hi);
   return out;
-}
-
-void ArForecaster::restore(const nn::Tensor& w, const nn::Tensor& b, double scale,
-                           double sigma, bool fitted, std::vector<double> history,
-                           std::size_t count) {
-  if (w.rows() != cfg_.order || w.cols() != 1 || b.rows() != 1 || b.cols() != 1)
-    throw std::invalid_argument{"ArForecaster::restore: weight shape mismatch"};
-  w_.value = w;
-  b_.value = b;
-  w_.zero_grad();
-  b_.zero_grad();
-  adam_ = std::make_unique<nn::Adam>(std::vector<nn::Param*>{&w_, &b_},
-                                     nn::Adam::Config{.lr = cfg_.lr});
-  scale_ = scale;
-  sigma_ = sigma;
-  fitted_ = fitted;
-  history_ = std::move(history);
-  const std::size_t cap = cfg_.window + cfg_.order;
-  if (history_.size() > cap)
-    history_.erase(history_.begin(),
-                   history_.begin() + static_cast<std::ptrdiff_t>(history_.size() - cap));
-  count_ = count;
 }
 
 }  // namespace graf::forecast

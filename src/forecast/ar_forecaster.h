@@ -47,10 +47,6 @@ struct ArConfig {
 class ArForecaster final : public Forecaster {
  public:
   explicit ArForecaster(ArConfig cfg = {});
-  /// Deep copy (fresh tape/optimizer; weights, history, and scalers carried
-  /// over) — what ForecastRegistry::publish stores.
-  ArForecaster(const ArForecaster& o);
-  ArForecaster& operator=(const ArForecaster&) = delete;
 
   void observe(double value) override;
   Forecast predict(std::size_t steps) const override;
@@ -58,21 +54,6 @@ class ArForecaster final : public Forecaster {
   void reset() override;
   std::size_t observations() const override { return count_; }
   std::string name() const override { return "ar_linear"; }
-
-  // ---- checkpoint surface (src/serve/forecast_store) -----------------------
-  const ArConfig& config() const { return cfg_; }
-  const nn::Tensor& weight() const { return w_.value; }  ///< order x 1
-  const nn::Tensor& bias() const { return b_.value; }    ///< 1 x 1
-  double scale() const { return scale_; }
-  double residual_sigma() const { return sigma_; }
-  bool fitted() const { return fitted_; }
-  const std::vector<double>& history() const { return history_; }
-  /// Overwrite the learned state (shape-checked; throws std::invalid_argument
-  /// on a weight/bias shape mismatch). `history` is truncated to the
-  /// retention window; `count` restores the refit phase.
-  void restore(const nn::Tensor& w, const nn::Tensor& b, double scale,
-               double sigma, bool fitted, std::vector<double> history,
-               std::size_t count);
 
   std::uint64_t refits() const { return refits_; }
 

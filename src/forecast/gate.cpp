@@ -30,7 +30,7 @@ ForecastGate::ForecastGate(const ForecastSpec& spec)
 void ForecastGate::set_metrics(telemetry::MetricsRegistry* registry) {
   if (registry == nullptr) {
     tel_predictions_ = tel_prewarms_ = tel_not_ready_ = tel_invalid_ =
-        tel_capped_ = tel_errors_ = tel_swaps_ = nullptr;
+        tel_capped_ = tel_errors_ = nullptr;
     tel_predicted_ = tel_boost_ = nullptr;
     return;
   }
@@ -43,12 +43,9 @@ void ForecastGate::set_metrics(telemetry::MetricsRegistry* registry) {
   tel_errors_ = &registry->counter("forecast.fallbacks_total",
                                    {{"cause", "error"}});
   tel_capped_ = &registry->counter("forecast.boost_capped_total");
-  tel_swaps_ = &registry->counter("forecast.handle_swaps_total");
   tel_predicted_ = &registry->gauge("forecast.predicted_qps");
   tel_boost_ = &registry->gauge("forecast.boost");
 }
-
-void ForecastGate::set_handle(serve::ForecastHandle* handle) { handle_ = handle; }
 
 std::vector<Qps> ForecastGate::fallback(const std::vector<Qps>& observed,
                                         telemetry::Counter* cause) {
@@ -60,14 +57,6 @@ std::vector<Qps> ForecastGate::fallback(const std::vector<Qps>& observed,
 }
 
 std::vector<Qps> ForecastGate::plan_qps(const std::vector<Qps>& observed) {
-  // A promoted/rolled-back forecaster lands here, between control ticks.
-  if (handle_ != nullptr) {
-    if (auto pinned = handle_->acquire(); pinned && pinned != forecaster_) {
-      forecaster_ = std::move(pinned);
-      if (tel_swaps_ != nullptr) tel_swaps_->add();
-    }
-  }
-
   double total = 0.0;
   for (Qps q : observed) total += q;
   if (!std::isfinite(total) || total <= 0.0) return observed;

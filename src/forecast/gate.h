@@ -25,7 +25,6 @@
 #include "forecast/ar_forecaster.h"
 #include "forecast/forecaster.h"
 #include "forecast/holt_winters.h"
-#include "serve/serving_handle.h"
 #include "telemetry/metrics.h"
 
 namespace graf::forecast {
@@ -74,13 +73,6 @@ class ForecastGate {
   /// in force). nullptr detaches.
   void set_metrics(telemetry::MetricsRegistry* registry);
 
-  /// Serve the forecaster published through `handle` (hot-swapped by
-  /// ForecastRegistry promote/rollback) instead of the constructor one;
-  /// checked at the top of every plan_qps(). nullptr detaches.
-  void set_handle(serve::ForecastHandle* handle);
-
-  Forecaster& forecaster() { return *forecaster_; }
-  const Forecaster& forecaster() const { return *forecaster_; }
   const ForecastGateConfig& config() const { return cfg_; }
 
   /// Ticks where the forecast raised the planned-for workload.
@@ -97,7 +89,6 @@ class ForecastGate {
 
   std::shared_ptr<Forecaster> forecaster_;
   ForecastGateConfig cfg_;
-  serve::ForecastHandle* handle_ = nullptr;
 
   std::uint64_t predictions_ = 0;
   std::uint64_t prewarms_ = 0;
@@ -110,7 +101,6 @@ class ForecastGate {
   telemetry::Counter* tel_invalid_ = nullptr;
   telemetry::Counter* tel_capped_ = nullptr;
   telemetry::Counter* tel_errors_ = nullptr;
-  telemetry::Counter* tel_swaps_ = nullptr;
   telemetry::Gauge* tel_predicted_ = nullptr;
   telemetry::Gauge* tel_boost_ = nullptr;
 };

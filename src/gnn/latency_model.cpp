@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <istream>
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <ostream>
 #include <stdexcept>
 
 #include "common/thread_pool.h"
@@ -234,21 +232,22 @@ LatencyModel::LatencyModel(const Dag& graph, const MpnnConfig& cfg, std::uint64_
         "LatencyModel: MpnnConfig::node_features must equal kNodeFeatures"};
 }
 
-Dag LatencyModel::rebuild_graph() const {
-  Dag g;
-  for (const std::string& name : node_names_) g.add_node(name);
-  const auto& parents = model_.parents();
-  for (std::size_t child = 0; child < parents.size(); ++child)
-    for (int parent : parents[child]) g.add_edge(parent, static_cast<int>(child));
-  return g;
-}
-
 void LatencyModel::set_scalers(const ScalerState& s) {
   w_scale_ = s.w_scale;
   q_scale_ = s.q_scale;
   q_min_mc_ = s.q_min_mc;
   ratio_max_ = s.ratio_max;
   label_ref_ = s.label_ref;
+}
+
+nn::Var latency_pct_loss(nn::Var pred, const Dataset& data,
+                         std::span<const std::size_t> idx, double label_ref,
+                         double theta_under, double theta_over) {
+  nn::Tape& tape = *pred.tape;
+  nn::Tensor& labels = tape.stage(idx.size(), 1);
+  for (std::size_t r = 0; r < idx.size(); ++r)
+    labels(r, 0) = data[idx[r]].latency_ms / label_ref;
+  return nn::asym_huber_pct_loss(pred, tape.commit_constant(), theta_under, theta_over);
 }
 
 BatchLoss LatencyModel::batch_loss(const ScalerState& s, double theta_under,
@@ -258,12 +257,10 @@ BatchLoss LatencyModel::batch_loss(const ScalerState& s, double theta_under,
                                              bool training) {
     const std::size_t batch = idx.size();
     nn::Tensor& f = tape.stage(node_count_ * batch, kNodeFeatures);
-    nn::Tensor labels{batch, 1};
     for (std::size_t r = 0; r < batch; ++r) {
       const Sample& sample = data[idx[r]];
       for (std::size_t n = 0; n < node_count_; ++n)
         write_node_features(s, sample.workload[n], sample.quota[n], &f(n * batch + r, 0));
-      labels(r, 0) = sample.latency_ms / s.label_ref;
     }
     const nn::Var features = tape.commit_constant();
     nn::Var pred;
@@ -271,7 +268,7 @@ BatchLoss LatencyModel::batch_loss(const ScalerState& s, double theta_under,
       telemetry::ScopedTimer timer{training ? nullptr : forward_timer_};
       pred = model_.forward(tape, features, rng, training);
     }
-    return nn::asym_huber_pct_loss(pred, labels, theta_under, theta_over);
+    return latency_pct_loss(pred, data, idx, s.label_ref, theta_under, theta_over);
   };
 }
 
@@ -415,21 +412,6 @@ AccuracyReport LatencyModel::evaluate_accuracy(const Dataset& data, double regio
   return accuracy_report(data, region_lo_ms, region_hi_ms, [this](const Sample& s) {
     return predict(s.workload, s.quota);
   });
-}
-
-void LatencyModel::save(std::ostream& os) {
-  os.precision(17);
-  os << w_scale_ << ' ' << q_scale_ << ' ' << q_min_mc_ << ' ' << ratio_max_ << ' '
-     << label_ref_ << '\n';
-  auto params = model_.params();
-  nn::save_params(os, params);
-}
-
-void LatencyModel::load(std::istream& is) {
-  if (!(is >> w_scale_ >> q_scale_ >> q_min_mc_ >> ratio_max_ >> label_ref_))
-    throw std::runtime_error{"LatencyModel::load: bad header"};
-  auto params = model_.params();
-  nn::load_params(is, params);
 }
 
 }  // namespace graf::gnn

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -102,6 +101,13 @@ inline void write_node_features(const ScalerState& s, double w, double q, double
 using BatchLoss = std::function<nn::Var(nn::Tape& tape, const Dataset& data,
                                         std::span<const std::size_t> idx, Rng& rng,
                                         bool training)>;
+
+/// The teacher's and the partitioned model's batch loss (Table 1): the
+/// asymmetric Hüber percentage error of `pred` (B x 1, in units of
+/// label_ref) against the latencies of data[idx], staged on pred's tape.
+nn::Var latency_pct_loss(nn::Var pred, const Dataset& data,
+                         std::span<const std::size_t> idx, double label_ref,
+                         double theta_under, double theta_over);
 
 /// The training loop of every latency model (§3.4, Table 1): Adam over
 /// `params` on reshuffled epochs of `train`, the step lr decay, `val` loss
@@ -234,9 +240,6 @@ class LatencyModel {
   AccuracyReport evaluate_accuracy(const Dataset& data, double region_lo_ms = 0.0,
                                    double region_hi_ms = 1e18);
 
-  void save(std::ostream& os);
-  void load(std::istream& is);
-
   // --- Model-store hooks (src/serve) ---------------------------------------
 
   /// Node names captured from the construction DAG (checkpoint metadata).
@@ -244,8 +247,6 @@ class LatencyModel {
   const MpnnConfig& mpnn_config() const { return model_.config(); }
   /// Adjacency (parents per node) captured from the construction DAG.
   const std::vector<std::vector<int>>& graph_parents() const { return model_.parents(); }
-  /// Reconstruct an equivalent Dag from the captured names + adjacency.
-  Dag rebuild_graph() const;
 
   ScalerState scalers() const {
     return {w_scale_, q_scale_, q_min_mc_, ratio_max_, label_ref_};

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "nn/loss.h"
-
 namespace graf::gnn {
 
 std::vector<std::vector<int>> partition_dag(const Dag& dag, std::size_t max_size) {
@@ -99,11 +97,8 @@ BatchLoss PartitionedLatencyModel::batch_loss(double theta_under, double theta_o
   return [this, theta_under, theta_over](nn::Tape& tape, const Dataset& data,
                                          std::span<const std::size_t> idx, Rng& rng,
                                          bool training) {
-    nn::Tensor labels{idx.size(), 1};
-    for (std::size_t r = 0; r < idx.size(); ++r)
-      labels(r, 0) = data[idx[r]].latency_ms / s_.label_ref;
-    return nn::asym_huber_pct_loss(forward(tape, data, idx, rng, training), labels,
-                                   theta_under, theta_over);
+    return latency_pct_loss(forward(tape, data, idx, rng, training), data, idx,
+                            s_.label_ref, theta_under, theta_over);
   };
 }
 

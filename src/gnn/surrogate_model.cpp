@@ -35,18 +35,6 @@ SurrogateModel::SurrogateModel(std::size_t node_count, const SurrogateConfig& cf
     : node_count_{node_count}, cfg_{cfg}, rng_{seed},
       mlp_{mlp_dims(node_count, cfg), cfg.dropout_p, rng_} {}
 
-std::uint64_t SurrogateModel::param_count(std::uint64_t node_count,
-                                          const SurrogateConfig& cfg) {
-  using nn::Mlp;
-  const std::uint64_t in = nn::sat_mul(node_count, kNodeFeatures);
-  const std::uint64_t h = cfg.hidden;
-  if (cfg.hidden_layers == 0) return Mlp::param_count({in, 1});
-  const std::uint64_t inner =
-      nn::sat_mul(cfg.hidden_layers - 1, Mlp::param_count({h, h}));
-  return nn::sat_add(nn::sat_add(Mlp::param_count({in, h}), inner),
-                     Mlp::param_count({h, 1}));
-}
-
 BatchLoss SurrogateModel::batch_loss(double theta_under, double theta_over) {
   return [this, theta_under, theta_over](nn::Tape& tape, const Dataset& data,
                                          std::span<const std::size_t> idx, Rng& rng,

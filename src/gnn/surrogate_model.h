@@ -50,12 +50,8 @@ class SurrogateModel {
 
   SurrogateModel(std::size_t node_count, const SurrogateConfig& cfg,
                  std::uint64_t seed);
-  /// Parameters the constructor would build, without building them
-  /// (saturating, nn::Mlp::param_count).
-  static std::uint64_t param_count(std::uint64_t node_count, const SurrogateConfig& cfg);
 
   std::size_t node_count() const { return node_count_; }
-  const SurrogateConfig& config() const { return cfg_; }
   std::size_t param_count() { return mlp_.param_count(); }
 
   /// Train on teacher-labelled samples through fit_sharded, the loop
@@ -85,8 +81,8 @@ class SurrogateModel {
     mlp_.load_state_dict(state);
   }
 
-  /// Independent deep copy (weights, scalers, rng state) — the online
-  /// refresh fine-tunes a clone while `this` keeps serving.
+  /// Independent deep copy (weights, scalers, rng state): each planner
+  /// that shares a distilled surrogate gets its own instance.
   SurrogateModel clone() const { return *this; }
 
   /// Content fingerprint (FNV-1a 64) over everything that shapes a forward:

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
 namespace graf::nn {
@@ -137,34 +135,6 @@ const Tensor& FrozenMlp::backward(const Tensor& dy) {
     g = &next;
   }
   return *g;
-}
-
-void save_params(std::ostream& os, const std::vector<Param*>& params) {
-  os << params.size() << '\n';
-  os.precision(17);
-  for (const Param* p : params) {
-    os << p->value.rows() << ' ' << p->value.cols() << '\n';
-    for (std::size_t i = 0; i < p->value.size(); ++i) {
-      if (i > 0) os << ' ';
-      os << p->value.data()[i];
-    }
-    os << '\n';
-  }
-}
-
-void load_params(std::istream& is, const std::vector<Param*>& params) {
-  std::size_t count = 0;
-  if (!(is >> count) || count != params.size())
-    throw std::runtime_error{"load_params: parameter count mismatch"};
-  for (Param* p : params) {
-    std::size_t rows = 0;
-    std::size_t cols = 0;
-    if (!(is >> rows >> cols) || rows != p->value.rows() || cols != p->value.cols())
-      throw std::runtime_error{"load_params: shape mismatch"};
-    for (std::size_t i = 0; i < p->value.size(); ++i) {
-      if (!(is >> p->value.data()[i])) throw std::runtime_error{"load_params: truncated"};
-    }
-  }
 }
 
 }  // namespace graf::nn

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -152,9 +151,5 @@ class FrozenMlp {
   std::vector<Tensor> out_;  // each layer's output of the last forward
   Tensor grad_[2];           // backward ping-pong
 };
-
-/// Serialize parameter values (shape-checked on load).
-void save_params(std::ostream& os, const std::vector<Param*>& params);
-void load_params(std::istream& is, const std::vector<Param*>& params);
 
 }  // namespace graf::nn

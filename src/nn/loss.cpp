@@ -15,26 +15,24 @@ Var mse_loss(Var pred, const Tensor& target) {
   return mean_all(mul(d, d));
 }
 
-Var percentage_error(Var pred, const Tensor& target, double eps) {
+Var percentage_error(Var pred, Var target, double eps) {
+  Var diff = sub(pred, target);  // checks the tape and the shapes
   Tape& t = *pred.tape;
-  if (!t.value(pred).same_shape(target))
-    throw std::invalid_argument{"percentage_error: shape mismatch"};
-  Tensor inv{target.rows(), target.cols()};
-  for (std::size_t i = 0; i < target.size(); ++i)
-    inv.data()[i] = 1.0 / std::max(target.data()[i], eps);
-  Var diff = sub(pred, t.constant(target));
-  return mul(diff, t.constant(inv));
+  const Tensor& y = t.value(target);
+  Tensor& inv = t.stage(y.rows(), y.cols());
+  for (std::size_t i = 0; i < y.size(); ++i)
+    inv.data()[i] = 1.0 / std::max(y.data()[i], eps);
+  return mul(diff, t.commit_constant());
 }
 
-Var asym_huber_pct_loss(Var pred, const Tensor& target, double theta_under,
-                        double theta_over) {
+Var asym_huber_pct_loss(Var pred, Var target, double theta_under, double theta_over) {
   // x = (pred - target)/target; under-estimation is x < 0, so theta_under
   // is the negative-side theta.
   Var x = percentage_error(pred, target);
   return mean_all(asym_huber(x, theta_under, theta_over));
 }
 
-Var huber_pct_loss(Var pred, const Tensor& target, double theta) {
+Var huber_pct_loss(Var pred, Var target, double theta) {
   return asym_huber_pct_loss(pred, target, theta, theta);
 }
 

@@ -17,7 +17,9 @@ namespace graf::nn {
 Var mse_loss(Var pred, const Tensor& target);
 
 /// Percentage error (pred - target) / max(target, eps), as a tape op chain.
-Var percentage_error(Var pred, const Tensor& target, double eps = 1e-9);
+/// `target` lives on pred's tape (a training loss stages its labels there);
+/// the reciprocal is staged beside it, so a rewound tape reuses both.
+Var percentage_error(Var pred, Var target, double eps = 1e-9);
 
 /// The paper's loss (Eq. 4 with the continuous linear branch): mean
 /// asymmetric Hüber of the percentage error. `theta_under` bounds the
@@ -26,11 +28,10 @@ Var percentage_error(Var pred, const Tensor& target, double eps = 1e-9);
 /// over-estimation side. Choosing theta_under > theta_over penalizes
 /// under-estimation more, yielding the paper's slight systematic
 /// over-estimate (Table 2).
-Var asym_huber_pct_loss(Var pred, const Tensor& target, double theta_under,
-                        double theta_over);
+Var asym_huber_pct_loss(Var pred, Var target, double theta_under, double theta_over);
 
 /// Symmetric Hüber on percentage error (theta_under == theta_over).
-Var huber_pct_loss(Var pred, const Tensor& target, double theta);
+Var huber_pct_loss(Var pred, Var target, double theta);
 
 // Scalar (no-tape) helpers for evaluation/reporting.
 

@@ -121,7 +121,20 @@ void save_checkpoint_file(const std::string& path, gnn::LatencyModel& model,
 }
 
 LoadedCheckpoint load_checkpoint(std::istream& is) {
-  return wire::load_frame(is, kFormat, read_payload);
+  // Every payload byte must be consumed, and any exception from the decoder
+  // or the model it builds surfaces as a CheckpointError.
+  try {
+    const std::string payload = wire::read_frame(is, kFormat);
+    Reader r{payload.data(), payload.size()};
+    LoadedCheckpoint loaded = read_payload(r);
+    if (!r.exhausted()) throw CheckpointError{"trailing bytes after payload"};
+    return loaded;
+  } catch (const CheckpointError&) {
+    throw;
+  } catch (const std::exception& e) {
+    // e.g. Dag reconstruction rejecting a crafted payload that passed CRC.
+    throw CheckpointError{e.what()};
+  }
 }
 
 LoadedCheckpoint load_checkpoint_file(const std::string& path) {

@@ -1,11 +1,10 @@
-// Hot-swappable handle to the model currently in service.
+// Hot-swappable handle to the latency model currently in service.
 //
-// The control plane acquires the active model at the start of every
-// decision: ResourceController the latency model, TieredPlanner the
-// surrogate, ForecastGate the forecaster. A registry (registry.h) swaps a
-// newly promoted version in between decisions. Shared ownership keeps a
-// model alive for the duration of any plan computed against it even if it
-// is demoted mid-flight, so swapping never pauses allocation.
+// The control plane (ResourceController) acquires the active model at the
+// start of every decision. A ModelRegistry (model_registry.h) swaps a newly
+// promoted version in between decisions. Shared ownership keeps a model
+// alive for the duration of any plan computed against it even if it is
+// demoted mid-flight, so swapping never pauses allocation.
 #pragma once
 
 #include <cstdint>
@@ -14,22 +13,16 @@
 
 namespace graf::gnn {
 class LatencyModel;
-class SurrogateModel;
-}  // namespace graf::gnn
-
-namespace graf::forecast {
-class Forecaster;
 }
 
 namespace graf::serve {
 
-template <typename T>
-class Handle {
+class ServingHandle {
  public:
-  using Ptr = std::shared_ptr<T>;
+  using Ptr = std::shared_ptr<gnn::LatencyModel>;
 
-  Handle() = default;
-  explicit Handle(Ptr initial) : active_{std::move(initial)} {}
+  ServingHandle() = default;
+  explicit ServingHandle(Ptr initial) : active_{std::move(initial)} {}
 
   /// The model currently in service (may be null before the first swap).
   Ptr acquire() const {
@@ -60,11 +53,5 @@ class Handle {
   Ptr active_;
   std::uint64_t swaps_ = 0;
 };
-
-using ServingHandle = Handle<gnn::LatencyModel>;
-using SurrogateHandle = Handle<gnn::SurrogateModel>;
-/// Serves the Forecaster interface: a ForecastRegistry publishes
-/// ArForecasters, and tests may swap in any other forecaster.
-using ForecastHandle = Handle<forecast::Forecaster>;
 
 }  // namespace graf::serve

@@ -1,14 +1,12 @@
-// The checkpoint frame and its byte-level (de)serialization, shared by the
-// three formats: .grafck (latency model, checkpoint.cpp), .graffc
-// (forecaster, forecast_store.cpp) and .grafsg (surrogate,
-// surrogate_store.cpp). Each format supplies only its magic, its version
-// constant and its payload codec; the frame around the payload is
+// The checkpoint frame and its byte-level (de)serialization, under the
+// .grafck latency-model codec (checkpoint.cpp), which supplies its magic,
+// its version constant and its payload. The frame around the payload is
 //
-//   magic            8 bytes  per format
-//   format version   u32      per format
+//   magic            8 bytes
+//   format version   u32
 //   endianness tag   u32      0x01020304 written natively
 //   payload size     u64      bytes between here and the CRC
-//   payload          ...      per format
+//   payload          ...
 //   crc32            u32      CRC-32 (IEEE 802.3) of the payload bytes
 //
 // Integers and doubles are written in host byte order; the endianness tag
@@ -27,7 +25,6 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "nn/tensor.h"
@@ -85,7 +82,6 @@ class Reader {
     pos_ += n;
   }
   std::uint8_t u8() { return read<std::uint8_t>(); }
-  std::uint32_t u32() { return read<std::uint32_t>(); }
   std::uint64_t u64() { return read<std::uint64_t>(); }
   std::int32_t i32() { return read<std::int32_t>(); }
   double f64() { return read<double>(); }
@@ -165,7 +161,7 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// What tells one checkpoint format's frame from another's.
+/// What identifies a frame: the header fields read_frame checks.
 struct FrameFormat {
   std::string_view magic;      ///< exactly 8 bytes
   std::uint32_t version;       ///< the only version this build reads
@@ -180,25 +176,5 @@ void write_frame(std::ostream& os, const FrameFormat& format,
 /// payload is read in fixed-size chunks, so memory follows the bytes that
 /// actually arrive, not the size the header claims.
 std::string read_frame(std::istream& is, const FrameFormat& format);
-
-/// The shared load path: read a frame, decode its payload with `decode`
-/// (Reader& -> result), and require every payload byte consumed. Any
-/// exception from the decoder or the model it builds surfaces as a
-/// CheckpointError.
-template <typename Decode>
-auto load_frame(std::istream& is, const FrameFormat& format, Decode&& decode) {
-  try {
-    const std::string payload = read_frame(is, format);
-    Reader r{payload.data(), payload.size()};
-    auto loaded = std::forward<Decode>(decode)(r);
-    if (!r.exhausted()) throw CheckpointError{"trailing bytes after payload"};
-    return loaded;
-  } catch (const CheckpointError&) {
-    throw;
-  } catch (const std::exception& e) {
-    // e.g. Dag reconstruction rejecting a crafted payload that passed CRC.
-    throw CheckpointError{e.what()};
-  }
-}
 
 }  // namespace graf::serve::wire

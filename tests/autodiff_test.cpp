@@ -334,7 +334,7 @@ TEST(Loss, MseLossValueAndGradient) {
 TEST(Loss, PercentageErrorValues) {
   Tape t;
   Var pred = t.leaf(Tensor{{110.0, 90.0}});
-  Tensor target{{100.0, 100.0}};
+  Var target = t.constant(Tensor{{100.0, 100.0}});
   const Tensor& x = t.value(percentage_error(pred, target));
   EXPECT_NEAR(x(0, 0), 0.1, 1e-12);
   EXPECT_NEAR(x(0, 1), -0.1, 1e-12);
@@ -378,6 +378,38 @@ TEST(Autodiff, SteadyStateTapeRunsAllocationFree) {
       g_alloc_count.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(allocs, 0u);
   EXPECT_DOUBLE_EQ(steady, warm);  // recycled buffers change nothing
+}
+
+// A training shard's loss in steady state: labels staged on the tape, the
+// percentage error's reciprocal staged beside them, and the backward into
+// the predictions' Param. Once warmed, a step on the rewound tape reuses
+// every node and buffer.
+TEST(Autodiff, WarmedPctLossStepIsAllocationFree) {
+  Rng rng{81};
+  Param pred{random_tensor(16, 1, rng)};
+  Tape tape;
+
+  auto run = [&] {
+    tape.reset();
+    Tensor& labels = tape.stage(16, 1);
+    for (std::size_t r = 0; r < 16; ++r)
+      labels(r, 0) = 0.5 + 0.1 * static_cast<double>(r);
+    Var loss = asym_huber_pct_loss(tape.param(pred), tape.commit_constant(), 0.3, 0.1);
+    pred.zero_grad();
+    tape.backward(loss);
+    return tape.value(loss).item();
+  };
+
+  const double warm = run();
+  run();
+
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const double steady = run();
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(steady, warm);
+  EXPECT_GT(pred.grad.max_abs(), 0.0);
 }
 
 // The solver's steady state end to end: one descent iteration — the frozen

@@ -56,21 +56,4 @@ inline std::size_t grafck_params_at(const gnn::LatencyModel& m,
   return grafck_scalers_at(m) + 5 * 8 + 8 + application.size() + 4 * 8;
 }
 
-// .grafsg payload: node count, hidden width, hidden layers, dropout, then
-// five scalers and the meta block.
-inline constexpr std::size_t kGrafsgHidden = 8;
-inline constexpr std::size_t kGrafsgLayers = 16;
-inline constexpr std::size_t kGrafsgScalers = 32;
-
-/// Payload offset of a .grafsg's [weights] tensor count.
-inline std::size_t grafsg_weights_at(const std::string& application) {
-  return kGrafsgScalers + 5 * 8 + 8 + application.size() + 5 * 8;
-}
-
-// .graffc payload: eight config fields (order, window, refit_every,
-// iterations, ...), then the [state] scale and sigma.
-inline constexpr std::size_t kGraffcWindow = 8;
-inline constexpr std::size_t kGraffcIterations = 3 * 8;
-inline constexpr std::size_t kGraffcScale = 8 * 8;
-
 }  // namespace graf::serve::craft

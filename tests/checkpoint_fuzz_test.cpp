@@ -1,9 +1,9 @@
-// Seeded byte-mutation fuzzing of the three checkpoint decoders (.grafck,
-// .graffc, .grafsg). No external fuzzer: each format's valid file is
-// mutated by fixed-seed streams — random byte flips, truncation, a forged
-// header size, and payload mutations resealed with a fresh CRC so they
-// reach the decoder (huge u64 fields, flipped sign and exponent bits) —
-// plus hand-crafted files that once drove large allocations.
+// Seeded byte-mutation fuzzing of the .grafck checkpoint decoder. No
+// external fuzzer: a valid file is mutated by fixed-seed streams — random
+// byte flips, truncation, a forged header size, and payload mutations
+// resealed with a fresh CRC so they reach the decoder (huge u64 fields,
+// flipped sign and exponent bits) — plus hand-crafted files that once drove
+// large allocations.
 //
 // Oracle, per load: it either returns a model whose every scaler and
 // parameter is finite, or throws CheckpointError. Any other exception, a
@@ -25,12 +25,8 @@
 
 #include "checkpoint_bytes.h"
 #include "common/rng.h"
-#include "forecast/ar_forecaster.h"
 #include "gnn/latency_model.h"
-#include "gnn/surrogate_model.h"
 #include "serve/checkpoint.h"
-#include "serve/forecast_store.h"
-#include "serve/surrogate_store.h"
 
 std::atomic<std::uint64_t> g_alloc_bytes{0};
 
@@ -56,7 +52,7 @@ bool finite(const std::vector<nn::Tensor>& ts) {
   return true;
 }
 
-/// One format under test: a valid file and a loader that asserts the
+/// The format under test: a valid file and a loader that asserts the
 /// loaded state is finite.
 struct Format {
   std::string name;
@@ -99,36 +95,6 @@ Format grafck() {
           }};
 }
 
-Format graffc() {
-  forecast::ArForecaster f{{.order = 4, .window = 24, .refit_every = 4,
-                            .iterations = 25, .seed = 3, .min_history = 8}};
-  for (int t = 0; t < 40; ++t) f.observe(50.0 + 3.0 * (t % 7) + 0.5 * t);
-  std::ostringstream os;
-  save_forecast_checkpoint(os, f, {.application = kApp, .slo_ms = 200.0});
-  return {"graffc", os.str(), [](std::istream& is) {
-            LoadedForecast c = load_forecast_checkpoint(is);
-            EXPECT_TRUE(finite(c.model.scale()));
-            EXPECT_TRUE(finite(c.model.residual_sigma()));
-            for (double v : c.model.history()) EXPECT_TRUE(finite(v));
-            EXPECT_TRUE(finite(c.model.weight()));
-            EXPECT_TRUE(finite(c.model.bias()));
-          }};
-}
-
-Format grafsg() {
-  gnn::SurrogateModel s{4, {.hidden = 6, .hidden_layers = 2}, 5};
-  s.set_scalers(kScalers);
-  std::ostringstream os;
-  save_surrogate_checkpoint(os, s, {.application = kApp, .slo_ms = 200.0});
-  return {"grafsg", os.str(), [](std::istream& is) {
-            LoadedSurrogate c = load_surrogate_checkpoint(is);
-            EXPECT_TRUE(finite(c.model.scalers()));
-            EXPECT_TRUE(finite(c.model.state_dict()));
-          }};
-}
-
-std::vector<Format> formats() { return {grafck(), graffc(), grafsg()}; }
-
 /// Load `bytes`, holding the oracle. Returns whether the load succeeded.
 bool load(const Format& f, const std::string& bytes, const std::string& what) {
   std::istringstream is{bytes};
@@ -167,86 +133,82 @@ const std::uint64_t kHugeFields[] = {0,
                                      0x7ff8000000000000ULL};
 
 TEST(CheckpointFuzz, ValidFilesLoad) {
-  for (const Format& f : formats()) EXPECT_TRUE(load(f, f.file, "unmutated"));
+  const Format f = grafck();
+  EXPECT_TRUE(load(f, f.file, "unmutated"));
 }
 
 TEST(CheckpointFuzz, RandomByteFlips) {
-  for (const Format& f : formats()) {
-    Rng rng{101};
-    for (int i = 0; i < kRounds; ++i) {
-      std::string bytes = f.file;
-      const int flips = 1 + static_cast<int>(pick(rng, 4));
-      for (int k = 0; k < flips; ++k)
-        bytes[pick(rng, bytes.size())] ^= static_cast<char>(1 + pick(rng, 255));
-      load(f, bytes, "flip round " + std::to_string(i));
-    }
+  const Format f = grafck();
+  Rng rng{101};
+  for (int i = 0; i < kRounds; ++i) {
+    std::string bytes = f.file;
+    const int flips = 1 + static_cast<int>(pick(rng, 4));
+    for (int k = 0; k < flips; ++k)
+      bytes[pick(rng, bytes.size())] ^= static_cast<char>(1 + pick(rng, 255));
+    load(f, bytes, "flip round " + std::to_string(i));
   }
 }
 
 TEST(CheckpointFuzz, Truncation) {
-  for (const Format& f : formats()) {
-    Rng rng{202};
-    for (int i = 0; i < kRounds; ++i) {
-      const std::size_t cut = pick(rng, f.file.size());
-      EXPECT_FALSE(load(f, f.file.substr(0, cut), "cut at " + std::to_string(cut)));
-    }
+  const Format f = grafck();
+  Rng rng{202};
+  for (int i = 0; i < kRounds; ++i) {
+    const std::size_t cut = pick(rng, f.file.size());
+    EXPECT_FALSE(load(f, f.file.substr(0, cut), "cut at " + std::to_string(cut)));
   }
 }
 
 TEST(CheckpointFuzz, ForgedHeaderSize) {
-  for (const Format& f : formats()) {
-    const std::uint64_t real = f.file.size() - craft::kHeader - 4;
-    std::vector<std::uint64_t> sizes(std::begin(kHugeFields), std::end(kHugeFields));
-    for (std::uint64_t d : {1u, 4u, 8u, 64u}) {
-      sizes.push_back(real + d);
-      sizes.push_back(real - d);
-    }
-    for (std::uint64_t size : sizes) {
-      std::string bytes = f.file;
-      std::memcpy(bytes.data() + craft::kSizeField, &size, sizeof size);
-      EXPECT_FALSE(load(f, bytes, "payload size " + std::to_string(size)));
-    }
+  const Format f = grafck();
+  const std::uint64_t real = f.file.size() - craft::kHeader - 4;
+  std::vector<std::uint64_t> sizes(std::begin(kHugeFields), std::end(kHugeFields));
+  for (std::uint64_t d : {1u, 4u, 8u, 64u}) {
+    sizes.push_back(real + d);
+    sizes.push_back(real - d);
+  }
+  for (std::uint64_t size : sizes) {
+    std::string bytes = f.file;
+    std::memcpy(bytes.data() + craft::kSizeField, &size, sizeof size);
+    EXPECT_FALSE(load(f, bytes, "payload size " + std::to_string(size)));
   }
 }
 
 TEST(CheckpointFuzz, ResealedPayloadMutations) {
-  for (const Format& f : formats()) {
-    Rng rng{303};
-    const std::size_t payload = f.file.size() - craft::kHeader - 4;
-    for (int i = 0; i < 3 * kRounds; ++i) {
-      std::string bytes = f.file;
-      const std::size_t at = pick(rng, payload - 8);
-      switch (i % 3) {
-        case 0:  // random bytes
-          for (int k = 0; k < 3; ++k) {
-            const std::size_t byte = craft::kHeader + pick(rng, payload);
-            bytes[byte] ^= static_cast<char>(1 + pick(rng, 255));
-          }
-          break;
-        case 1:  // a huge or special u64
-          craft::poke(bytes, at, kHugeFields[pick(rng, std::size(kHugeFields))]);
-          break;
-        default: {  // a double's sign or exponent bits
-          const int bit = pick(rng, 2) == 0 ? 63 : 52 + static_cast<int>(pick(rng, 11));
-          const std::uint64_t field = craft::peek<std::uint64_t>(bytes, at);
-          craft::poke(bytes, at, field ^ (std::uint64_t{1} << bit));
+  const Format f = grafck();
+  Rng rng{303};
+  const std::size_t payload = f.file.size() - craft::kHeader - 4;
+  for (int i = 0; i < 3 * kRounds; ++i) {
+    std::string bytes = f.file;
+    const std::size_t at = pick(rng, payload - 8);
+    switch (i % 3) {
+      case 0:  // random bytes
+        for (int k = 0; k < 3; ++k) {
+          const std::size_t byte = craft::kHeader + pick(rng, payload);
+          bytes[byte] ^= static_cast<char>(1 + pick(rng, 255));
         }
+        break;
+      case 1:  // a huge or special u64
+        craft::poke(bytes, at, kHugeFields[pick(rng, std::size(kHugeFields))]);
+        break;
+      default: {  // a double's sign or exponent bits
+        const int bit = pick(rng, 2) == 0 ? 63 : 52 + static_cast<int>(pick(rng, 11));
+        const std::uint64_t field = craft::peek<std::uint64_t>(bytes, at);
+        craft::poke(bytes, at, field ^ (std::uint64_t{1} << bit));
       }
-      craft::reseal(bytes);
-      load(f, bytes, "resealed round " + std::to_string(i));
     }
+    craft::reseal(bytes);
+    load(f, bytes, "resealed round " + std::to_string(i));
   }
 }
 
 // --- crafted files -------------------------------------------------------------
 
 TEST(CheckpointFuzz, HeaderClaimingHugePayloadFailsWithinBudget) {
-  for (const Format& f : formats()) {
-    std::string header = f.file.substr(0, craft::kHeader);
-    const std::uint64_t claimed = std::uint64_t{256} << 20;
-    std::memcpy(header.data() + craft::kSizeField, &claimed, sizeof claimed);
-    EXPECT_FALSE(load(f, header, "24-byte header claiming 256 MiB"));
-  }
+  const Format f = grafck();
+  std::string header = f.file.substr(0, craft::kHeader);
+  const std::uint64_t claimed = std::uint64_t{256} << 20;
+  std::memcpy(header.data() + craft::kSizeField, &claimed, sizeof claimed);
+  EXPECT_FALSE(load(f, header, "24-byte header claiming 256 MiB"));
 }
 
 TEST(CheckpointFuzz, GrafckWideConfigRejectedBeforeConstruction) {
@@ -284,68 +246,18 @@ TEST(CheckpointFuzz, GrafckTensorShapesAndCountsBoundedByBytes) {
   }
 }
 
-TEST(CheckpointFuzz, GrafsgWideConfigRejectedBeforeConstruction) {
-  const Format f = grafsg();
-  const std::pair<std::uint64_t, std::uint64_t> shapes[] = {
-      {2048, 8}, {std::uint64_t{1} << 16, 256}, {1, std::uint64_t{1} << 62}};
-  for (const auto& [hidden, layers] : shapes) {
-    std::string bytes = f.file;
-    craft::poke(bytes, craft::kGrafsgHidden, hidden);
-    craft::poke(bytes, craft::kGrafsgLayers, layers);
-    craft::reseal(bytes);
-    EXPECT_FALSE(load(f, bytes, std::to_string(layers) + " layers of width " +
-                                    std::to_string(hidden)));
-  }
-  std::string bytes = f.file;
-  craft::poke(bytes, 0, std::uint64_t{1} << 16);  // node count
-  craft::poke(bytes, craft::kGrafsgHidden, std::uint64_t{1} << 16);
-  craft::reseal(bytes);
-  EXPECT_FALSE(load(f, bytes, "a 2^16 x 2^18 first layer"));
-}
-
-// Budgets, not sizes: a CRC-valid .graffc asking for 2^40 Adam steps per
-// refit once loaded, and its first refit stalled the tenant's tick.
-TEST(CheckpointFuzz, GraffcRefitBudgetsRejected) {
-  const Format f = graffc();
-  std::string bytes = f.file;
-  craft::poke(bytes, craft::kGraffcIterations, std::uint64_t{1} << 40);
-  craft::reseal(bytes);
-  EXPECT_FALSE(load(f, bytes, "2^40 iterations per refit"));
-  bytes = f.file;
-  craft::poke(bytes, craft::kGraffcWindow, std::uint64_t{1} << 40);
-  craft::reseal(bytes);
-  EXPECT_FALSE(load(f, bytes, "2^40-tick window"));
-}
-
 TEST(CheckpointFuzz, NonFiniteStateRejected) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  {
-    const Format f = grafck();
-    std::string bytes = f.file;
-    craft::poke(bytes, craft::grafck_scalers_at(latency_model()), nan);  // w_scale
-    craft::reseal(bytes);
-    EXPECT_FALSE(load(f, bytes, "NaN w_scale"));
-    // meta.val_error_pct, the online trainer's drift baseline.
-    bytes = f.file;
-    craft::poke(bytes, craft::grafck_params_at(latency_model(), kApp) - 16, nan);
-    craft::reseal(bytes);
-    EXPECT_FALSE(load(f, bytes, "NaN validation error"));
-  }
-  {
-    const Format f = graffc();
-    std::string bytes = f.file;
-    craft::poke(bytes, craft::kGraffcScale + 8, inf);  // residual sigma
-    craft::reseal(bytes);
-    EXPECT_FALSE(load(f, bytes, "infinite sigma"));
-  }
-  {
-    const Format f = grafsg();
-    std::string bytes = f.file;
-    craft::poke(bytes, craft::grafsg_weights_at(kApp) + 8 + 16, -inf);  // first weight
-    craft::reseal(bytes);
-    EXPECT_FALSE(load(f, bytes, "infinite weight"));
-  }
+  const Format f = grafck();
+  std::string bytes = f.file;
+  craft::poke(bytes, craft::grafck_scalers_at(latency_model()), nan);  // w_scale
+  craft::reseal(bytes);
+  EXPECT_FALSE(load(f, bytes, "NaN w_scale"));
+  // meta.val_error_pct, the online trainer's drift baseline.
+  bytes = f.file;
+  craft::poke(bytes, craft::grafck_params_at(latency_model(), kApp) - 16, nan);
+  craft::reseal(bytes);
+  EXPECT_FALSE(load(f, bytes, "NaN validation error"));
 }
 
 }  // namespace

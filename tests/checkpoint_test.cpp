@@ -14,11 +14,7 @@
 
 #include "checkpoint_bytes.h"
 #include "common/rng.h"
-#include "forecast/ar_forecaster.h"
 #include "gnn/latency_model.h"
-#include "gnn/surrogate_model.h"
-#include "serve/forecast_store.h"
-#include "serve/surrogate_store.h"
 
 namespace graf::serve {
 namespace {
@@ -269,7 +265,7 @@ TEST(CheckpointCrc, MatchesKnownVector) {
 // --- On-disk bytes ----------------------------------------------------------
 
 // The round-trip tests above cannot see a field reordered in both the
-// writer and the reader; these pins can. Each saves a fixed seeded model
+// writer and the reader; this pin can. It saves a fixed seeded model
 // with fixed metadata and checks the file's size and CRC-32 against the
 // values the format has always produced. A mismatch means the bytes on
 // disk changed: old checkpoints would no longer load as they were written.
@@ -301,31 +297,6 @@ TEST(CheckpointBytes, LatencyModelFileIsPinned) {
                             .train_samples = 4096, .val_error_pct = 6.25,
                             .created_sim_time = 3600.5};
   EXPECT_EQ(stamp(serialized(m, meta)), (FileStamp{6449, 0x69136d87u}));
-}
-
-TEST(CheckpointBytes, ForecasterFileIsPinned) {
-  forecast::ArForecaster f{{.order = 4, .window = 24, .refit_every = 4,
-                            .iterations = 25, .lr = 0.01, .seed = 3,
-                            .min_history = 8, .band_z = 1.5}};
-  for (int t = 0; t < 40; ++t) f.observe(50.0 + 3.0 * (t % 7) + 0.5 * t);
-  const ForecastMeta meta{.application = "pinned-app", .slo_ms = 250.0,
-                          .observations = 40, .created_sim_time = 3600.5};
-  std::ostringstream os{std::ios::binary};
-  save_forecast_checkpoint(os, f, meta);
-  ASSERT_TRUE(f.fitted());
-  EXPECT_EQ(stamp(os.str()), (FileStamp{439, 0x8c38b205u}));
-}
-
-TEST(CheckpointBytes, SurrogateFileIsPinned) {
-  gnn::SurrogateModel s{4, {.hidden = 6, .hidden_layers = 2, .dropout_p = 0.0}, 77};
-  s.set_scalers(kPinnedScalers);
-  const SurrogateMeta meta{.application = "pinned-app", .slo_ms = 250.0,
-                           .teacher_fingerprint = 0x0123456789abcdefULL,
-                           .distill_samples = 2048, .val_error_pct = 1.75,
-                           .created_sim_time = 3600.5};
-  std::ostringstream os{std::ios::binary};
-  save_surrogate_checkpoint(os, s, meta);
-  EXPECT_EQ(stamp(os.str()), (FileStamp{1470, 0xbb95e746u}));
 }
 
 }  // namespace

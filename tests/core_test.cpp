@@ -2,7 +2,10 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "apps/catalog.h"
 #include "core/configuration_solver.h"
@@ -606,6 +609,45 @@ TEST(ResourceController, PlanCacheInvalidatesOnDegradedEntryAndCanDisable) {
   rc.plan(api, 200.0);
   rc.plan(api, 200.0);
   EXPECT_EQ(rc.plan_cache_hits(), 1u);
+}
+
+// ---- LatencyPredictor -------------------------------------------------------
+
+// The bench artifact cache persists trained stacks through save_model and
+// load_model (a .grafck checkpoint): the reloaded predictor must predict
+// with the saved bits, and a model of another shape must refuse the file.
+TEST(LatencyPredictor, SaveLoadRoundTripIsBitIdentical) {
+  gnn::MpnnConfig cfg;
+  cfg.embed_dim = 8;
+  cfg.mpnn_hidden = 8;
+  cfg.readout_hidden = 24;
+  LatencyPredictor saved{chain2(), cfg, 5};
+  Rng rng{23};
+  gnn::Dataset data;
+  for (int i = 0; i < 400; ++i) {
+    gnn::Sample s;
+    const double w = rng.uniform(20.0, 80.0);
+    s.workload = {w, w};
+    s.quota = {rng.uniform(300.0, 2000.0), rng.uniform(300.0, 2000.0)};
+    s.latency_ms = 40.0 * 1000.0 / s.quota[0] + 80.0 * 1000.0 / s.quota[1] + 0.8 * w;
+    data.push_back(std::move(s));
+  }
+  saved.train(data, {.iterations = 200, .batch_size = 32, .lr = 2e-3, .eval_every = 100});
+  const std::string path = ::testing::TempDir() + "/predictor_round_trip.grafck";
+  saved.save_model(path);
+
+  LatencyPredictor loaded{chain2(), cfg, 99};  // other initial weights
+  ASSERT_TRUE(loaded.load_model(path));
+  ASSERT_FALSE(saved.test_set().empty());
+  for (const gnn::Sample& s : saved.test_set())
+    EXPECT_EQ(loaded.model().predict(s.workload, s.quota),
+              saved.model().predict(s.workload, s.quota));
+  EXPECT_FALSE(loaded.load_model(path + ".missing"));
+
+  cfg.embed_dim = 12;
+  LatencyPredictor wider{chain2(), cfg, 5};
+  EXPECT_THROW(wider.load_model(path), std::runtime_error);
+  std::remove(path.c_str());
 }
 
 // ---- SampleCollector --------------------------------------------------------

@@ -1,25 +1,21 @@
-// Workload forecasting (src/forecast) + its serving infrastructure
-// (src/serve/forecast_store): the Holt-Winters baseline, the learned linear
-// autoregressor on the nn tape arenas, the ForecastGate's
+// Workload forecasting (src/forecast): the Holt-Winters baseline, the
+// learned linear autoregressor on the nn tape arenas, the ForecastGate's
 // max(observed, predicted) pre-warm and never-throw degradation contract,
-// checkpoint save/load with CRC verification, the versioned
-// publish/promote/rollback registry, the plan-cache key regression
-// (a cached observed-load plan must never answer a higher forecast-adjusted
-// demand), and the DESIGN.md §3.11 determinism contract: forecast-enabled
-// fleet runs replay bit-identically at GRAF_THREADS=1 and 8.
+// the plan-cache key regression (a cached observed-load plan must never
+// answer a higher forecast-adjusted demand), and the DESIGN.md §3.11
+// determinism contract: forecast-enabled fleet runs replay bit-identically
+// at GRAF_THREADS=1 and 8.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "checkpoint_bytes.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/configuration_solver.h"
@@ -31,7 +27,6 @@
 #include "forecast/gate.h"
 #include "forecast/holt_winters.h"
 #include "gnn/latency_model.h"
-#include "serve/forecast_store.h"
 #include "telemetry/metrics.h"
 
 namespace graf::forecast {
@@ -193,18 +188,6 @@ TEST(ArForecaster, BitIdenticalForSameConfigSeedAndSeries) {
   EXPECT_NE(bits(a.predict(1).mean), bits(c.predict(1).mean));
 }
 
-TEST(ArForecaster, CopyPredictsIdenticallyThenDivergesIndependently) {
-  ArForecaster a{quick_ar()};
-  for (int t = 0; t < 80; ++t) a.observe(50.0 + 1.5 * t);
-  ArForecaster copy{a};
-  EXPECT_EQ(bits(a.predict(2).mean), bits(copy.predict(2).mean));
-  EXPECT_EQ(copy.observations(), a.observations());
-  // The copy owns its state: feeding it more data must not touch the original.
-  const Forecast original = a.predict(2);
-  for (int t = 80; t < 120; ++t) copy.observe(500.0);
-  EXPECT_EQ(bits(a.predict(2).mean), bits(original.mean));
-}
-
 TEST(ArForecaster, IgnoresNonFiniteAndResets) {
   ArForecaster ar{quick_ar()};
   for (int t = 0; t < 40; ++t) ar.observe(100.0);
@@ -342,170 +325,6 @@ TEST(ForecastGate, SpecFactoryBuildsTheRequestedKind) {
   EXPECT_EQ(make_forecaster(spec)->name(), "holt_winters");
   spec.kind = ForecastKind::kAutoregressive;
   EXPECT_EQ(make_forecaster(spec)->name(), "ar_linear");
-}
-
-// --- Checkpoints ------------------------------------------------------------
-
-ArForecaster trained_ar() {
-  ArForecaster ar{quick_ar()};
-  for (int t = 0; t < 120; ++t) ar.observe(90.0 + 1.8 * t);
-  return ar;
-}
-
-TEST(ForecastCheckpoint, RoundTripPredictsBitIdentically) {
-  const ArForecaster original = trained_ar();
-  serve::ForecastMeta meta;
-  meta.application = "checkout";
-  meta.slo_ms = 200.0;
-  meta.created_sim_time = 123.0;
-
-  std::stringstream buf;
-  serve::save_forecast_checkpoint(buf, original, meta);
-  serve::LoadedForecast loaded = serve::load_forecast_checkpoint(buf);
-
-  EXPECT_EQ(loaded.meta.application, "checkout");
-  EXPECT_DOUBLE_EQ(loaded.meta.slo_ms, 200.0);
-  EXPECT_DOUBLE_EQ(loaded.meta.created_sim_time, 123.0);
-  EXPECT_EQ(loaded.model.observations(), original.observations());
-  EXPECT_TRUE(loaded.model.ready()) << "restored forecaster is warm immediately";
-  for (std::size_t h : {1u, 2u, 4u}) {
-    EXPECT_EQ(bits(original.predict(h).mean), bits(loaded.model.predict(h).mean));
-    EXPECT_EQ(bits(original.predict(h).hi), bits(loaded.model.predict(h).hi));
-  }
-  // The restored instance keeps learning from where it left off.
-  loaded.model.observe(300.0);
-  EXPECT_EQ(loaded.model.observations(), original.observations() + 1);
-}
-
-TEST(ForecastCheckpoint, DetectsCorruptionTruncationAndBadMagic) {
-  const ArForecaster ar = trained_ar();
-  std::stringstream buf;
-  serve::save_forecast_checkpoint(buf, ar, {});
-  const std::string good = buf.str();
-
-  {  // flipped payload byte -> CRC mismatch
-    std::string bad = good;
-    bad[bad.size() / 2] ^= 0x01;
-    std::stringstream in{bad};
-    EXPECT_THROW(serve::load_forecast_checkpoint(in), serve::CheckpointError);
-  }
-  {  // truncated stream
-    std::stringstream in{good.substr(0, good.size() - 9)};
-    EXPECT_THROW(serve::load_forecast_checkpoint(in), serve::CheckpointError);
-  }
-  {  // a latency-model checkpoint magic is not a forecast checkpoint
-    std::string bad = good;
-    bad.replace(0, 8, "GRAFCKPT");
-    std::stringstream in{bad};
-    EXPECT_THROW(serve::load_forecast_checkpoint(in), serve::CheckpointError);
-  }
-}
-
-TEST(ForecastCheckpoint, NonFiniteStateRejected) {
-  const ArForecaster ar = trained_ar();
-  std::stringstream buf;
-  serve::save_forecast_checkpoint(buf, ar, {});
-  const std::string good = buf.str();
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  // scale, residual sigma, the first history value, the last weight (bias).
-  const std::size_t history = serve::craft::kGraffcScale + 8 + 8 + 1 + 8 + 8;
-  const std::size_t bias = good.size() - serve::craft::kHeader - 4 - 8;
-  for (std::size_t at : {serve::craft::kGraffcScale, serve::craft::kGraffcScale + 8,
-                         history, bias}) {
-    std::string bad = good;
-    serve::craft::poke(bad, at, nan);
-    serve::craft::reseal(bad);
-    std::stringstream in{bad};
-    EXPECT_THROW(serve::load_forecast_checkpoint(in), serve::CheckpointError)
-        << "NaN at payload offset " << at;
-  }
-}
-
-// --- ForecastRegistry -------------------------------------------------------
-
-TEST(ForecastRegistry, PublishPromoteRollbackKeepsHandleInSync) {
-  serve::ForecastRegistry registry;
-  const serve::ModelKey key{"checkout", 200.0};
-
-  ArForecaster v1 = trained_ar();
-  ArConfig cfg2 = quick_ar();
-  cfg2.seed = 42;
-  ArForecaster v2{cfg2};
-  for (int t = 0; t < 120; ++t) v2.observe(500.0 - 2.0 * t);
-
-  const std::uint64_t id1 = registry.publish(key, v1, {});
-  const std::uint64_t id2 = registry.publish(key, v2, {});
-  EXPECT_EQ(id1, 1u);
-  EXPECT_EQ(id2, 2u);
-  EXPECT_EQ(registry.versions(key), (std::vector<std::uint64_t>{1, 2}));
-  EXPECT_EQ(registry.active(key), nullptr) << "publish must not auto-promote";
-
-  serve::ForecastHandle handle;
-  registry.attach_handle(key, &handle);
-  EXPECT_TRUE(handle.empty());
-
-  ASSERT_TRUE(registry.promote(key, id1));
-  EXPECT_EQ(registry.active_version(key), id1);
-  auto served = handle.acquire();
-  ASSERT_NE(served, nullptr);
-  EXPECT_EQ(bits(served->predict(2).mean), bits(v1.predict(2).mean));
-  EXPECT_EQ(registry.active_meta(key).application, "checkout");
-
-  ASSERT_TRUE(registry.promote(key, id2));
-  EXPECT_EQ(bits(handle.acquire()->predict(2).mean), bits(v2.predict(2).mean));
-
-  ASSERT_TRUE(registry.rollback(key));
-  EXPECT_EQ(registry.active_version(key), id1);
-  EXPECT_EQ(bits(handle.acquire()->predict(2).mean), bits(v1.predict(2).mean));
-
-  EXPECT_FALSE(registry.promote(key, 99u));
-  EXPECT_FALSE(registry.rollback(key)) << "history exhausted";
-  registry.detach_handle(key, &handle);
-}
-
-TEST(ForecastRegistry, StoreDirPersistsEveryVersionAndRestores) {
-  const std::string dir = ::testing::TempDir();
-  serve::ForecastRegistry registry{dir};
-  const serve::ModelKey key{"search", 150.0};
-  const ArForecaster original = trained_ar();
-  const std::uint64_t v = registry.publish(key, original, {});
-  const std::string path = registry.checkpoint_path(key, v);
-  ASSERT_FALSE(path.empty());
-
-  // A second registry (fresh process) restores the persisted version and
-  // serves bit-identical predictions.
-  serve::ForecastRegistry reborn;
-  const std::uint64_t rv = reborn.restore(key, path);
-  ASSERT_TRUE(reborn.promote(key, rv));
-  auto active = reborn.active(key);
-  ASSERT_NE(active, nullptr);
-  EXPECT_EQ(bits(active->predict(2).mean), bits(original.predict(2).mean));
-  EXPECT_DOUBLE_EQ(reborn.active_meta(key).slo_ms, 150.0);
-  std::remove(path.c_str());
-}
-
-TEST(ForecastGate, HandleSwapServesThePromotedForecaster) {
-  serve::ForecastRegistry registry;
-  const serve::ModelKey key{"checkout", 200.0};
-  serve::ForecastHandle handle;
-  registry.attach_handle(key, &handle);
-
-  telemetry::MetricsRegistry metrics;
-  ForecastGate gate{std::make_shared<HoltWinters>(), {}};
-  gate.set_metrics(&metrics);
-  gate.set_handle(&handle);
-
-  // Nothing promoted yet: the gate keeps its constructor forecaster.
-  gate.plan_qps({50.0});
-  EXPECT_EQ(gate.forecaster().name(), "holt_winters");
-
-  const std::uint64_t v = registry.publish(key, trained_ar(), {});
-  ASSERT_TRUE(registry.promote(key, v));
-  gate.plan_qps({50.0});
-  EXPECT_EQ(gate.forecaster().name(), "ar_linear")
-      << "a promote must hot-swap the gate's forecaster on the next tick";
-  EXPECT_EQ(metrics.counter("forecast.handle_swaps_total").value(), 1.0);
-  registry.detach_handle(key, &handle);
 }
 
 // --- Plan-cache key regression + fleet determinism --------------------------

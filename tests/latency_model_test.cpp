@@ -1,7 +1,7 @@
 // LatencyModel training on a synthetic-but-realistic ground truth: latency
 // that is monotone decreasing in quota and increasing in workload, like the
 // simulator produces. Verifies learning, the over-estimation bias of the
-// asymmetric loss, input-gradient signs, and persistence.
+// asymmetric loss and input-gradient signs.
 #include "gnn/latency_model.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <sstream>
 
 #include "common/rng.h"
 #include "gnn/partitioned_model.h"
@@ -234,17 +233,6 @@ TEST_F(TrainedModelFixture, QuotaGradientIsNegativeOnAverage) {
   pass.forward(nn::Tensor{{600.0, 600.0}});
   const nn::Tensor& g = pass.backward(nn::Tensor{{1.0}});
   EXPECT_LT(g(0, 0) + g(0, 1), 0.0);
-}
-
-TEST_F(TrainedModelFixture, SaveLoadRoundTrip) {
-  auto& m = model();
-  std::stringstream ss;
-  m.save(ss);
-  LatencyModel copy{chain2(), tiny_cfg(), 999};  // different init
-  copy.load(ss);
-  std::vector<double> w{55.0, 45.0};
-  std::vector<double> q{1000.0, 500.0};
-  EXPECT_DOUBLE_EQ(copy.predict(w, q), m.predict(w, q));
 }
 
 TEST_F(TrainedModelFixture, AccuracyRegionsPartitionTestSet) {

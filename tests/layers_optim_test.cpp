@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "common/rng.h"
 #include "nn/layers.h"
@@ -84,32 +83,6 @@ TEST(Mlp, LearnsLinearFunction) {
     final_loss = tape.value(loss).item();
   }
   EXPECT_LT(final_loss, 0.01);
-}
-
-TEST(Mlp, SaveLoadRoundTrip) {
-  Rng rng{8};
-  Mlp a{{3, 10, 10, 1}, 0.25, rng};
-  Mlp b{{3, 10, 10, 1}, 0.25, rng};  // different random init
-
-  std::stringstream ss;
-  save_params(ss, a.params());
-  load_params(ss, b.params());
-
-  Tensor x0{{0.1, 0.2, 0.3}};
-  Tape t1;
-  const double ya = t1.value(a.forward(t1, t1.constant(x0), rng, false)).item();
-  Tape t2;
-  const double yb = t2.value(b.forward(t2, t2.constant(x0), rng, false)).item();
-  EXPECT_DOUBLE_EQ(ya, yb);
-}
-
-TEST(Mlp, LoadRejectsShapeMismatch) {
-  Rng rng{9};
-  Mlp a{{3, 10, 1}, 0.0, rng};
-  Mlp b{{3, 12, 1}, 0.0, rng};
-  std::stringstream ss;
-  save_params(ss, a.params());
-  EXPECT_THROW(load_params(ss, b.params()), std::runtime_error);
 }
 
 TEST(Sgd, ConvergesOnQuadratic) {

@@ -81,7 +81,7 @@ TEST(AsymHuber, RejectsNonPositiveThetas) {
 TEST(AsymHuberLoss, TapeValueMatchesScalarHelper) {
   Tape t;
   Var pred = t.leaf(Tensor{{120.0, 60.0, 100.0}});
-  Tensor target{{100.0, 100.0, 100.0}};
+  Var target = t.constant(Tensor{{100.0, 100.0, 100.0}});
   Var loss = asym_huber_pct_loss(pred, target, kThetaUnder, kThetaOver);
   const double expected = (asym_huber_value(0.2, kThetaUnder, kThetaOver) +
                            asym_huber_value(-0.4, kThetaUnder, kThetaOver) +
@@ -96,14 +96,15 @@ TEST(AsymHuberLoss, GradientPushesPredictionsUp) {
   // settles above the mean. Check the gradient asymmetry directly:
   Tape t;
   Var under = t.leaf(Tensor{{60.0}});
-  Tensor target{{100.0}};
-  Var lu = asym_huber_pct_loss(under, target, kThetaUnder, kThetaOver);
+  Var lu = asym_huber_pct_loss(under, t.constant(Tensor{{100.0}}), kThetaUnder,
+                               kThetaOver);
   t.backward(lu);
   const double grad_under = t.grad(under)(0, 0);
 
   Tape t2;
   Var over = t2.leaf(Tensor{{140.0}});
-  Var lo = asym_huber_pct_loss(over, target, kThetaUnder, kThetaOver);
+  Var lo = asym_huber_pct_loss(over, t2.constant(Tensor{{100.0}}), kThetaUnder,
+                               kThetaOver);
   t2.backward(lo);
   const double grad_over = t2.grad(over)(0, 0);
 
@@ -115,7 +116,7 @@ TEST(AsymHuberLoss, GradientPushesPredictionsUp) {
 TEST(HuberPctLoss, EqualsAsymWithEqualThetas) {
   Tape t;
   Var pred = t.leaf(Tensor{{120.0, 60.0}});
-  Tensor target{{100.0, 100.0}};
+  Var target = t.constant(Tensor{{100.0, 100.0}});
   Var a = huber_pct_loss(pred, target, 0.2);
   Var b = asym_huber_pct_loss(pred, target, 0.2, 0.2);
   EXPECT_DOUBLE_EQ(t.value(a).item(), t.value(b).item());

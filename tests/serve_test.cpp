@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -506,19 +507,27 @@ TEST_F(ServeFixture, ConcurrentPublishPromoteAgainstOneHandle) {
   // handle is attached; a third continuously acquires through the handle
   // (the control loop). Correctness here is "no torn state": every acquire
   // sees a complete model, and the final active version is one of the
-  // published ones. TSan/ASan legs make this a real race detector.
+  // published ones. TSan/ASan legs make this a real race detector. The
+  // publishers start only after the reader's first acquire, so the reader
+  // has raced them at least once however the threads are scheduled.
   constexpr int kPerThread = 6;
   std::atomic<bool> stop{false};
   std::atomic<int> acquires{0};
+  std::latch reader_started{1};
   std::thread reader{[&] {
+    const auto acquire = [&] {
+      if (handle.acquire() != nullptr) acquires.fetch_add(1, std::memory_order_relaxed);
+    };
+    acquire();
+    reader_started.count_down();
     while (!stop.load(std::memory_order_relaxed)) {
-      auto m = handle.acquire();
-      if (m != nullptr) acquires.fetch_add(1, std::memory_order_relaxed);
+      acquire();
       std::this_thread::yield();
     }
   }};
   auto publisher = [&](std::uint64_t seed) {
     gnn::LatencyModel mine = trained_initial().clone();
+    reader_started.wait();
     for (int i = 0; i < kPerThread; ++i) {
       const std::uint64_t v =
           registry.publish(key, mine, {.train_samples = seed});
