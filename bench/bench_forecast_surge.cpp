@@ -116,7 +116,6 @@ graf::fleet::TenantSpec forecast_spec(graf::bench::TrainedStack& stack,
                                       double slo_ms) {
   graf::fleet::TenantSpec spec = graf::bench::graf_spec(stack, slo_ms);
   spec.forecast.enabled = true;
-  spec.forecast.kind = graf::forecast::ForecastKind::kHoltWinters;
   // Horizon 2 control ticks = 10 s of lookahead: covers the simulator's
   // ~5.5 s instance-creation delay with margin (DESIGN.md §3.11).
   spec.forecast.gate.horizon_steps = 2;

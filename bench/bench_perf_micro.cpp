@@ -17,7 +17,6 @@
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "core/configuration_solver.h"
-#include "core/sample_collector.h"
 #include "core/tiered_planner.h"
 #include "core/workload_analyzer.h"
 #include "fleet/fleet_server.h"
@@ -314,11 +313,12 @@ gnn::SurrogateModel& shared_surrogate() {
     const std::vector<double> region(6, 100.0);
     const std::vector<Millicores> lo(6, 300.0);
     const std::vector<Millicores> hi(6, 2000.0);
-    gnn::DistillConfig cfg;
-    cfg.samples = 1024;
-    cfg.train.iterations = 800;
-    gnn::SurrogateDistiller::Result r =
-        gnn::SurrogateDistiller::distill(shared_model(), region, lo, hi, cfg);
+    core::SolverDistillConfig cfg;
+    cfg.base.samples = 1024;
+    cfg.base.train.iterations = 800;
+    cfg.rounds = 0;  // the plain pass: no rollout, so the SLO goes unused
+    gnn::SurrogateDistiller::Result r = core::TieredPlanner::distill_for_planner(
+        shared_model(), region, lo, hi, 1000.0, cfg, {});
     return std::move(r.model);
   }();
   return model;
@@ -375,13 +375,14 @@ void BM_SurrogateDistill(benchmark::State& state) {
   const std::vector<double> region(6, 100.0);
   const std::vector<Millicores> lo(6, 300.0);
   const std::vector<Millicores> hi(6, 2000.0);
-  gnn::DistillConfig cfg;
-  cfg.samples = 512;
-  cfg.train.iterations = 300;
-  cfg.train.eval_every = 300;
+  core::SolverDistillConfig cfg;
+  cfg.base.samples = 512;
+  cfg.base.train.iterations = 300;
+  cfg.base.train.eval_every = 300;
+  cfg.rounds = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gnn::SurrogateDistiller::distill(model, region, lo, hi, cfg));
+    benchmark::DoNotOptimize(core::TieredPlanner::distill_for_planner(
+        model, region, lo, hi, 1000.0, cfg, {}));
   }
 }
 BENCHMARK(BM_SurrogateDistill)->Unit(benchmark::kMillisecond);
@@ -571,9 +572,9 @@ BENCHMARK(BM_TailQueryLogHistogram);
 
 // -- parallel execution layer -------------------------------------------------
 //
-// Thread-scaling of the three parallel paths (DESIGN.md §3.7). The Arg is
-// the pool size; the work decomposition (shards, sample streams, starts) is
-// identical at every setting, so the times below measure pure speedup.
+// Thread-scaling of data-parallel training (DESIGN.md §3.7). The Arg is the
+// pool size; the shard plan is identical at every setting, so the times
+// below measure pure speedup.
 
 void BM_TrainScaling(benchmark::State& state) {
   set_global_threads(static_cast<std::size_t>(state.range(0)));
@@ -591,30 +592,6 @@ void BM_TrainScaling(benchmark::State& state) {
   set_global_threads(0);
 }
 BENCHMARK(BM_TrainScaling)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_CollectScaling(benchmark::State& state) {
-  set_global_threads(static_cast<std::size_t>(state.range(0)));
-  auto topo = apps::bookinfo();
-  sim::Cluster cluster = apps::make_cluster(topo, {.seed = 31});
-  core::WorkloadAnalyzer analyzer{cluster.api_count(), cluster.service_count()};
-  core::SampleCollectorConfig cfg;
-  cfg.window = 2.0;
-  cfg.warmup = 0.5;
-  cfg.flush = 0.5;
-  cfg.seed = 9;
-  core::SearchSpace space;
-  space.lo.assign(4, 500.0);
-  space.hi.assign(4, 2000.0);
-  std::vector<Qps> base{40.0};
-  const auto factory = apps::make_cluster_factory(topo, {.seed = 31});
-  for (auto _ : state) {
-    core::SampleCollector collector{cluster, analyzer, cfg};
-    benchmark::DoNotOptimize(
-        collector.collect_sharded(16, space, base, 0.6, 1.0, factory));
-  }
-  set_global_threads(0);
-}
-BENCHMARK(BM_CollectScaling)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 /// Mirrors every finished benchmark into the machine-readable result sink
 /// while keeping the normal console table.

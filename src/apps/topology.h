@@ -36,7 +36,7 @@ sim::Cluster make_cluster(const Topology& topo, sim::ClusterConfig cfg = {});
 
 /// Factory of independent replicas of the topology, built in place on the
 /// heap (a Cluster must never be moved: its scheduled events capture
-/// `this`). Suitable for SampleCollector::collect_sharded.
+/// `this`).
 std::function<std::unique_ptr<sim::Cluster>()> make_cluster_factory(
     Topology topo, sim::ClusterConfig cfg = {});
 

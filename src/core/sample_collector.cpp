@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/thread_pool.h"
 #include "workload/closed_loop.h"
 #include "workload/open_loop.h"
 
@@ -27,13 +26,7 @@ void SampleCollector::apply_quota(const std::vector<Millicores>& quota) {
 }
 
 void SampleCollector::run_load(const std::vector<Qps>& api_qps, Seconds duration) {
-  run_load_on(cluster_, api_qps, duration, rng_.next_u64());
-  simulated_seconds_ += duration;
-}
-
-void SampleCollector::run_load_on(sim::Cluster& cluster,
-                                  const std::vector<Qps>& api_qps, Seconds duration,
-                                  std::uint64_t gen_seed) const {
+  const std::uint64_t gen_seed = rng_.next_u64();
   double total = 0.0;
   for (double q : api_qps) total += q;
   if (cfg_.closed_loop) {
@@ -41,19 +34,20 @@ void SampleCollector::run_load_on(sim::Cluster& cluster,
     gen_cfg.users = workload::Schedule::constant(total * cfg_.users_per_qps);
     gen_cfg.api_weights = api_qps;
     gen_cfg.seed = gen_seed;
-    workload::ClosedLoopGenerator gen{cluster, gen_cfg};
-    gen.start(cluster.now() + duration);
-    cluster.run_for(duration);
+    workload::ClosedLoopGenerator gen{cluster_, gen_cfg};
+    gen.start(cluster_.now() + duration);
+    cluster_.run_for(duration);
     gen.stop();
   } else {
     workload::OpenLoopConfig gen_cfg;
     gen_cfg.rate = workload::Schedule::constant(total);
     gen_cfg.api_weights = api_qps;
     gen_cfg.seed = gen_seed;
-    workload::OpenLoopGenerator gen{cluster, gen_cfg};
-    gen.start(cluster.now() + duration);
-    cluster.run_for(duration);
+    workload::OpenLoopGenerator gen{cluster_, gen_cfg};
+    gen.start(cluster_.now() + duration);
+    cluster_.run_for(duration);
   }
+  simulated_seconds_ += duration;
 }
 
 double SampleCollector::service_tail(int service, Seconds since, double rank) const {
@@ -199,115 +193,6 @@ gnn::Dataset SampleCollector::collect(std::size_t n, const SearchSpace& space,
     cluster_.hard_reset_load();
     cluster_.run_for(cfg_.flush);
     simulated_seconds_ += cfg_.flush;
-  }
-  return out;
-}
-
-gnn::Dataset SampleCollector::collect_sharded(
-    std::size_t n, const SearchSpace& space, const std::vector<Qps>& api_qps_base,
-    double scale_lo, double scale_hi, const ClusterFactory& make_cluster,
-    telemetry::RegistrySnapshot* telemetry_out) {
-  if (!make_cluster)
-    throw std::invalid_argument{"SampleCollector::collect_sharded: null factory"};
-  if (api_qps_base.size() != cluster_.api_count())
-    throw std::invalid_argument{"SampleCollector::collect_sharded: api count mismatch"};
-  const std::size_t services = cluster_.service_count();
-
-  // Mirrors the sequential budget of max_attempts ~= 4 * n.
-  constexpr std::size_t kAttemptsPerSample = 4;
-  // Stream ids far outside [0, n) so the calibration replica never shares a
-  // random stream with a sample shard.
-  constexpr std::uint64_t kCalibrationStream = 0xca11b8a7e0000000ULL;
-
-  // Calibration pass on a private replica: generous quotas, base workload,
-  // then freeze the analyzer's fan-out. After this point the analyzer is
-  // shared strictly read-only (distribute() is const) across all shards.
-  {
-    auto cal = make_cluster();
-    if (cal == nullptr || cal->service_count() != services ||
-        cal->api_count() != cluster_.api_count())
-      throw std::invalid_argument{
-          "SampleCollector::collect_sharded: factory topology mismatch"};
-    cal->rng() = Rng{derive_seed(cfg_.seed, kCalibrationStream)};
-    for (std::size_t s = 0; s < services; ++s)
-      cal->apply_total_quota(static_cast<int>(s), cfg_.quota_hi, cfg_.max_per_instance);
-    run_load_on(*cal, api_qps_base, 5.0, derive_seed(cfg_.seed, kCalibrationStream + 1));
-    analyzer_.update(cal->tracer());
-    simulated_seconds_ += 5.0;
-  }
-
-  struct PerSample {
-    gnn::Sample sample;
-    bool ok = false;
-    Seconds seconds = 0.0;      ///< simulated time consumed by all attempts
-    Seconds measured_at = 0.0;  ///< replica clock when the sample was taken
-    telemetry::RegistrySnapshot telemetry;
-  };
-  std::vector<PerSample> results(n);
-  const bool want_telemetry = telemetry_out != nullptr;
-
-  global_pool().parallel_for(n, [&](std::size_t i) {
-    PerSample& r = results[i];
-    const std::uint64_t sample_seed = derive_seed(cfg_.seed, i);
-    for (std::size_t attempt = 0; attempt < kAttemptsPerSample; ++attempt) {
-      // Every random stream below is a pure function of
-      // (cfg.seed, sample index, attempt): the dataset cannot depend on the
-      // thread count or on which worker ran which sample.
-      const std::uint64_t s0 = derive_seed(sample_seed, attempt);
-      telemetry::MetricsRegistry replica_metrics;
-      auto cl = make_cluster();
-      cl->rng() = Rng{derive_seed(s0, 0)};
-      if (want_telemetry) cl->set_metrics(&replica_metrics);
-      Rng draw{derive_seed(s0, 1)};
-
-      const double scale = draw.uniform(scale_lo, scale_hi);
-      std::vector<Qps> api_qps = api_qps_base;
-      for (auto& q : api_qps) q *= scale;
-      std::vector<Millicores> quota(services, 0.0);
-      for (std::size_t s = 0; s < services; ++s) {
-        const double u = std::pow(draw.uniform(), cfg_.low_quota_bias);
-        quota[s] = space.lo[s] + u * (space.hi[s] - space.lo[s]);
-      }
-      for (std::size_t s = 0; s < services; ++s)
-        cl->apply_total_quota(static_cast<int>(s), quota[s], cfg_.max_per_instance);
-
-      run_load_on(*cl, api_qps, cfg_.warmup, derive_seed(s0, 2));
-      const Seconds since = cl->now();
-      run_load_on(*cl, api_qps, cfg_.window, derive_seed(s0, 3));
-      r.seconds += cfg_.warmup + cfg_.window;
-
-      auto& e2e = cl->e2e_latency_all();
-      // Replicas are discarded between attempts, so no flush is needed (or
-      // billed) on this path — the redraw starts from a clean cluster.
-      if (e2e.count_since(since) < cfg_.min_completions) continue;
-
-      if (cfg_.closed_loop) {
-        std::vector<Qps> measured(api_qps.size(), 0.0);
-        for (std::size_t a = 0; a < measured.size(); ++a)
-          measured[a] = cl->api_qps(static_cast<int>(a), cfg_.window);
-        r.sample.workload = analyzer_.distribute(measured);
-      } else {
-        r.sample.workload = analyzer_.distribute(api_qps);
-      }
-      r.sample.quota = std::move(quota);
-      r.sample.latency_ms = e2e.percentile_since(since, cfg_.tail_rank);
-      r.measured_at = cl->now();
-      if (want_telemetry) r.telemetry = replica_metrics.snapshot();
-      r.ok = true;
-      break;
-    }
-  });
-
-  // Coordinator-side reduction in sample-index order: time accounting,
-  // telemetry merge, and sink delivery are all deterministic.
-  gnn::Dataset out;
-  out.reserve(n);
-  for (PerSample& r : results) {
-    simulated_seconds_ += r.seconds;
-    if (!r.ok) continue;
-    if (want_telemetry) telemetry_out->merge(r.telemetry);
-    if (sink_) sink_(r.sample, r.measured_at);
-    out.push_back(std::move(r.sample));
   }
   return out;
 }

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -20,7 +19,6 @@
 #include "core/workload_analyzer.h"
 #include "gnn/latency_model.h"
 #include "sim/cluster.h"
-#include "telemetry/metrics.h"
 
 namespace graf::core {
 
@@ -77,24 +75,6 @@ class SampleCollector {
                        const std::vector<Qps>& api_qps_base, double scale_lo,
                        double scale_hi);
 
-  /// Produces an independent cluster replica of the same topology; must be
-  /// callable concurrently (each call builds a brand-new cluster).
-  using ClusterFactory = std::function<std::unique_ptr<sim::Cluster>()>;
-
-  /// Parallel variant of collect(): every sample is measured on its own
-  /// fresh replica from `make_cluster`, driven by random streams derived
-  /// from (cfg.seed, sample index, attempt) — the returned dataset is
-  /// bit-identical regardless of GRAF_THREADS (DESIGN.md §3.7). The
-  /// analyzer fan-out is calibrated once up front and then read-only across
-  /// shards. Per-replica telemetry is snapshot per sample and merged in
-  /// sample order into `telemetry_out` when non-null; the sample sink fires
-  /// on the calling thread, also in sample order.
-  gnn::Dataset collect_sharded(std::size_t n, const SearchSpace& space,
-                               const std::vector<Qps>& api_qps_base,
-                               double scale_lo, double scale_hi,
-                               const ClusterFactory& make_cluster,
-                               telemetry::RegistrySnapshot* telemetry_out = nullptr);
-
   /// One measurement at a fixed configuration: returns the e2e tail
   /// latency (ms), or a negative value when too few requests completed.
   double measure_tail(const std::vector<Qps>& api_qps, Seconds window, double rank);
@@ -110,12 +90,8 @@ class SampleCollector {
 
  private:
   void apply_quota(const std::vector<Millicores>& quota);
+  /// Drive `duration` seconds of load, the generator seeded from rng_.
   void run_load(const std::vector<Qps>& api_qps, Seconds duration);
-  /// Drive `duration` seconds of load on an arbitrary cluster with an
-  /// explicit generator seed — the replica-safe core of run_load (no
-  /// collector state is touched, so shards may call it concurrently).
-  void run_load_on(sim::Cluster& cluster, const std::vector<Qps>& api_qps,
-                   Seconds duration, std::uint64_t gen_seed) const;
   double service_tail(int service, Seconds since, double rank) const;
 
   sim::Cluster& cluster_;

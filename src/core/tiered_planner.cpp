@@ -12,9 +12,11 @@ TieredPlanner::TieredPlanner(std::shared_ptr<gnn::SurrogateModel> surrogate,
     : cfg_{cfg}, served_{std::move(surrogate)} {
   if (served_ == nullptr)
     throw std::invalid_argument{"TieredPlanner: surrogate must not be null"};
-  if (cfg_.trust_band_pct <= 0.0)
+  // Negated so a NaN fails too: `disagreement <= NaN` would escalate every
+  // plan.
+  if (!(cfg_.trust_band_pct > 0.0))
     throw std::invalid_argument{"TieredPlanner: trust_band_pct must be > 0"};
-  if (cfg_.solver.rho <= 0.0)
+  if (!(cfg_.solver.rho > 0.0))
     throw std::invalid_argument{"SolverConfig: rho must be > 0"};
 }
 
@@ -137,9 +139,10 @@ gnn::SurrogateDistiller::Result TieredPlanner::distill_for_planner(
   if (slo_ms <= 0.0)
     throw std::invalid_argument{"distill_for_planner: slo must be > 0"};
 
-  // Phase 1 — the plain operating-region pass (same split rule as
-  // SurrogateDistiller::distill, kept here so the rollout rounds can fold
-  // fresh samples into the live training set).
+  // Phase 1 — the plain operating-region pass: sample the teacher, hold out
+  // the tail (samples are i.i.d., so the split is unbiased), copy the
+  // teacher's scalers into a fresh surrogate and fit. The rounds below fold
+  // fresh samples into the live training set.
   gnn::Dataset train = gnn::SurrogateDistiller::sample_teacher(
       teacher, workload_hi, lo, hi, cfg.base.samples, cfg.base.seed,
       cfg.base.workload_floor, cfg.base.correlated_fraction, cfg.base.low_quota_bias);
@@ -167,16 +170,8 @@ gnn::SurrogateDistiller::Result TieredPlanner::distill_for_planner(
     std::vector<std::vector<double>> queries(cfg.queries_per_round);
     for (std::size_t qi = 0; qi < cfg.queries_per_round; ++qi) {
       Rng rng{derive_seed(derive_seed(cfg.seed, round), qi)};
-      std::vector<double>& w = queries[qi];
-      w.resize(n);
-      if (rng.uniform(0.0, 1.0) < cfg.base.correlated_fraction) {
-        const double t = rng.uniform(cfg.base.workload_floor, 1.0);
-        for (std::size_t k = 0; k < n; ++k) w[k] = t * workload_hi[k];
-      } else {
-        for (std::size_t k = 0; k < n; ++k)
-          w[k] = rng.uniform(cfg.base.workload_floor * workload_hi[k],
-                             workload_hi[k]);
-      }
+      queries[qi] = gnn::SurrogateDistiller::draw_workload(
+          rng, workload_hi, cfg.base.workload_floor, cfg.base.correlated_fraction);
     }
     std::vector<BatchItem> requests;
     requests.reserve(queries.size());

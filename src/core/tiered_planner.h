@@ -45,10 +45,10 @@ struct TieredPlannerConfig {
 };
 
 /// Solver-in-the-loop distillation (TieredPlanner::distill_for_planner).
-/// A plain SurrogateDistiller::distill() pass fits the operating region
-/// uniformly, but the fast path then *optimizes against* the surrogate and
-/// lands on the thin level set `predicted == slo_margin * slo` — exactly
-/// where uniform coverage is thinnest, with an adversarial bias toward
+/// The plain pass (rounds = 0) fits the operating region uniformly, but the
+/// fast path then *optimizes against* the surrogate and lands on the thin
+/// level set `predicted == slo_margin * slo` — exactly where uniform
+/// coverage is thinnest, with an adversarial bias toward
 /// wherever the surrogate under-predicts. Each refinement round rolls the
 /// surrogate descent out over fresh region workloads, labels the winning
 /// candidates with the teacher, folds them into the training set, and
@@ -138,10 +138,13 @@ class TieredPlanner {
                                                const SolverConfig& cfg,
                                                std::span<const Item> items);
 
-  /// Solver-in-the-loop distillation (see SolverDistillConfig): plain
-  /// distill, then `rounds` x { batched surrogate-descent rollout over
-  /// region workloads at `slo_ms`, teacher-label the winners, fold in,
-  /// fine-tune }. `solver` should be the config the planner will descend
+  /// Solver-in-the-loop distillation (see SolverDistillConfig): the plain
+  /// pass (sample the teacher, hold out the tail, copy the teacher's scalers
+  /// into a fresh surrogate, fit, report held-out fidelity), then `rounds` x
+  /// { batched surrogate-descent rollout over region workloads at `slo_ms`,
+  /// teacher-label the winners, fold in, fine-tune }. At rounds = 0 it is
+  /// the plain pass alone, and `slo_ms` (still required > 0) and `solver`
+  /// go unused. `solver` should be the config the planner will descend
   /// with (TieredPlannerConfig::solver) so the rollouts reproduce the
   /// production query distribution. Deterministic at any GRAF_THREADS:
   /// rollout draws are per-(round, query) derived streams and the descent

@@ -283,7 +283,7 @@ void FleetServer::solve_group(const std::vector<Tenant*>& group) {
 
 void FleetServer::solve_group_surrogate(const std::vector<Tenant*>& group) {
   // Row-batched surrogate tier (§3.13 applied to §3.14): every member's
-  // multi-start descent rides one stacked tape over the lead's surrogate
+  // multi-start descent rides one stacked pass over the lead's surrogate
   // (fingerprint-equal to each member's own), then each item verifies
   // against its *own* tenant's full model and, on a miss, escalates through
   // its own instrumented solver — so counters and results are

@@ -112,8 +112,8 @@ class FleetServer {
   /// thread pool, then commit/train/notify sequentially in slot order.
   /// The fan-out prepares every pending tenant, the coordinator groups
   /// still-owed solves by (model fingerprint, node count, solver config),
-  /// and each group descends as one stacked tape — bit-identical to each
-  /// tenant solving alone (§3.13); a group of one is the solo solve.
+  /// and each group descends as rows of one frozen pass — bit-identical to
+  /// each tenant solving alone (§3.13); a group of one is the solo solve.
   StepStats step();
 
   // ---- subscriptions -------------------------------------------------------
@@ -148,7 +148,7 @@ class FleetServer {
   /// (one worker per group; members' state is private to that worker).
   void solve_group(const std::vector<Tenant*>& group);
   /// Surrogate-mode groups: one TieredPlanner::solve_items call descends
-  /// every member's multi-start on one stacked tape over the lead's
+  /// every member's multi-start as rows of one pass over the lead's
   /// surrogate (fingerprint-equal across the group); verification and any
   /// escalation stay per-tenant. Per-tenant fallback on a thrown batch.
   void solve_group_surrogate(const std::vector<Tenant*>& group);

@@ -45,9 +45,16 @@ void Tenant::validate(const TenantSpec& spec) {
       (spec.surrogate.enabled && !descends(spec.surrogate.planner.solver)))
     reject("solver (and surrogate.planner.solver): rho, slo_margin and lr_mc must be "
            "finite and positive");
-  // Admission distillation trains on this config: reject what cannot run now,
-  // not after v1 is published.
-  if (spec.surrogate.enabled) core::TieredPlanner::check_distill(spec.surrogate.distill);
+  if (spec.surrogate.enabled) {
+    // The planner refuses a zero trust band only after distillation has run,
+    // and a NaN band escalates every plan: check it before publishing.
+    const double band = spec.surrogate.planner.trust_band_pct;
+    if (!(std::isfinite(band) && band > 0.0))
+      reject("surrogate.planner.trust_band_pct must be finite and positive");
+    // Admission distillation trains on this config: reject what cannot run
+    // now, not after v1 is published.
+    core::TieredPlanner::check_distill(spec.surrogate.distill);
+  }
   // The online trainer's drift baseline: NaN would disable drift detection.
   if (!std::isfinite(spec.meta.val_error_pct))
     reject("meta.val_error_pct must be finite");

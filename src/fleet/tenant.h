@@ -113,8 +113,10 @@ class Tenant {
   /// fan-out and per-service bounds of the model's size; a finite positive
   /// SLO and units; finite bounds with 0 < lo <= hi; finite non-negative
   /// fan-out entries and change threshold; a finite meta.val_error_pct;
-  /// finite positive rho, slo_margin and lr_mc in solver, and in
-  /// surrogate.planner.solver when the surrogate tier is on.
+  /// finite positive rho, slo_margin and lr_mc in solver; and, when the
+  /// surrogate tier is on, the same in surrogate.planner.solver, a finite
+  /// positive surrogate.planner.trust_band_pct and a distillation config
+  /// that TieredPlanner::check_distill accepts.
   static void validate(const TenantSpec& spec);
   ~Tenant();
 

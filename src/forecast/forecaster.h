@@ -3,12 +3,10 @@
 // GRAF is proactive *within* a control tick — it plans every service from
 // the front-end workload it has already observed — but it still pays the
 // ~5.5 s instance-creation delay whenever load moves faster than the loop.
-// Graph-PHPA (PAPERS.md) shows the next rung: forecast the workload with a
-// learned sequence model and scale for the *predicted* load. Following
-// LSRAM's lightweight-allocator thesis, the forecasters here are compact —
-// a seasonal Holt-Winters baseline (src/forecast/holt_winters.h) and a
-// linear autoregressor trained on the src/nn tape arenas
-// (src/forecast/ar_forecaster.h) — not a second GNN.
+// Graph-PHPA (PAPERS.md) shows the next rung: forecast the workload and
+// scale for the *predicted* load. Following LSRAM's lightweight-allocator
+// thesis, the forecaster here is compact — a seasonal Holt-Winters
+// (src/forecast/holt_winters.h) — not a second GNN.
 //
 // Determinism contract (DESIGN.md §3.11): a forecaster's predictions are a
 // pure function of (config, seed, observed series). Implementations consume

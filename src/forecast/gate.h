@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "forecast/ar_forecaster.h"
 #include "forecast/forecaster.h"
 #include "forecast/holt_winters.h"
 #include "telemetry/metrics.h"
@@ -41,8 +40,10 @@ struct ForecastGateConfig {
   double max_boost = 4.0;
 };
 
-/// Which forecaster a declarative spec (fleet TenantSpec, examples) builds.
-enum class ForecastKind { kHoltWinters, kAutoregressive };
+/// The forecaster a declarative spec (fleet TenantSpec, examples) builds.
+/// Holt-Winters is the only kind; ForecastSpec::kind stays so that specs
+/// which name it still compile.
+enum class ForecastKind { kHoltWinters };
 
 /// Declarative forecast-mode configuration: embeddable in TenantSpec and
 /// enough to construct the whole gate.
@@ -50,11 +51,8 @@ struct ForecastSpec {
   bool enabled = false;
   ForecastKind kind = ForecastKind::kHoltWinters;
   HoltWintersConfig holt_winters;
-  ArConfig ar;
   ForecastGateConfig gate;
 };
-
-std::unique_ptr<Forecaster> make_forecaster(const ForecastSpec& spec);
 
 class ForecastGate {
  public:

@@ -1,8 +1,7 @@
-// Seasonal-decomposition baseline: additive Holt-Winters triple exponential
-// smoothing (level + trend + optional seasonal component), the classic
-// closed-form forecaster the learned autoregressor must beat. O(1) state
-// and O(1) per observation — cheap enough to run inside every control tick
-// of every tenant.
+// Seasonal-decomposition forecaster: additive Holt-Winters triple
+// exponential smoothing (level + trend + optional seasonal component), the
+// classic closed-form forecaster. O(1) state and O(1) per observation —
+// cheap enough to run inside every control tick of every tenant.
 //
 // Uncertainty bands come from an exponentially-weighted variance of the
 // one-step-ahead forecast error, widened by sqrt(h) for an h-step horizon

@@ -173,6 +173,24 @@ std::uint64_t SurrogateModel::fingerprint(SurrogateModel& model) {
   return h.value();
 }
 
+std::vector<double> SurrogateDistiller::draw_workload(Rng& rng,
+                                                     std::span<const double> workload_hi,
+                                                     double workload_floor,
+                                                     double correlated_fraction) {
+  std::vector<double> w(workload_hi.size());
+  // Correlated-ray samples share one scale t across nodes: frontend-driven
+  // load moves every service together, and planner queries live near that
+  // ray — independent draws alone never cover it in higher dimensions.
+  if (rng.uniform(0.0, 1.0) < correlated_fraction) {
+    const double t = rng.uniform(workload_floor, 1.0);
+    for (std::size_t k = 0; k < w.size(); ++k) w[k] = t * workload_hi[k];
+  } else {
+    for (std::size_t k = 0; k < w.size(); ++k)
+      w[k] = rng.uniform(workload_floor * workload_hi[k], workload_hi[k]);
+  }
+  return w;
+}
+
 Dataset SurrogateDistiller::sample_teacher(LatencyModel& teacher,
                                            std::span<const double> workload_hi,
                                            std::span<const Millicores> lo,
@@ -200,18 +218,8 @@ Dataset SurrogateDistiller::sample_teacher(LatencyModel& teacher,
   for (std::size_t i = 0; i < count; ++i) {
     Rng rng{derive_seed(seed, i)};
     Sample& s = data[i];
-    s.workload.resize(n);
+    s.workload = draw_workload(rng, workload_hi, workload_floor, correlated_fraction);
     s.quota.resize(n);
-    // Correlated-ray samples share one scale t across nodes: frontend-driven
-    // load moves every service together, and planner queries live near that
-    // ray — independent draws alone never cover it in higher dimensions.
-    if (rng.uniform(0.0, 1.0) < correlated_fraction) {
-      const double t = rng.uniform(workload_floor, 1.0);
-      for (std::size_t k = 0; k < n; ++k) s.workload[k] = t * workload_hi[k];
-    } else {
-      for (std::size_t k = 0; k < n; ++k)
-        s.workload[k] = rng.uniform(workload_floor * workload_hi[k], workload_hi[k]);
-    }
     // Log-uniform quota draws concentrate where the latency surface curves
     // hardest — the low-quota saturation cliffs the solver's level set hugs.
     if (rng.uniform(0.0, 1.0) < low_quota_bias) {
@@ -253,33 +261,6 @@ void SurrogateDistiller::check(const DistillConfig& cfg) {
   check_unit_interval(cfg.low_quota_bias, "distill: low_quota_bias must be in [0, 1]");
   if (cfg.train.batch_size == 0)
     throw std::invalid_argument{"distill: train.batch_size must be > 0"};
-}
-
-SurrogateDistiller::Result SurrogateDistiller::distill(
-    LatencyModel& teacher, std::span<const double> workload_hi,
-    std::span<const Millicores> lo, std::span<const Millicores> hi,
-    const DistillConfig& cfg) {
-  check(cfg);
-
-  Dataset all = sample_teacher(teacher, workload_hi, lo, hi, cfg.samples, cfg.seed,
-                               cfg.workload_floor, cfg.correlated_fraction,
-                               cfg.low_quota_bias);
-  // Samples are i.i.d., so the held-out tail is an unbiased split.
-  const std::size_t val_count = std::min(
-      all.size() - 1, static_cast<std::size_t>(
-                          std::llround(cfg.val_fraction * static_cast<double>(all.size()))));
-  Dataset val{all.end() - static_cast<std::ptrdiff_t>(val_count), all.end()};
-  all.resize(all.size() - val_count);
-
-  SurrogateModel model{teacher.node_count(), cfg.model, derive_seed(cfg.seed, 1)};
-  model.set_scalers(teacher.scalers());
-
-  DistillReport report;
-  report.samples = cfg.samples;
-  report.history = model.fit(all, val, cfg.train);
-  if (!val.empty())
-    report.val_mean_abs_pct_error = model.evaluate_accuracy(val).mean_abs_pct_error;
-  return {std::move(model), std::move(report)};
 }
 
 }  // namespace graf::gnn

@@ -169,6 +169,16 @@ struct DistillReport {
 
 class SurrogateDistiller {
  public:
+  /// One per-node workload draw over the operating region: with probability
+  /// `correlated_fraction` every node shares one scale t in
+  /// [workload_floor, 1] (the correlated-load ray, t·hi_w), else each node
+  /// draws independently in [workload_floor·hi_w, hi_w]. sample_teacher()
+  /// and the planner's rollout rounds (core/tiered_planner.h) both draw
+  /// through it, in this order from `rng`.
+  static std::vector<double> draw_workload(Rng& rng, std::span<const double> workload_hi,
+                                           double workload_floor,
+                                           double correlated_fraction);
+
   /// Teacher-labelled dataset sampled uniformly over the operating region:
   /// per-node workload in [workload_floor*hi_w, hi_w] (a correlated_fraction
   /// of samples instead share one common scale across nodes — see
@@ -191,16 +201,12 @@ class SurrogateDistiller {
     DistillReport report;
   };
 
-  /// Throws std::invalid_argument unless distill() can run `cfg`: at least
-  /// 16 samples, val_fraction in [0, 1), workload_floor, correlated_fraction
-  /// and low_quota_bias in [0, 1] (NaN fails each) and train.batch_size > 0.
+  /// Throws std::invalid_argument unless the plain pass can run `cfg`: at
+  /// least 16 samples, val_fraction in [0, 1), workload_floor,
+  /// correlated_fraction and low_quota_bias in [0, 1] (NaN fails each) and
+  /// train.batch_size > 0. The pass itself is
+  /// core::TieredPlanner::distill_for_planner at rounds = 0.
   static void check(const DistillConfig& cfg);
-
-  /// The full offline pass: sample the teacher, copy its scalers into a
-  /// fresh surrogate, fit, and report held-out fidelity.
-  static Result distill(LatencyModel& teacher, std::span<const double> workload_hi,
-                        std::span<const Millicores> lo,
-                        std::span<const Millicores> hi, const DistillConfig& cfg);
 };
 
 }  // namespace graf::gnn

@@ -974,9 +974,10 @@ TEST(FleetServer, RejectedAdmissionLeavesNoHandleOrSlotBehind) {
   // publishes no version under its key and claims no slot. Each of these
   // was once admitted and then degraded, or reached undefined behaviour
   // (a NaN SLO in the model key's integer cast, a zero unit in Eq. 7, a
-  // zero distillation batch in the shard plan's division); a zero rho was
-  // rejected only by the solver, and zero distillation samples only by the
-  // surrogate's fit, after v1 was published.
+  // zero distillation batch in the shard plan's division, a NaN trust band
+  // in every tiered plan's escalation test); a zero rho was rejected only by
+  // the solver, zero distillation samples only by the surrogate's fit, and a
+  // zero trust band only by the planner, after v1 was published.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const std::pair<const char*, void (*)(TenantSpec&, double)> broken[] = {
       {"NaN slo", [](TenantSpec& s, double n) { s.slo_ms = n; }},
@@ -1008,6 +1009,16 @@ TEST(FleetServer, RejectedAdmissionLeavesNoHandleOrSlotBehind) {
        [](TenantSpec& s, double) {
          s.surrogate.enabled = true;
          s.surrogate.distill.base.samples = 0;
+       }},
+      {"zero trust band",
+       [](TenantSpec& s, double) {
+         s.surrogate.enabled = true;
+         s.surrogate.planner.trust_band_pct = 0.0;
+       }},
+      {"NaN trust band",
+       [](TenantSpec& s, double n) {
+         s.surrogate.enabled = true;
+         s.surrogate.planner.trust_band_pct = n;
        }},
   };
   const serve::ModelKey bad_key{"bad-app", 250.0};

@@ -1,10 +1,9 @@
-// Workload forecasting (src/forecast): the Holt-Winters baseline, the
-// learned linear autoregressor on the nn tape arenas, the ForecastGate's
-// max(observed, predicted) pre-warm and never-throw degradation contract,
-// the plan-cache key regression (a cached observed-load plan must never
-// answer a higher forecast-adjusted demand), and the DESIGN.md §3.11
-// determinism contract: forecast-enabled fleet runs replay bit-identically
-// at GRAF_THREADS=1 and 8.
+// Workload forecasting (src/forecast): the Holt-Winters forecaster, the
+// ForecastGate's max(observed, predicted) pre-warm and never-throw
+// degradation contract, the plan-cache key regression (a cached
+// observed-load plan must never answer a higher forecast-adjusted demand),
+// and the DESIGN.md §3.11 determinism contract: forecast-enabled fleet runs
+// replay bit-identically at GRAF_THREADS=1 and 8.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,7 +21,6 @@
 #include "core/resource_controller.h"
 #include "core/workload_analyzer.h"
 #include "fleet/fleet_server.h"
-#include "forecast/ar_forecaster.h"
 #include "forecast/forecaster.h"
 #include "forecast/gate.h"
 #include "forecast/holt_winters.h"
@@ -119,85 +117,6 @@ TEST(HoltWinters, BitIdenticalAcrossInstancesAndReset) {
   EXPECT_FALSE(a.ready());
   for (double v : series) a.observe(v);
   EXPECT_EQ(bits(before.mean), bits(a.predict(3).mean));
-}
-
-// --- ArForecaster -----------------------------------------------------------
-
-ArConfig quick_ar() {
-  ArConfig cfg;
-  cfg.order = 4;
-  cfg.window = 48;
-  cfg.refit_every = 8;
-  cfg.iterations = 400;
-  cfg.lr = 0.02;
-  cfg.seed = 5;
-  cfg.min_history = 16;
-  return cfg;
-}
-
-TEST(ArForecaster, LearnsLinearRampBetterThanPersistence) {
-  ArForecaster ar{quick_ar()};
-  const double slope = 2.0;
-  double last = 0.0;
-  for (int t = 0; t < 160; ++t) {
-    last = 100.0 + slope * t;
-    ar.observe(last);
-  }
-  ASSERT_TRUE(ar.ready());
-  EXPECT_GE(ar.refits(), 10u);
-  const Forecast fc = ar.predict(1);
-  ASSERT_TRUE(fc.valid);
-  // Persistence ("tomorrow = today") is off by `slope` per step; the fitted
-  // AR must beat it.
-  EXPECT_LT(std::abs(fc.mean - (last + slope)), slope);
-  EXPECT_LE(fc.lo, fc.mean);
-  EXPECT_GE(fc.hi, fc.mean);
-}
-
-TEST(ArForecaster, MultiStepForecastExtendsTheRamp) {
-  ArForecaster ar{quick_ar()};
-  for (int t = 0; t < 160; ++t) ar.observe(100.0 + 2.0 * t);
-  const Forecast h1 = ar.predict(1);
-  const Forecast h4 = ar.predict(4);
-  ASSERT_TRUE(h1.valid);
-  ASSERT_TRUE(h4.valid);
-  EXPECT_GT(h4.mean, h1.mean) << "a rising series must forecast higher further out";
-  EXPECT_GE(h4.hi - h4.lo, h1.hi - h1.lo) << "bands widen with horizon";
-}
-
-TEST(ArForecaster, BitIdenticalForSameConfigSeedAndSeries) {
-  ArForecaster a{quick_ar()}, b{quick_ar()};
-  Rng rng{17};
-  for (int t = 0; t < 120; ++t) {
-    const double v = 80.0 + 30.0 * std::sin(t / 5.0) + rng.uniform(-4.0, 4.0);
-    a.observe(v);
-    b.observe(v);
-  }
-  ASSERT_TRUE(a.ready());
-  for (std::size_t h : {1u, 2u, 3u}) {
-    EXPECT_EQ(bits(a.predict(h).mean), bits(b.predict(h).mean)) << "h=" << h;
-    EXPECT_EQ(bits(a.predict(h).hi), bits(b.predict(h).hi)) << "h=" << h;
-  }
-  // Different seed => different jittered init => a distinct stream.
-  ArConfig other = quick_ar();
-  other.seed = 99;
-  ArForecaster c{other};
-  Rng rng2{17};
-  for (int t = 0; t < 120; ++t)
-    c.observe(80.0 + 30.0 * std::sin(t / 5.0) + rng2.uniform(-4.0, 4.0));
-  EXPECT_NE(bits(a.predict(1).mean), bits(c.predict(1).mean));
-}
-
-TEST(ArForecaster, IgnoresNonFiniteAndResets) {
-  ArForecaster ar{quick_ar()};
-  for (int t = 0; t < 40; ++t) ar.observe(100.0);
-  const std::size_t n = ar.observations();
-  ar.observe(std::nan(""));
-  EXPECT_EQ(ar.observations(), n);
-  ar.reset();
-  EXPECT_FALSE(ar.ready());
-  EXPECT_EQ(ar.observations(), 0u);
-  EXPECT_FALSE(ar.predict(1).valid);
 }
 
 // --- ForecastGate -----------------------------------------------------------
@@ -319,12 +238,25 @@ TEST(ForecastGate, ZeroOrNonFiniteTotalBypassesTheForecaster) {
       << "a blackout tick must not enter the series as a real zero";
 }
 
-TEST(ForecastGate, SpecFactoryBuildsTheRequestedKind) {
+// A gate built from a spec runs Holt-Winters with the spec's settings: it
+// plans the same bits as a gate handed that forecaster directly.
+TEST(ForecastGate, SpecBuildsHoltWintersWithItsSettings) {
   ForecastSpec spec;
-  spec.kind = ForecastKind::kHoltWinters;
-  EXPECT_EQ(make_forecaster(spec)->name(), "holt_winters");
-  spec.kind = ForecastKind::kAutoregressive;
-  EXPECT_EQ(make_forecaster(spec)->name(), "ar_linear");
+  spec.holt_winters.alpha = 0.7;
+  spec.holt_winters.season = 4;
+  spec.gate.horizon_steps = 3;
+  ForecastGate from_spec{spec};
+  ForecastGate direct{std::make_shared<HoltWinters>(spec.holt_winters), spec.gate};
+  for (int t = 0; t < 24; ++t) {
+    const std::vector<Qps> observed{50.0 + 3.0 * t + 10.0 * (t % 4), 20.0};
+    const std::vector<Qps> a = from_spec.plan_qps(observed);
+    const std::vector<Qps> b = direct.plan_qps(observed);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(bits(a[i]), bits(b[i])) << "t=" << t;
+  }
+  EXPECT_GT(from_spec.prewarms(), 0u);
+  EXPECT_EQ(from_spec.prewarms(), direct.prewarms());
+  EXPECT_EQ(from_spec.fallbacks(), direct.fallbacks());
 }
 
 // --- Plan-cache key regression + fleet determinism --------------------------
@@ -432,8 +364,7 @@ struct ThreadGuard {
   ~ThreadGuard() { set_global_threads(0); }
 };
 
-fleet::TenantSpec forecast_spec(const std::string& app, double slo_ms,
-                                ForecastKind kind) {
+fleet::TenantSpec forecast_spec(const std::string& app, double slo_ms) {
   fleet::TenantSpec spec;
   spec.application = app;
   spec.slo_ms = slo_ms;
@@ -447,22 +378,18 @@ fleet::TenantSpec forecast_spec(const std::string& app, double slo_ms,
   spec.training_reference = demand_dataset(64, 11);
   spec.solver.max_iterations = 200;
   spec.forecast.enabled = true;
-  spec.forecast.kind = kind;
-  spec.forecast.ar = quick_ar();
-  spec.forecast.ar.min_history = 8;
-  spec.forecast.ar.refit_every = 4;
   return spec;
 }
 
-/// Exact-bits digest of a forecast-enabled 2-tenant run (one Holt-Winters,
-/// one AR): ramp + doubling surge traffic. Two replays match iff every plan
-/// is bit-identical.
+/// Exact-bits digest of a forecast-enabled 2-tenant run (one trend-only
+/// Holt-Winters, one seasonal): ramp + doubling surge traffic. Two replays
+/// match iff every plan is bit-identical.
 std::string run_forecast_fleet_scenario() {
   fleet::FleetServer fleet;
-  const fleet::TenantId hw =
-      fleet.add_tenant(forecast_spec("hw-app", 200.0, ForecastKind::kHoltWinters));
-  const fleet::TenantId ar =
-      fleet.add_tenant(forecast_spec("ar-app", 150.0, ForecastKind::kAutoregressive));
+  const fleet::TenantId trend = fleet.add_tenant(forecast_spec("trend-app", 200.0));
+  fleet::TenantSpec seasonal_spec = forecast_spec("seasonal-app", 150.0);
+  seasonal_spec.forecast.holt_winters.season = 4;
+  const fleet::TenantId seasonal = fleet.add_tenant(seasonal_spec);
 
   std::ostringstream out;
   auto token = fleet.subscribe([&](const fleet::PlanUpdate& u) {
@@ -477,13 +404,13 @@ std::string run_forecast_fleet_scenario() {
     const double now = 5.0 * (step + 1);
     // Ramp for 20 steps, then a doubling surge.
     const double base = step < 20 ? 40.0 + 2.0 * step : 160.0;
-    fleet.push({.tenant = hw, .now = now, .api_qps = {base}, .samples = {}});
-    fleet.push({.tenant = ar, .now = now, .api_qps = {0.8 * base}, .samples = {}});
+    fleet.push({.tenant = trend, .now = now, .api_qps = {base}, .samples = {}});
+    fleet.push({.tenant = seasonal, .now = now, .api_qps = {0.8 * base}, .samples = {}});
     const auto stats = fleet.step();
     out << "s" << step << "=" << stats.planned << "/" << stats.coasted << ";";
   }
   // The digest must also pin the forecaster outputs themselves.
-  for (const fleet::TenantId id : {hw, ar}) {
+  for (const fleet::TenantId id : {trend, seasonal}) {
     ForecastGate* gate = fleet.tenant(id)->forecast_gate();
     out << "|prewarms=" << gate->prewarms() << ",boost="
         << std::hex << std::bit_cast<std::uint64_t>(gate->last_boost())
@@ -511,7 +438,7 @@ TEST(FleetForecast, ScenarioReplaysBitIdenticallyAcrossThreadCounts) {
 TEST(FleetForecast, ForecastTenantPrewarmsAndExportsMetrics) {
   fleet::FleetServer fleet;
   const fleet::TenantId id =
-      fleet.add_tenant(forecast_spec("ramp", 200.0, ForecastKind::kHoltWinters));
+      fleet.add_tenant(forecast_spec("ramp", 200.0));
   for (int step = 0; step < 20; ++step) {
     fleet.push({.tenant = id,
                 .now = 5.0 * (step + 1),
@@ -529,7 +456,7 @@ TEST(FleetForecast, ForecastTenantPrewarmsAndExportsMetrics) {
   EXPECT_GT(prewarms->value, 0.0);
 
   // A tenant without forecast mode has no gate.
-  fleet::TenantSpec plain = forecast_spec("plain", 100.0, ForecastKind::kHoltWinters);
+  fleet::TenantSpec plain = forecast_spec("plain", 100.0);
   plain.forecast.enabled = false;
   const fleet::TenantId pid = fleet.add_tenant(plain);
   EXPECT_EQ(fleet.tenant(pid)->forecast_gate(), nullptr);

@@ -1,8 +1,7 @@
 // ThreadPool unit behaviour plus the DESIGN.md §3.7 determinism contract:
-// data-parallel training, sharded sample collection, and multi-start
-// solving must be *bit-identical* at any thread count, because work
-// decomposition and random streams are pure functions of configuration —
-// threads are only executors.
+// data-parallel training and multi-start solving must be *bit-identical*
+// at any thread count, because work decomposition and random streams are
+// pure functions of configuration — threads are only executors.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,16 +13,12 @@
 #include <utility>
 #include <vector>
 
-#include "apps/catalog.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/configuration_solver.h"
-#include "core/sample_collector.h"
-#include "core/workload_analyzer.h"
 #include "gnn/batched_latency_model.h"
 #include "gnn/latency_model.h"
 #include "nn/tensor.h"
-#include "telemetry/metrics.h"
 
 namespace graf {
 namespace {
@@ -200,46 +195,6 @@ TEST(ParallelDeterminism, TrainingIsBitIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < p1.size(); ++i) {
     EXPECT_EQ(p1[i], p2[i]) << "probe " << i;
     EXPECT_EQ(p1[i], p8[i]) << "probe " << i;
-  }
-}
-
-std::pair<gnn::Dataset, Seconds> collect_at(std::size_t threads) {
-  set_global_threads(threads);
-  auto topo = apps::bookinfo();
-  sim::Cluster c = apps::make_cluster(topo, {.seed = 31});
-  core::WorkloadAnalyzer analyzer{c.api_count(), c.service_count()};
-  core::SampleCollectorConfig cfg;
-  cfg.window = 2.0;
-  cfg.warmup = 0.5;
-  cfg.flush = 0.5;
-  cfg.seed = 9;
-  core::SampleCollector collector{c, analyzer, cfg};
-  core::SearchSpace space;
-  space.lo.assign(4, 500.0);
-  space.hi.assign(4, 2000.0);
-  std::vector<Qps> base{40.0};
-  telemetry::RegistrySnapshot telem;
-  gnn::Dataset ds = collector.collect_sharded(
-      12, space, base, 0.6, 1.0, apps::make_cluster_factory(topo, {.seed = 31}),
-      &telem);
-  set_global_threads(0);
-  return {std::move(ds), collector.simulated_seconds()};
-}
-
-TEST(ParallelDeterminism, ShardedCollectionIsBitIdenticalAcrossThreadCounts) {
-  const auto [d1, s1] = collect_at(1);
-  const auto [d2, s2] = collect_at(2);
-  const auto [d8, s8] = collect_at(8);
-  ASSERT_FALSE(d1.empty());
-  ASSERT_EQ(d1.size(), d2.size());
-  ASSERT_EQ(d1.size(), d8.size());
-  EXPECT_EQ(s1, s2);
-  EXPECT_EQ(s1, s8);
-  for (std::size_t i = 0; i < d1.size(); ++i) {
-    EXPECT_EQ(d1[i].latency_ms, d2[i].latency_ms) << "sample " << i;
-    EXPECT_EQ(d1[i].latency_ms, d8[i].latency_ms) << "sample " << i;
-    EXPECT_EQ(d1[i].workload, d2[i].workload) << "sample " << i;
-    EXPECT_EQ(d1[i].quota, d8[i].quota) << "sample " << i;
   }
 }
 
