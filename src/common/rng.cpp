@@ -83,11 +83,6 @@ double Rng::exponential(double rate) {
 
 double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
 
-double Rng::pareto(double scale, double alpha) {
-  if (scale <= 0.0 || alpha <= 0.0) throw std::invalid_argument{"pareto: bad parameters"};
-  return scale / std::pow(1.0 - uniform(), 1.0 / alpha);
-}
-
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
@@ -104,8 +99,6 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   }
   return weights.size() - 1;
 }
-
-Rng Rng::fork() { return Rng{next_u64()}; }
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream) {
   // Two splitmix64 steps over a golden-ratio combination: enough avalanche

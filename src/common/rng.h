@@ -14,7 +14,8 @@ namespace graf {
 /// Deterministic random number generator (xoshiro256**).
 ///
 /// Not thread-safe; give each concurrent component its own instance,
-/// typically via `fork()` which derives an independent stream.
+/// typically seeded through derive_seed() so each owns an independent
+/// stream.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
@@ -43,19 +44,12 @@ class Rng {
   /// Log-normal: exp(normal(mu, sigma)).
   double lognormal(double mu, double sigma);
 
-  /// Bounded Pareto-like heavy tail used for occasional latency outliers.
-  /// Returns values >= scale with tail index `alpha`.
-  double pareto(double scale, double alpha);
-
   /// True with probability p.
   bool bernoulli(double p);
 
   /// Random index weighted by non-negative `weights` (need not sum to 1).
   /// Requires at least one strictly positive weight.
   std::size_t weighted_index(const std::vector<double>& weights);
-
-  /// Derive an independent generator; deterministic given this rng's state.
-  Rng fork();
 
  private:
   std::uint64_t s_[4];

@@ -1,47 +1,10 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace graf {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double percentile_sorted(std::span<const double> sorted, double rank) {
   if (sorted.empty()) throw std::invalid_argument{"percentile: empty input"};
@@ -58,61 +21,6 @@ double percentile(std::span<const double> values, double rank) {
   std::vector<double> copy{values.begin(), values.end()};
   std::sort(copy.begin(), copy.end());
   return percentile_sorted(copy, rank);
-}
-
-std::vector<double> percentiles(std::span<const double> values,
-                                std::span<const double> ranks) {
-  std::vector<double> copy{values.begin(), values.end()};
-  std::sort(copy.begin(), copy.end());
-  std::vector<double> out;
-  out.reserve(ranks.size());
-  for (double r : ranks) out.push_back(percentile_sorted(copy, r));
-  return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_{lo}, hi_{hi}, width_{(hi - lo) / static_cast<double>(buckets)} {
-  if (buckets == 0 || !(hi > lo)) throw std::invalid_argument{"Histogram: bad range"};
-  counts_.assign(buckets, 0);
-}
-
-void Histogram::add(double x) {
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-
-double Histogram::bucket_hi(std::size_t i) const { return lo_ + width_ * static_cast<double>(i + 1); }
-
-double Histogram::percentile(double rank) const {
-  if (total_ == 0) throw std::logic_error{"Histogram::percentile: empty"};
-  const double target = rank / 100.0 * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto c = static_cast<double>(counts_[i]);
-    if (cum + c >= target && c > 0.0) {
-      const double frac = (target - cum) / c;
-      return bucket_lo(i) + frac * width_;
-    }
-    cum += c;
-  }
-  return hi_;
-}
-
-Ewma::Ewma(double alpha) : alpha_{alpha} {
-  if (alpha <= 0.0 || alpha > 1.0) throw std::invalid_argument{"Ewma: alpha in (0,1]"};
-}
-
-void Ewma::add(double x) {
-  if (empty_) {
-    value_ = x;
-    empty_ = false;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
 }
 
 }  // namespace graf

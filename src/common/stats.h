@@ -1,38 +1,13 @@
-// Statistics primitives: running moments, percentile estimation, histograms.
+// Statistics primitives: percentile estimation.
 //
 // Percentiles follow the "linear interpolation between closest ranks"
 // convention (NumPy's default), which is what the paper's tooling
 // (Locust/Vegeta/Jaeger) reports.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace graf {
-
-/// Welford online mean/variance accumulator.
-class RunningStats {
- public:
-  void add(double x);
-  void merge(const RunningStats& other);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 when fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ > 0 ? min_ : 0.0; }
-  double max() const { return n_ > 0 ? max_ : 0.0; }
-  double sum() const { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Percentile of `values` for `rank` in [0, 100]; linear interpolation.
 /// Copies and sorts. Requires a non-empty span.
@@ -40,47 +15,5 @@ double percentile(std::span<const double> values, double rank);
 
 /// Percentile of an already-sorted ascending sequence (no copy).
 double percentile_sorted(std::span<const double> sorted, double rank);
-
-/// Several percentiles in one sort.
-std::vector<double> percentiles(std::span<const double> values,
-                                std::span<const double> ranks);
-
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp into the
-/// first/last bucket. Used for latency distribution reporting.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t bucket(std::size_t i) const { return counts_.at(i); }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-
-  /// Percentile estimate from bucket boundaries (linear within bucket).
-  double percentile(double rank) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
-/// Exponentially-weighted moving average, used to smooth utilization signals.
-class Ewma {
- public:
-  explicit Ewma(double alpha);
-  void add(double x);
-  double value() const { return value_; }
-  bool empty() const { return empty_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool empty_ = true;
-};
 
 }  // namespace graf

@@ -55,20 +55,6 @@ std::string Table::str() const {
   return os.str();
 }
 
-std::string Table::csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i > 0) os << ',';
-      os << cells[i];
-    }
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& r : rows_) emit(r);
-  return os.str();
-}
-
 void Table::print(std::ostream& os) const { os << str() << '\n'; }
 
 }  // namespace graf

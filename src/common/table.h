@@ -1,8 +1,7 @@
-// Console table / CSV emission for the benchmark harness.
+// Console table emission for the benchmark harness.
 //
 // Every bench binary prints the rows/series of the paper table or figure it
-// regenerates; Table gives them a uniform, aligned plain-text rendering and
-// an optional CSV dump for plotting.
+// regenerates; Table gives them a uniform, aligned plain-text rendering.
 #pragma once
 
 #include <iosfwd>
@@ -25,9 +24,6 @@ class Table {
 
   /// Render aligned text (title, separator, header, rows).
   std::string str() const;
-
-  /// Comma-separated form (header + rows), suitable for redirecting to a file.
-  std::string csv() const;
 
   void print(std::ostream& os) const;
 

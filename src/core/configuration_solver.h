@@ -136,9 +136,9 @@ class ConfigurationSolver {
   /// winner on ties.
   static std::size_t pick_winner(std::span<const SolverResult> runs, double target_ms);
 
-  /// Mirror iterations a fleet batch executed on this tenant's behalf into
-  /// core.solver_iterations_total, so the counter reads the same whether
-  /// the tenant solved alone or inside a batch.
+  /// Mirror iterations a fleet group solve executed on this tenant's behalf
+  /// into core.solver_iterations_total, so the counter reads what solve()
+  /// would have counted.
   void note_external_iterations(std::size_t iterations);
 
   /// Eq. 5 value at a specific configuration (Fig. 12 loss landscape).

@@ -1,7 +1,6 @@
 #include "nn/loss.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace graf::nn {
@@ -30,15 +29,6 @@ Var asym_huber_pct_loss(Var pred, Var target, double theta_under, double theta_o
   // is the negative-side theta.
   Var x = percentage_error(pred, target);
   return mean_all(asym_huber(x, theta_under, theta_over));
-}
-
-Var huber_pct_loss(Var pred, Var target, double theta) {
-  return asym_huber_pct_loss(pred, target, theta, theta);
-}
-
-double absolute_percentage_error(double pred, double actual) {
-  if (actual == 0.0) return 0.0;
-  return std::abs(pred - actual) / std::abs(actual) * 100.0;
 }
 
 double asym_huber_value(double x, double theta_neg, double theta_pos) {

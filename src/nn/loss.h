@@ -30,15 +30,8 @@ Var percentage_error(Var pred, Var target, double eps = 1e-9);
 /// over-estimate (Table 2).
 Var asym_huber_pct_loss(Var pred, Var target, double theta_under, double theta_over);
 
-/// Symmetric Hüber on percentage error (theta_under == theta_over).
-Var huber_pct_loss(Var pred, Var target, double theta);
-
-// Scalar (no-tape) helpers for evaluation/reporting.
-
-/// |pred - actual| / actual in percent.
-double absolute_percentage_error(double pred, double actual);
-
-/// Pointwise asymmetric Hüber value (continuous Eq. 4) for testing.
+/// Pointwise asymmetric Hüber value (continuous Eq. 4), the scalar
+/// reference the tape op is tested against.
 double asym_huber_value(double x, double theta_neg, double theta_pos);
 
 }  // namespace graf::nn

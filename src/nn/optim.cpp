@@ -4,23 +4,10 @@
 
 namespace graf::nn {
 
-void Optimizer::zero_grad() {
-  for (Param* p : params_) p->zero_grad();
-}
-
-Sgd::Sgd(std::vector<Param*> params, double lr) : Optimizer{std::move(params)}, lr_{lr} {}
-
-void Sgd::step() {
-  for (Param* p : params_) {
-    p->value.add_scaled(p->grad, -lr_);
-    p->zero_grad();
-  }
-}
-
 Adam::Adam(std::vector<Param*> params) : Adam{std::move(params), Config{}} {}
 
 Adam::Adam(std::vector<Param*> params, Config cfg)
-    : Optimizer{std::move(params)}, cfg_{cfg} {
+    : params_{std::move(params)}, cfg_{cfg} {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Param* p : params_) {

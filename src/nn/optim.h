@@ -1,6 +1,5 @@
-// Optimizers. The paper trains its latency prediction model and runs its
-// configuration solver with ADAM [Kingma & Ba 2014]; plain SGD is provided
-// for tests and comparisons.
+// Optimizer. The paper trains its latency prediction model and runs its
+// configuration solver with ADAM [Kingma & Ba 2014].
 #pragma once
 
 #include <vector>
@@ -10,28 +9,7 @@
 
 namespace graf::nn {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Apply one update from accumulated gradients, then clear them.
-  virtual void step() = 0;
-  void zero_grad();
-
- protected:
-  explicit Optimizer(std::vector<Param*> params) : params_{std::move(params)} {}
-  std::vector<Param*> params_;
-};
-
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Param*> params, double lr);
-  void step() override;
-
- private:
-  double lr_;
-};
-
-class Adam : public Optimizer {
+class Adam {
  public:
   struct Config {
     double lr = 2e-4;  // paper Table 1 default
@@ -42,12 +20,14 @@ class Adam : public Optimizer {
 
   explicit Adam(std::vector<Param*> params);
   Adam(std::vector<Param*> params, Config cfg);
-  void step() override;
+  /// Apply one update from accumulated gradients, then clear them.
+  void step();
 
   double learning_rate() const { return cfg_.lr; }
   void set_learning_rate(double lr) { cfg_.lr = lr; }
 
  private:
+  std::vector<Param*> params_;
   Config cfg_;
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;

@@ -482,74 +482,6 @@ double Tensor::max_abs() const {
   return m;
 }
 
-Tensor operator+(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  out += b;
-  return out;
-}
-
-Tensor operator+(Tensor&& a, const Tensor& b) {
-  a += b;
-  return std::move(a);
-}
-
-Tensor operator+(const Tensor& a, Tensor&& b) {
-  b += a;
-  return std::move(b);
-}
-
-Tensor operator+(Tensor&& a, Tensor&& b) {
-  a += b;
-  return std::move(a);
-}
-
-Tensor operator-(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  out -= b;
-  return out;
-}
-
-Tensor operator-(Tensor&& a, const Tensor& b) {
-  a -= b;
-  return std::move(a);
-}
-
-Tensor operator-(const Tensor& a, Tensor&& b) {
-  if (!a.same_shape(b)) throw std::invalid_argument{"Tensor -: shape mismatch"};
-  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = a.data()[i] - b.data()[i];
-  return std::move(b);
-}
-
-Tensor operator-(Tensor&& a, Tensor&& b) {
-  a -= b;
-  return std::move(a);
-}
-
-Tensor hadamard(const Tensor& a, const Tensor& b) {
-  if (!a.same_shape(b)) throw std::invalid_argument{"hadamard: shape mismatch"};
-  Tensor out{a.rows(), a.cols()};
-  for (std::size_t i = 0; i < a.size(); ++i) out.data()[i] = a.data()[i] * b.data()[i];
-  return out;
-}
-
-Tensor operator*(const Tensor& a, double s) {
-  Tensor out = a;
-  out *= s;
-  return out;
-}
-
-Tensor operator*(Tensor&& a, double s) {
-  a *= s;
-  return std::move(a);
-}
-
-Tensor operator*(double s, const Tensor& a) { return a * s; }
-
-Tensor operator*(double s, Tensor&& a) {
-  a *= s;
-  return std::move(a);
-}
-
 void matmul_into(Tensor& out, const Tensor& a, const Tensor& b) {
   gemm_into(out, a, b, nullptr, false);
 }

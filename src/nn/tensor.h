@@ -82,25 +82,6 @@ class Tensor {
   std::vector<double> data_;
 };
 
-// Out-of-place arithmetic. The rvalue overloads steal the temporary's
-// buffer, so expression chains like `a + b + c + d` allocate once instead
-// of once per operator (regression-tested by pointer identity in
-// tests/tensor_test.cpp).
-Tensor operator+(const Tensor& a, const Tensor& b);
-Tensor operator+(Tensor&& a, const Tensor& b);
-Tensor operator+(const Tensor& a, Tensor&& b);
-Tensor operator+(Tensor&& a, Tensor&& b);
-Tensor operator-(const Tensor& a, const Tensor& b);
-Tensor operator-(Tensor&& a, const Tensor& b);
-Tensor operator-(const Tensor& a, Tensor&& b);
-Tensor operator-(Tensor&& a, Tensor&& b);
-/// Elementwise (Hadamard) product.
-Tensor hadamard(const Tensor& a, const Tensor& b);
-Tensor operator*(const Tensor& a, double s);
-Tensor operator*(Tensor&& a, double s);
-Tensor operator*(double s, const Tensor& a);
-Tensor operator*(double s, Tensor&& a);
-
 /// Matrix product a(r x k) * b(k x c).
 Tensor matmul(const Tensor& a, const Tensor& b);
 /// a^T * b  without materializing the transpose.

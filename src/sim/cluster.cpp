@@ -367,8 +367,4 @@ void Cluster::clear_windows() {
   tracer_.clear();
 }
 
-void Cluster::clear_series() {
-  for (auto& s : series_) s.clear();
-}
-
 }  // namespace graf::sim

@@ -165,7 +165,6 @@ class Cluster {
   /// requests"). Latency windows and traces are kept unless cleared.
   void hard_reset_load();
   void clear_windows();
-  void clear_series();
 
  private:
   struct Ctx {

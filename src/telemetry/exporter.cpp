@@ -122,11 +122,6 @@ bool export_series_csv(const std::string& path, const TimeSeriesStore& store) {
   return export_to_file(path, [&](std::ostream& os) { write_series_csv(os, store); });
 }
 
-bool export_snapshot_json(const std::string& path, const RegistrySnapshot& snapshot) {
-  return export_to_file(path,
-                        [&](std::ostream& os) { write_snapshot_json(os, snapshot); });
-}
-
 void BenchExporter::record(const std::string& name, double value,
                            const std::string& unit) {
   record_at(name, value, unit, static_cast<std::int64_t>(std::time(nullptr)));

@@ -32,7 +32,6 @@ void write_snapshot_json(std::ostream& os, const RegistrySnapshot& snapshot);
 /// File helpers; return false (and write nothing else) on open failure.
 bool export_series_json(const std::string& path, const TimeSeriesStore& store);
 bool export_series_csv(const std::string& path, const TimeSeriesStore& store);
-bool export_snapshot_json(const std::string& path, const RegistrySnapshot& snapshot);
 
 /// Accumulates named scalar results (micro-bench timings, derived metrics)
 /// and writes the machine-readable BENCH_*.json format: one row per metric,

@@ -67,19 +67,17 @@ std::size_t LogHistogram::index_of(double x) const {
          std::min(sub, cfg_.sub_buckets - 1);
 }
 
-void LogHistogram::record(double x) { record_n(x, 1); }
-
-void LogHistogram::record_n(double x, std::uint64_t n) {
-  if (std::isnan(x) || n == 0) return;
+void LogHistogram::record(double x) {
+  if (std::isnan(x)) return;
   if (total_ == 0) {
     min_ = max_ = x;
   } else {
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
   }
-  counts_[index_of(x)] += n;
-  total_ += n;
-  sum_ += x * static_cast<double>(n);
+  ++counts_[index_of(x)];
+  ++total_;
+  sum_ += x;
 }
 
 double LogHistogram::percentile(double rank) const {

@@ -69,7 +69,6 @@ class LogHistogram {
 
   /// O(1); never throws, never allocates. NaN is ignored.
   void record(double x);
-  void record_n(double x, std::uint64_t n);
 
   std::uint64_t total() const { return total_; }
   double sum() const { return sum_; }

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <chrono>
-#include <string>
 
 #include "telemetry/metrics.h"
 
@@ -44,26 +43,6 @@ class ScopedTimer {
  private:
   LogHistogram* target_;
   std::chrono::steady_clock::time_point start_;
-};
-
-/// Convenience site cache for ad-hoc instrumentation: interns
-/// `profile.<name>_us` histograms in the bound registry and returns stable
-/// pointers (nullptr while unbound, keeping ScopedTimer free).
-class Profiler {
- public:
-  explicit Profiler(MetricsRegistry* registry = nullptr) : registry_{registry} {}
-
-  void bind(MetricsRegistry* registry) { registry_ = registry; }
-  bool enabled() const { return registry_ != nullptr; }
-
-  /// Histogram for span `name`; nullptr when unbound.
-  LogHistogram* site(const std::string& name, const Labels& labels = {}) {
-    if (registry_ == nullptr) return nullptr;
-    return &registry_->histogram("profile." + name + "_us", labels);
-  }
-
- private:
-  MetricsRegistry* registry_;
 };
 
 }  // namespace graf::telemetry

@@ -62,25 +62,6 @@ double LatencyWindow::percentile(double rank) const {
   return percentile_since(-1e300, rank);
 }
 
-double LatencyWindow::mean_since(Seconds since) const {
-  double sum = 0.0;
-  std::size_t n = 0;
-  if (time_ordered_) {
-    for (std::size_t i = first_at_or_after(since); i < samples_.size(); ++i) {
-      sum += samples_[i].second;
-      ++n;
-    }
-  } else {
-    for (const auto& [t, v] : samples_) {
-      if (t >= since) {
-        sum += v;
-        ++n;
-      }
-    }
-  }
-  return n > 0 ? sum / static_cast<double>(n) : 0.0;
-}
-
 std::size_t LatencyWindow::count_since(Seconds since) const {
   if (time_ordered_) return samples_.size() - first_at_or_after(since);
   std::size_t n = 0;

@@ -39,7 +39,6 @@ class LatencyWindow {
   /// Percentile over the whole retained window.
   double percentile(double rank) const;
 
-  double mean_since(Seconds since) const;
   std::size_t count_since(Seconds since) const;
   std::size_t size() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }

@@ -13,7 +13,6 @@
 #include "core/latency_predictor.h"
 #include "core/resource_controller.h"
 #include "core/sample_collector.h"
-#include "core/state_collector.h"
 #include "core/workload_analyzer.h"
 #include "serve/serving_handle.h"
 #include "telemetry/metrics.h"
@@ -72,25 +71,6 @@ TEST(ExpectedFanout, WeighsProbabilisticBranches) {
   EXPECT_NEAR(f[2][2], 0.6, 1e-12);
   // product-page reaches product directly once plus 0.8x via recommendation.
   EXPECT_NEAR(f[1][3], 1.8, 1e-12);
-}
-
-// ---- StateCollector ---------------------------------------------------------
-
-TEST(StateCollector, SnapshotsClusterState) {
-  auto topo = apps::bookinfo();
-  sim::Cluster c = apps::make_cluster(topo, {.seed = 5});
-  workload::OpenLoopConfig g;
-  g.rate = workload::Schedule::constant(30.0);
-  workload::OpenLoopGenerator gen{c, g};
-  gen.start(10.0);
-  c.run_until(10.0);
-  StateCollector sc{c, 5.0};
-  const auto st = sc.collect();
-  EXPECT_EQ(st.api_qps.size(), c.api_count());
-  EXPECT_NEAR(st.api_qps[0], 30.0, 8.0);
-  EXPECT_EQ(st.quota.size(), c.service_count());
-  for (double q : st.quota) EXPECT_GT(q, 0.0);
-  EXPECT_GT(st.utilization[0], 0.0);
 }
 
 // ---- ConfigurationSolver ----------------------------------------------------

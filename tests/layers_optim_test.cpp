@@ -85,21 +85,6 @@ TEST(Mlp, LearnsLinearFunction) {
   EXPECT_LT(final_loss, 0.01);
 }
 
-TEST(Sgd, ConvergesOnQuadratic) {
-  // minimize (p - 3)^2
-  Param p{Tensor::scalar(0.0)};
-  Sgd opt{{&p}, 0.1};
-  Tape tape;
-  for (int i = 0; i < 200; ++i) {
-    tape.reset();
-    Var v = tape.param(p);
-    Var d = add_scalar(v, -3.0);
-    tape.backward(sum_all(mul(d, d)));
-    opt.step();
-  }
-  EXPECT_NEAR(p.value.item(), 3.0, 1e-6);
-}
-
 TEST(Adam, ConvergesOnQuadratic) {
   Param p{Tensor::scalar(10.0)};
   Adam opt{{&p}, {.lr = 0.2}};
@@ -121,14 +106,6 @@ TEST(Adam, StepIsBoundedByLearningRate) {
   p.grad = Tensor::scalar(1e6);
   opt.step();
   EXPECT_NEAR(std::abs(p.value.item()), 0.5, 0.01);
-}
-
-TEST(Optimizer, ZeroGradClears) {
-  Param p{Tensor::scalar(0.0)};
-  p.grad = Tensor::scalar(7.0);
-  Sgd opt{{&p}, 0.1};
-  opt.zero_grad();
-  EXPECT_DOUBLE_EQ(p.grad.item(), 0.0);
 }
 
 }  // namespace

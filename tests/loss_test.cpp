@@ -113,20 +113,5 @@ TEST(AsymHuberLoss, GradientPushesPredictionsUp) {
   EXPECT_GT(std::abs(grad_under), std::abs(grad_over));  // asymmetric pull
 }
 
-TEST(HuberPctLoss, EqualsAsymWithEqualThetas) {
-  Tape t;
-  Var pred = t.leaf(Tensor{{120.0, 60.0}});
-  Var target = t.constant(Tensor{{100.0, 100.0}});
-  Var a = huber_pct_loss(pred, target, 0.2);
-  Var b = asym_huber_pct_loss(pred, target, 0.2, 0.2);
-  EXPECT_DOUBLE_EQ(t.value(a).item(), t.value(b).item());
-}
-
-TEST(AbsolutePercentageError, Basics) {
-  EXPECT_DOUBLE_EQ(absolute_percentage_error(110.0, 100.0), 10.0);
-  EXPECT_DOUBLE_EQ(absolute_percentage_error(90.0, 100.0), 10.0);
-  EXPECT_DOUBLE_EQ(absolute_percentage_error(5.0, 0.0), 0.0);
-}
-
 }  // namespace
 }  // namespace graf::nn

@@ -10,65 +10,6 @@
 namespace graf {
 namespace {
 
-TEST(RunningStats, BasicMoments) {
-  RunningStats s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, MergeMatchesCombined) {
-  Rng rng{3};
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    a.add(x);
-    all.add(x);
-  }
-  for (int i = 0; i < 700; ++i) {
-    const double x = rng.normal(-1.0, 0.5);
-    b.add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptyEitherSide) {
-  RunningStats filled;
-  for (double v : {1.0, 2.0, 3.0}) filled.add(v);
-  RunningStats empty;
-
-  RunningStats a = filled;
-  a.merge(empty);  // no-op
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-
-  RunningStats b = empty;
-  b.merge(filled);  // adopts other's moments
-  EXPECT_EQ(b.count(), 3u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(b.min(), 1.0);
-  EXPECT_DOUBLE_EQ(b.max(), 3.0);
-}
-
 TEST(Percentile, EndpointsAndMedian) {
   std::vector<double> v{10.0, 20.0, 30.0, 40.0, 50.0};
   EXPECT_DOUBLE_EQ(percentile(v, 0.0), 10.0);
@@ -106,16 +47,6 @@ TEST(Percentile, ThrowsOnEmpty) {
   EXPECT_THROW(percentile(v, 50.0), std::invalid_argument);
 }
 
-TEST(Percentile, BatchMatchesIndividual) {
-  Rng rng{5};
-  std::vector<double> v;
-  for (int i = 0; i < 1000; ++i) v.push_back(rng.uniform(0.0, 100.0));
-  std::vector<double> ranks{50.0, 90.0, 95.0, 99.0};
-  const auto batch = percentiles(v, ranks);
-  for (std::size_t i = 0; i < ranks.size(); ++i)
-    EXPECT_DOUBLE_EQ(batch[i], percentile(v, ranks[i]));
-}
-
 TEST(Percentile, P99TracksTailOracle) {
   Rng rng{7};
   std::vector<double> v;
@@ -123,82 +54,6 @@ TEST(Percentile, P99TracksTailOracle) {
   std::vector<double> sorted = v;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_NEAR(percentile(v, 99.0), sorted[static_cast<std::size_t>(0.99 * 9999)], 0.05);
-}
-
-TEST(Histogram, CountsAndClamping) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(-1.0);  // clamps into first bucket
-  h.add(0.5);
-  h.add(3.0);
-  h.add(9.9);
-  h.add(25.0);  // clamps into last bucket
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(4), 2u);
-}
-
-TEST(Histogram, BucketBounds) {
-  Histogram h{0.0, 10.0, 5};
-  EXPECT_DOUBLE_EQ(h.bucket_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(2), 6.0);
-}
-
-TEST(Histogram, PercentileApproximatesExact) {
-  Histogram h{0.0, 100.0, 1000};
-  Rng rng{9};
-  std::vector<double> v;
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.uniform(0.0, 100.0);
-    v.push_back(x);
-    h.add(x);
-  }
-  EXPECT_NEAR(h.percentile(95.0), percentile(v, 95.0), 0.5);
-}
-
-TEST(Histogram, EmptyPercentileThrows) {
-  Histogram h{0.0, 10.0, 5};
-  EXPECT_THROW(h.percentile(50.0), std::logic_error);
-}
-
-TEST(Histogram, SingleSamplePercentileStaysInBucket) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(3.0);  // bucket [2, 4)
-  for (double rank : {0.0, 50.0, 100.0}) {
-    const double p = h.percentile(rank);
-    EXPECT_GE(p, 2.0);
-    EXPECT_LE(p, 4.0);
-  }
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW((Histogram{0.0, 0.0, 5}), std::invalid_argument);
-  EXPECT_THROW((Histogram{0.0, 1.0, 0}), std::invalid_argument);
-}
-
-TEST(Ewma, ConvergesToConstant) {
-  Ewma e{0.3};
-  for (int i = 0; i < 100; ++i) e.add(5.0);
-  EXPECT_NEAR(e.value(), 5.0, 1e-9);
-}
-
-TEST(Ewma, FirstSampleSeeds) {
-  Ewma e{0.1};
-  EXPECT_TRUE(e.empty());
-  e.add(7.0);
-  EXPECT_DOUBLE_EQ(e.value(), 7.0);
-}
-
-TEST(Ewma, RejectsBadAlpha) {
-  EXPECT_THROW(Ewma{0.0}, std::invalid_argument);
-  EXPECT_THROW(Ewma{1.5}, std::invalid_argument);
-}
-
-TEST(Ewma, AlphaOneTracksLastSample) {
-  Ewma e{1.0};  // boundary alpha is accepted and degenerates to "latest"
-  e.add(3.0);
-  e.add(8.0);
-  EXPECT_DOUBLE_EQ(e.value(), 8.0);
 }
 
 }  // namespace

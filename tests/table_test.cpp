@@ -38,13 +38,6 @@ TEST(Table, ColumnsAligned) {
   EXPECT_EQ(header.find('y'), row.find('1', 1));
 }
 
-TEST(Table, CsvOutput) {
-  Table t{"csv"};
-  t.header({"a", "b"});
-  t.row({"1", "2"});
-  EXPECT_EQ(t.csv(), "a,b\n1,2\n");
-}
-
 TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(5.0, 0), "5");

@@ -211,7 +211,7 @@ TEST(MetricsRegistry, SnapshotMergeAggregatesReplicas) {
   EXPECT_DOUBLE_EQ(merged.find("only_r2")->value, 3.0);
 }
 
-// -- ScopedTimer / Profiler --------------------------------------------------
+// -- ScopedTimer -------------------------------------------------------------
 
 TEST(ScopedTimer, NullTargetIsNoop) {
   ScopedTimer t{nullptr};
@@ -236,17 +236,6 @@ TEST(ScopedTimer, StopDisarmsDestructor) {
     t.stop();
   }  // destructor must not double-record
   EXPECT_EQ(h.total(), 1u);
-}
-
-TEST(Profiler, SiteInternsUnderProfilePrefix) {
-  MetricsRegistry reg;
-  Profiler prof;
-  EXPECT_EQ(prof.site("plan"), nullptr);  // unbound: disabled
-  prof.bind(&reg);
-  LogHistogram* site = prof.site("plan");
-  ASSERT_NE(site, nullptr);
-  { ScopedTimer t{site}; }
-  EXPECT_EQ(reg.histogram("profile.plan_us").total(), 1u);
 }
 
 // -- Scraper -----------------------------------------------------------------

@@ -38,8 +38,7 @@ TEST(LatencyWindow, CountAndMeanSince) {
   w.add(2.0, 20.0);
   w.add(3.0, 30.0);
   EXPECT_EQ(w.count_since(2.0), 2u);
-  EXPECT_DOUBLE_EQ(w.mean_since(2.0), 25.0);
-  EXPECT_DOUBLE_EQ(w.mean_since(100.0), 0.0);
+  EXPECT_EQ(w.count_since(100.0), 0u);
 }
 
 TEST(LatencyWindow, EmptyPercentileThrows) {
@@ -74,7 +73,6 @@ TEST(LatencyWindow, OutOfOrderAddsStayCorrect) {
   w.add(5.0, 2.0);  // breaks time ordering: falls back to linear scans
   w.add(20.0, 3.0);
   EXPECT_EQ(w.count_since(6.0), 2u);
-  EXPECT_DOUBLE_EQ(w.mean_since(6.0), 2.0);
   EXPECT_DOUBLE_EQ(w.percentile_since(6.0, 100.0), 3.0);
   EXPECT_DOUBLE_EQ(w.percentile_since(0.0, 0.0), 1.0);
 }
