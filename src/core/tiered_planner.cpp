@@ -136,8 +136,9 @@ gnn::SurrogateDistiller::Result TieredPlanner::distill_for_planner(
     std::span<const Millicores> lo, std::span<const Millicores> hi, double slo_ms,
     const SolverDistillConfig& cfg, const SolverConfig& solver) {
   check_distill(cfg);
-  if (slo_ms <= 0.0)
-    throw std::invalid_argument{"distill_for_planner: slo must be > 0"};
+  // Only the rollouts read the SLO; negated so a NaN fails too.
+  if (cfg.rounds > 0 && !(slo_ms > 0.0))
+    throw std::invalid_argument{"distill_for_planner: slo must be > 0 with rounds > 0"};
 
   // Phase 1 — the plain operating-region pass: sample the teacher, hold out
   // the tail (samples are i.i.d., so the split is unbiased), copy the

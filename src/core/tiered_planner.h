@@ -142,11 +142,13 @@ class TieredPlanner {
   /// pass (sample the teacher, hold out the tail, copy the teacher's scalers
   /// into a fresh surrogate, fit, report held-out fidelity), then `rounds` x
   /// { batched surrogate-descent rollout over region workloads at `slo_ms`,
-  /// teacher-label the winners, fold in, fine-tune }. At rounds = 0 it is
-  /// the plain pass alone, and `slo_ms` (still required > 0) and `solver`
-  /// go unused. `solver` should be the config the planner will descend
-  /// with (TieredPlannerConfig::solver) so the rollouts reproduce the
-  /// production query distribution. Deterministic at any GRAF_THREADS:
+  /// teacher-label the winners, fold in, fine-tune }. Throws
+  /// std::invalid_argument unless check_distill accepts `cfg` and, when
+  /// rounds > 0, slo_ms > 0. At rounds = 0 it is the plain pass alone, and
+  /// `slo_ms` and `solver` go unused, so any value will do. `solver` should
+  /// be the config the planner will descend with
+  /// (TieredPlannerConfig::solver) so the rollouts reproduce the production
+  /// query distribution. Deterministic at any GRAF_THREADS:
   /// rollout draws are per-(round, query) derived streams and the descent
   /// is the same single-pass path solve() runs.
   static gnn::SurrogateDistiller::Result distill_for_planner(
