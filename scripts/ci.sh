@@ -44,6 +44,22 @@ for threads in 1 8; do
     ctest --test-dir "$BUILD_DIR" --output-on-failure -R '^TrainPin\.'
 done
 
+# The frozen end-to-end benchmark (bench/e2e), built from this checkout into
+# a directory beside the CI build dirs under the leg's sanitizer. Its smoke
+# runs every workload at tiny sizes, traced and untraced, and exits non-zero
+# when a plan invariant, the warm-up digest, the layer replay, the pool-size
+# replay or a BENCHMARK.json metric fails. Without it a library change that
+# breaks the benchmark's build or its checks would surface only in the
+# benchmark's own runs. A sanitizer build reports correctness only
+# (run.py's two presets, mapped as the root CMakeLists maps GRAF_SANITIZE).
+E2E_ARGS=(--smoke)
+case "$SANITIZE_FLAG" in
+  OFF) ;;
+  thread) E2E_ARGS+=(--sanitize thread) ;;
+  *) E2E_ARGS+=(--sanitize address) ;;
+esac
+CARGO_TARGET_DIR="$BUILD_DIR-e2e" python3 bench/e2e/run.py "${E2E_ARGS[@]}"
+
 # Portable build (plain leg only): the tensor kernels compiled without the
 # host ISA must reproduce the native build's bits, so the golden solver
 # digests, the kernel/serve cases that compare exact values, the frozen
