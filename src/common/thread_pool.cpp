@@ -94,7 +94,14 @@ void ThreadPool::parallel_for(std::size_t n,
   for (std::size_t i = 0; i < helpers; ++i) post(drain);
   drain();  // caller participates
   shared->all_done.get_future().wait();
-  if (shared->error) std::rethrow_exception(shared->error);
+  // The caller owns what it rethrows: a worker may still hold `shared` and
+  // destroy it last, and that must not free the exception being handled.
+  std::exception_ptr error;
+  {
+    std::lock_guard<std::mutex> lock{shared->err_mu};
+    error = std::move(shared->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 std::size_t configured_threads() {

@@ -93,6 +93,10 @@ TrainHistory fit_sharded(std::vector<nn::Param*> params, std::size_t node_count,
   check_samples(train, node_count);
   check_samples(val, node_count);
   if (refit != nullptr) *refit = fit_scalers(train);
+  // A registry version, or a clone of one, has no gradient buffers; give
+  // each the zeroed one that Adam::step leaves at rest.
+  for (nn::Param* p : params)
+    if (p->grad.empty()) p->grad = nn::Tensor{p->value.rows(), p->value.cols()};
 
   Rng rng{cfg.seed};
   nn::Adam opt{params, {.lr = cfg.lr}};
@@ -238,6 +242,10 @@ void LatencyModel::set_scalers(const ScalerState& s) {
   q_min_mc_ = s.q_min_mc;
   ratio_max_ = s.ratio_max;
   label_ref_ = s.label_ref;
+}
+
+void LatencyModel::release_grads() {
+  for (nn::Param* p : model_.params()) p->grad = nn::Tensor{};
 }
 
 nn::Var latency_pct_loss(nn::Var pred, const Dataset& data,

@@ -119,8 +119,9 @@ nn::Var latency_pct_loss(nn::Var pred, const Dataset& data,
 /// cfg, never on the thread count (DESIGN.md §3.7). Rejects an empty
 /// `train`, a zero batch_size and any sample of `train` or `val` that is not
 /// `node_count` wide or has a quota that is not > 0, before anything moves;
-/// then fits `*refit` from `train` unless it is null. `step_timer` times
-/// each step from the coordinating thread.
+/// then fits `*refit` from `train` unless it is null, and gives a parameter
+/// without a gradient buffer (LatencyModel::release_grads) a zeroed one.
+/// `step_timer` times each step from the coordinating thread.
 TrainHistory fit_sharded(std::vector<nn::Param*> params, std::size_t node_count,
                          const BatchLoss& loss, const Dataset& train,
                          const Dataset& val, const TrainConfig& cfg,
@@ -253,6 +254,8 @@ class LatencyModel {
   }
   void set_scalers(const ScalerState& s);
 
+  /// The trainable parameters (weight and gradient), in state_dict order.
+  std::vector<nn::Param*> params() { return model_.params(); }
   /// Copies of all weights / overwrite weights (shape-checked).
   std::vector<nn::Tensor> state_dict() { return model_.state_dict(); }
   void load_state_dict(const std::vector<nn::Tensor>& state) {
@@ -263,6 +266,11 @@ class LatencyModel {
   /// fine-tuned in the background while `this` keeps serving. Telemetry
   /// attachment (histogram pointers into an external registry) is shared.
   LatencyModel clone() const { return *this; }
+
+  /// Free the gradient buffers, training scratch that is zero at rest: a
+  /// registry version keeps weights, scalers and metadata only. fit() on
+  /// the model, or on a clone of it, allocates them again.
+  void release_grads();
 
   /// Profile MPNN wall time into `gnn.forward_us` (evaluation / predict
   /// forwards) and `gnn.train_step_us` (one fused data-parallel

@@ -33,7 +33,9 @@ namespace graf::nn {
 
 class Tape;
 
-/// Trainable parameter: value plus accumulated gradient.
+/// Trainable parameter: value plus accumulated gradient. The gradient is
+/// empty on a copy that only serves (gnn::LatencyModel::release_grads);
+/// gnn::fit_sharded sizes it before training.
 struct Param {
   Tensor value;
   Tensor grad;

@@ -15,8 +15,10 @@ ModelRegistry::ModelRegistry(std::string store_dir) : store_dir_{std::move(store
 std::uint64_t ModelRegistry::publish(const ModelKey& key, const gnn::LatencyModel& model,
                                      CheckpointMeta meta) {
   // Deep-copy before taking the lock: copying a model is the expensive part
-  // of publish and needs no registry state.
+  // of publish and needs no registry state. A version serves; nothing trains
+  // it in place, so it keeps no gradient buffers.
   auto copy = std::make_shared<gnn::LatencyModel>(model);
+  copy->release_grads();
   meta.application = key.application;
   meta.slo_ms = key.slo_ms;
   std::lock_guard lock{mu_};

@@ -3,9 +3,10 @@
 // The paper fine-tunes one latency model per SLO target (§5.3) and retrains
 // when the workload leaves the trained region; the registry is where those
 // models live. Every publish() creates a new immutable version holding a
-// deep copy of the model plus its metadata; promote() selects the version
-// that serves traffic (swapping every attached ServingHandle); rollback()
-// restores the previously promoted version. With a store directory
+// deep copy of the model's weights and scalers (no gradient buffers, see
+// LatencyModel::release_grads) plus its metadata; promote() selects the
+// version that serves traffic (swapping every attached ServingHandle);
+// rollback() restores the previously promoted version. With a store directory
 // configured, every published version is also persisted as a .grafck
 // checkpoint (checkpoint.h) so a restarted process can restore() it.
 //
@@ -41,8 +42,9 @@ class ModelRegistry {
   /// versions are written there as "<key>.v<version>.grafck".
   explicit ModelRegistry(std::string store_dir = "");
 
-  /// Store a new version (deep copy of `model`). Returns its version id
-  /// (monotonic per key, starting at 1). Does not change what serves.
+  /// Store a new version (a weights-only deep copy of `model`). Returns its
+  /// version id (monotonic per key, starting at 1). Does not change what
+  /// serves.
   std::uint64_t publish(const ModelKey& key, const gnn::LatencyModel& model,
                         CheckpointMeta meta);
 

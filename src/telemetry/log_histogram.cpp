@@ -52,7 +52,15 @@ void check_mergeable(const LogHistogramConfig& a, const LogHistogramConfig& b) {
 LogHistogram::LogHistogram(LogHistogramConfig cfg) : cfg_{cfg} {
   if (cfg_.sub_buckets == 0 || cfg_.max_exponent <= cfg_.min_exponent)
     throw std::invalid_argument{"LogHistogram: bad config"};
-  counts_.assign(cfg_.bucket_count(), 0);
+}
+
+bool LogHistogram::allocate_buckets() noexcept {
+  try {
+    counts_.resize(cfg_.bucket_count());
+  } catch (...) {
+    return false;
+  }
+  return true;
 }
 
 std::size_t LogHistogram::index_of(double x) const {
@@ -70,6 +78,9 @@ std::size_t LogHistogram::index_of(double x) const {
 void LogHistogram::record(double x) {
   if (std::isnan(x)) return;
   if (total_ == 0) {
+    // The first sample allocates the buckets (index_of reads their count);
+    // without memory for them it is dropped, since record() must not throw.
+    if (counts_.empty() && !allocate_buckets()) return;
     min_ = max_ = x;
   } else {
     min_ = std::min(min_, x);
@@ -89,12 +100,15 @@ double LogHistogram::bucket_lo(std::size_t i) const { return bucket_bound(cfg_, 
 double LogHistogram::bucket_hi(std::size_t i) const { return bucket_bound(cfg_, i + 1); }
 
 HistogramSnapshot LogHistogram::snapshot() const {
+  if (counts_.empty())  // zero counts before the first sample
+    return {cfg_, std::vector<std::uint64_t>(bucket_count()), total_, sum_, min_, max_};
   return {cfg_, counts_, total_, sum_, min_, max_};
 }
 
 void LogHistogram::merge(const LogHistogram& other) {
   check_mergeable(cfg_, other.cfg_);
   if (other.total_ == 0) return;
+  if (counts_.empty()) counts_.resize(other.counts_.size());
   if (total_ == 0) {
     min_ = other.min_;
     max_ = other.max_;

@@ -2,9 +2,12 @@
 // subsystem's workhorse for latency/duration distributions.
 //
 // Values are bucketed by binary octave [2^o, 2^(o+1)) with `sub_buckets`
-// linear sub-buckets per octave, so memory is fixed at construction,
-// record() is O(1) (one frexp, no branches on the data), and percentiles
-// are recovered from bucket boundaries in O(buckets).
+// linear sub-buckets per octave, so memory is fixed by the config, record()
+// is O(1) (one frexp, no branches on the data), and percentiles are
+// recovered from bucket boundaries in O(buckets). The bucket array is
+// allocated by the first sample, not the constructor: an instrument that
+// never records costs no bucket memory, and reads as bucket_count() zero
+// buckets.
 //
 // Error bound: every recorded value lands in a bucket whose relative width
 // is at most 1/sub_buckets, so percentile() is within 1/sub_buckets of the
@@ -67,7 +70,9 @@ class LogHistogram {
  public:
   explicit LogHistogram(LogHistogramConfig cfg = {});
 
-  /// O(1); never throws, never allocates. NaN is ignored.
+  /// O(1), and never throws: it runs in ScopedTimer's destructor. NaN is
+  /// ignored. Allocates once, on the first sample, and drops that sample
+  /// if the allocation fails.
   void record(double x);
 
   std::uint64_t total() const { return total_; }
@@ -85,23 +90,28 @@ class LogHistogram {
     return 1.0 / static_cast<double>(cfg_.sub_buckets);
   }
 
+  /// bucket_count() counts, zero before the first sample.
   HistogramSnapshot snapshot() const;
   /// Add every recorded value of `other` into this; configs must match.
+  /// Allocates the buckets when `other` brings the first samples.
   void merge(const LogHistogram& other);
+  /// Zero every count; keeps the bucket array for the next sample.
   void reset();
 
   const LogHistogramConfig& config() const { return cfg_; }
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
+  std::size_t bucket_count() const { return cfg_.bucket_count(); }
+  std::uint64_t bucket(std::size_t i) const { return counts_.empty() ? 0 : counts_[i]; }
   /// Value range [bucket_lo, bucket_hi) covered by bucket i.
   double bucket_lo(std::size_t i) const;
   double bucket_hi(std::size_t i) const;
 
  private:
   std::size_t index_of(double x) const;
+  /// Size the bucket array to the config; false when that fails.
+  bool allocate_buckets() noexcept;
 
   LogHistogramConfig cfg_;
-  std::vector<std::uint64_t> counts_;
+  std::vector<std::uint64_t> counts_;  ///< empty until the first sample
   std::uint64_t total_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

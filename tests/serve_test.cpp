@@ -10,6 +10,7 @@
 #include <latch>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -17,7 +18,9 @@
 #include "core/configuration_solver.h"
 #include "core/resource_controller.h"
 #include "core/workload_analyzer.h"
+#include "gnn/batched_latency_model.h"
 #include "gnn/latency_model.h"
+#include "serve/checkpoint.h"
 #include "serve/model_registry.h"
 #include "serve/online_trainer.h"
 #include "serve/serving_handle.h"
@@ -169,6 +172,44 @@ TEST_F(ServeFixture, RegistryPersistsCheckpointsInStoreDir) {
   EXPECT_DOUBLE_EQ(model->predict(w, q), reloaded->predict(w, q));
   EXPECT_EQ(fresh.active_meta(key).application, key.application);
   std::remove(path.c_str());
+}
+
+TEST_F(ServeFixture, VersionHoldsWeightsWithoutGradients) {
+  gnn::LatencyModel& source = trained_initial();
+  const std::uint64_t v =
+      registry.publish(key, source, {.train_samples = 1200, .val_error_pct = 3.0});
+  ASSERT_TRUE(registry.promote(key, v));
+  auto version = registry.active(key);
+  const std::vector<nn::Param*> served = version->params();
+  const std::vector<nn::Param*> kept = source.params();
+  ASSERT_EQ(served.size(), kept.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_TRUE(served[i]->grad.empty()) << "param " << i;
+    EXPECT_TRUE(kept[i]->grad.same_shape(kept[i]->value))
+        << "the published source keeps its own gradient, param " << i;
+  }
+  // Only training scratch is gone: weights and scalers give the same
+  // fingerprint and the same checkpoint bytes.
+  EXPECT_EQ(gnn::BatchedLatencyModel::fingerprint(*version),
+            gnn::BatchedLatencyModel::fingerprint(source));
+  const CheckpointMeta meta = registry.active_meta(key);
+  std::ostringstream version_bytes;
+  std::ostringstream source_bytes;
+  save_checkpoint(version_bytes, *version, meta);
+  save_checkpoint(source_bytes, source, meta);
+  EXPECT_EQ(version_bytes.str(), source_bytes.str());
+}
+
+TEST_F(ServeFixture, FineTuneOfVersionCloneIsPinned) {
+  // A clone of a served version has no gradient buffers; fit gives it the
+  // zeroed ones a version used to carry, so the fine-tune's bits are those
+  // of a clone that kept them. Short and sharded like TrainPin.*, so the
+  // pin holds at any GRAF_THREADS and on every kernel tier.
+  gnn::LatencyModel candidate = registry.active(key)->clone();
+  candidate.fit(regime_dataset(kRegimeB, 160, 21), regime_dataset(kRegimeB, 32, 22),
+                {.iterations = 40, .batch_size = 32, .lr = 3e-3, .lr_decay_every = 20,
+                 .eval_every = 20, .seed = 5, .shard_rows = 16});
+  EXPECT_EQ(gnn::BatchedLatencyModel::fingerprint(candidate), 4307945807424310639ULL);
 }
 
 TEST_F(ServeFixture, ResourceControllerFollowsHotSwappedModel) {

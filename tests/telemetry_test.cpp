@@ -23,6 +23,17 @@ namespace {
 
 // -- LogHistogram ------------------------------------------------------------
 
+/// Every field of two snapshots equal (an untouched histogram allocates no
+/// buckets, yet must read exactly like an emptied one).
+void expect_same_snapshot(const HistogramSnapshot& a, const HistogramSnapshot& b) {
+  EXPECT_EQ(a.config, b.config);
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.total, b.total);
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+}
+
 TEST(LogHistogram, RecordsBasicAggregates) {
   LogHistogram h;
   for (double v : {1.0, 2.0, 4.0, 8.0}) h.record(v);
@@ -36,6 +47,9 @@ TEST(LogHistogram, RecordsBasicAggregates) {
 TEST(LogHistogram, EmptyPercentileThrows) {
   LogHistogram h;
   EXPECT_THROW(h.percentile(50.0), std::logic_error);
+  // No sample has allocated the buckets yet; every one reads 0.
+  EXPECT_EQ(h.bucket_count(), LogHistogramConfig{}.bucket_count());
+  for (std::size_t i = 0; i < h.bucket_count(); ++i) ASSERT_EQ(h.bucket(i), 0u);
 }
 
 TEST(LogHistogram, NanIgnoredAndExtremesClamp) {
@@ -117,6 +131,26 @@ TEST(LogHistogram, MergeEqualsUnionStream) {
     EXPECT_DOUBLE_EQ(a.percentile(rank), all.percentile(rank));
 }
 
+TEST(LogHistogram, MergeWithUntouchedGivesTouchedCounts) {
+  LogHistogram touched;
+  for (double v : {0.25, 9.0, 9.5, 4096.0}) touched.record(v);
+  LogHistogram from_untouched = touched;
+  from_untouched.merge(LogHistogram{});
+  expect_same_snapshot(from_untouched.snapshot(), touched.snapshot());
+  LogHistogram into_untouched;
+  into_untouched.merge(touched);
+  expect_same_snapshot(into_untouched.snapshot(), touched.snapshot());
+  // The merge allocated the buckets: the next sample lands in its own.
+  into_untouched.record(300.0);
+  std::size_t bucket = 0;
+  while (bucket + 1 < into_untouched.bucket_count() &&
+         !(300.0 < into_untouched.bucket_hi(bucket)))
+    ++bucket;
+  ASSERT_LE(into_untouched.bucket_lo(bucket), 300.0);
+  EXPECT_EQ(into_untouched.bucket(bucket), 1u);
+  EXPECT_EQ(into_untouched.total(), touched.total() + 1);
+}
+
 TEST(LogHistogram, MergeRejectsConfigMismatch) {
   LogHistogram a;
   LogHistogram b{LogHistogramConfig{.sub_buckets = 8}};
@@ -151,6 +185,7 @@ TEST(LogHistogram, ResetClears) {
   EXPECT_EQ(h.total(), 0u);
   EXPECT_DOUBLE_EQ(h.sum(), 0.0);
   EXPECT_THROW(h.percentile(50.0), std::logic_error);
+  expect_same_snapshot(h.snapshot(), LogHistogram{}.snapshot());
 }
 
 // -- MetricsRegistry ---------------------------------------------------------
